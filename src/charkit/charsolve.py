@@ -117,8 +117,13 @@ class CharacterTable:
                 self._store_disk(m, chi)
 
     # -------------------------------------------------------------- solvers
-    def character(self, m, method="m1"):
-        """The character of highest weight m, from cache or by solving."""
+    def character(self, m, method="m1", downset=None):
+        """The character of highest weight m, from cache or by solving.
+
+        ``downset``, a ``Downset`` containing m, is handed to a Method 1
+        solve as the source of its support.  Only solved characters are
+        written to the disk cache.
+        """
         if method not in ("m1", "m2"):
             raise ValueError(f"unknown method {method!r}")
         m = tuple(m)
@@ -130,23 +135,35 @@ class CharacterTable:
         chi = self._load_disk(m)
         prov = "disk"
         if chi is None:
-            chi = self.character_m2(m) if method == "m2" else self.character_m1(m)
-            prov = "method-2" if method == "m2" else "method-1"
+            if method == "m2":
+                chi, prov = self.character_m2(m), "method-2"
+            else:
+                chi, prov = self.character_m1(m, downset), "method-1"
         with self._lock:
             self._cache.setdefault(m, chi)
             self._provenance.setdefault(m, prov)
-        self._store_disk(m, chi)
+        if prov != "disk":
+            self._store_disk(m, chi)
         return chi
 
-    def character_m1(self, m):
-        """Solve for chi_m by the triangular recursion (Method 1)."""
+    def character_m1(self, m, downset=None):
+        """Solve for chi_m by the triangular recursion (Method 1).
+
+        The support is ``downset.below(m)`` when m is solved as a
+        constituent inside the downset of a larger weight (a decomposition
+        passes the top weight's ``Downset``), and ``dominant_weights_below(m)``
+        otherwise; both give the same weights in the same order.
+        """
         m = tuple(m)
         if not is_dominant(m):
             raise NonDominantError(f"weight {m} is not dominant")
         if m == ZERO_WEIGHT:
             return MultiPoly.one()
         op = self.operator
-        support = dominant_weights_below(m)
+        if downset is None:
+            support = dominant_weights_below(m)
+        else:
+            support = downset.below(m)
         support_set = set(support)
         eps_m = eigenvalue(m)
         acc = {}
@@ -170,7 +187,9 @@ class CharacterTable:
                 if c == 0:
                     continue
             coeffs[mu] = c
-            for q, s in op.image_offdiag(mu):
+            for q, s in op.image_terms(mu).items():
+                if q == mu:
+                    continue
                 if q not in support_set:
                     raise StructuralViolationError(
                         f"image monomial {q} of {mu} escapes the support "

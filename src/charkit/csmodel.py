@@ -195,11 +195,6 @@ class Delta1Operator:
         self._image_cache[n] = out
         return out
 
-    def image_offdiag(self, n):
-        """Off-diagonal part of ``image_terms``: contributions to monomials
-        other than z^n itself, as a list of (exps, coeff)."""
-        return [(q, s) for q, s in self.image_terms(n).items() if q != n]
-
     def apply_terms(self, terms):
         """Apply the operator to a raw term dict, returning a term dict."""
         out = {}

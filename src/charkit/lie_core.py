@@ -176,13 +176,18 @@ def weyl_dim(m):
     """Dimension of the irreducible representation with highest weight m.
 
     Exact product over positive roots: each root of height h and
-    alpha-coordinates a contributes (h + a.m) / h.
+    alpha-coordinates a contributes (h + a.m) / h.  Memoized per weight.
     """
+    m = tuple(m)
     _require_dominant(m)
-    data = cartan_matrix()
+    return _weyl_dim(m)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _weyl_dim(m):
     num = 1
     den = 1
-    for r in data.positive_roots:
+    for r in cartan_matrix().positive_roots:
         h = sum(r)
         num *= h + sum(r[i] * m[i] for i in range(RANK))
         den *= h
@@ -215,49 +220,84 @@ def dominant_weights_below(m):
     dominant results; covers in the dominance order on dominant weights are
     positive-root differences, so the closure is exhaustive.  Sorted by
     ascending height of m - mu, ties by descending lexicographic mu.
+
+    Each weight is packed into one integer: a field per coordinate, mu_1
+    most significant, each field offset by a guard bit, under a top field
+    holding 2(mu, rho).  A root subtraction is then one integer
+    subtraction, dominance is every guard bit surviving, and descending
+    integer order is the order above.
+
+    This is the one enumeration of a downset.  A constituent solved inside
+    a decomposition takes its support from the top weight's downset through
+    ``Downset.below`` instead of enumerating again.
     """
     _require_dominant(m)
-    pos_fund = cartan_matrix().positive_roots_fund
-    seen = {m}
-    frontier = [m]
+    hm = weight_height2(m)
+    # A dominant mu <= m has 27 mu_i <= 2(mu, rho) <= 2(m, rho), 27 being the
+    # least entry of TWO_RHO_ALPHA, and one root subtraction moves mu_i by
+    # -2..1.  A field of `width` bits then holds guard + mu_i for every value
+    # the closure meets without borrowing from its neighbour.
+    width = (hm // min(TWO_RHO_ALPHA) + 1).bit_length()
+    step = width + 1
+    offset = 1 << width
+    shifts = tuple(step * (RANK - 1 - i) for i in range(RANK))
+    height_shift = step * RANK
+    guard = sum(offset << s for s in shifts)
+
+    def pack(w):
+        return (weight_height2(w) << height_shift) + sum(
+            x << s for x, s in zip(w, shifts))
+
+    roots = [pack(r) for r in cartan_matrix().positive_roots_fund]
+    start = guard + pack(m)
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for mu in frontier:
-            for rf in pos_fund:
-                nu = (mu[0] - rf[0], mu[1] - rf[1], mu[2] - rf[2],
-                      mu[3] - rf[3], mu[4] - rf[4], mu[5] - rf[5],
-                      mu[6] - rf[6])
-                if nu not in seen and min(nu) >= 0:
-                    seen.add(nu)
-                    nxt.append(nu)
+        for y in frontier:
+            for r in roots:
+                z = y - r
+                if z & guard == guard and z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
         frontier = nxt
-    hm = weight_height2(m)
-    return sorted(seen, key=lambda mu: (hm - weight_height2(mu),
-                                        tuple(-x for x in mu)))
+    mask = (1 << step) - 1
+    return [tuple(((y >> s) & mask) - offset for s in shifts)
+            for y in sorted(seen, reverse=True)]
 
 
-def dominant_weights_below_boxed(m):
-    """Reference enumeration of dominant_weights_below by exhaustive search
-    over the coordinate box 0 <= c <= A^{-1} m.  Exponentially slower; used
-    only to cross-check the closure enumeration in tests."""
-    _require_dominant(m)
-    bound = [sum(CARTAN_AINV2[i][j] * m[j] for j in range(RANK)) // 2
-             for i in range(RANK)]
-    out = []
+class Downset:
+    """The dominant weights below a top weight, from which the downset of
+    every member is filtered instead of enumerated again.
 
-    def rec(idx, c):
-        if idx == RANK:
-            mu = tuple(m[i] - sum(CARTAN_A[i][j] * c[j] for j in range(RANK))
-                       for i in range(RANK))
-            if min(mu) >= 0:
-                out.append(mu)
-            return
-        for v in range(bound[idx] + 1):
-            c[idx] = v
-            rec(idx + 1, c)
-        c[idx] = 0
+    ``weights`` is ``dominant_weights_below(top)``.  Members differ from the
+    top, and so from each other, by root-lattice elements, so nu lies below
+    mu exactly when the doubled simple-root coordinates c = CARTAN_AINV2 . w
+    satisfy c(mu) - c(nu) >= 0 componentwise.  Each c is packed into one
+    integer, so that test is one subtraction and one guard-mask test.
+    """
 
-    rec(0, [0] * RANK)
-    hm = weight_height2(m)
-    return sorted(set(out), key=lambda mu: (hm - weight_height2(mu),
-                                            tuple(-x for x in mu)))
+    def __init__(self, weights):
+        self.weights = weights
+        self._index = {mu: i for i, mu in enumerate(weights)}
+        coords = [tuple(sum(row[j] * mu[j] for j in range(RANK))
+                        for row in CARTAN_AINV2) for mu in weights]
+        # 0 <= c_i(nu) <= c_i(top) on dominant members, so every difference
+        # lies within +-max c(top) and fits under a guard bit above it.
+        width = max(coords[0]).bit_length()
+        step = width + 1
+        offset = 1 << width
+        shifts = tuple(step * i for i in range(RANK))
+        self._guard = sum(offset << s for s in shifts)
+        self._packed = [sum(x << s for x, s in zip(c, shifts))
+                        for c in coords]
+
+    def below(self, mu):
+        """``dominant_weights_below(mu)`` for a member mu, in the same
+        order: the sort key differs from the top's by a constant, and no
+        weight below mu comes before it."""
+        i = self._index[mu]
+        guard = self._guard
+        base = guard + self._packed[i]
+        return [nu for nu, c in zip(self.weights[i:], self._packed[i:])
+                if (base - c) & guard == guard]

@@ -6,6 +6,10 @@ of increasing height gap, each multiplicity is read off as the current
 residual coefficient of z^mu, and N_mu * chi_mu is subtracted.  A zero
 final residual certifies the decomposition (and, transitively, every
 character that entered it); the exact dimension sum is checked as well.
+
+The downset of the top weight is enumerated once per decomposition.  A
+constituent character that is not cached yet is solved by Method 1 on a
+support filtered from that downset, never enumerated again.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lie_core import (
-    RANK, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS,
+    RANK, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, Downset,
     dominant_weights_below, is_dominant, weyl_dim, NonDominantError,
 )
 
@@ -55,17 +59,22 @@ class CGSeries:
 
 def _subtractive_decompose(product_terms, top, table):
     """Shared core: peel irreducible characters off a character-positive
-    polynomial whose constituents all lie below ``top``."""
+    polynomial whose constituents all lie below ``top``.
+
+    The downset of ``top`` is enumerated once; a constituent that has to
+    be solved takes its support from it by filtering (``Downset.below``).
+    """
     residual = dict(product_terms)
     series = {}
-    for mu in dominant_weights_below(top):
+    downset = Downset(dominant_weights_below(top))
+    for mu in downset.weights:
         c = residual.get(mu, 0)
         if c == 0:
             continue
         if c < 0:
             raise DecompositionError(
                 f"negative multiplicity {c} for weight {mu} under {top}")
-        chi = table.character(mu)
+        chi = table.character(mu, downset=downset)
         for q, s in chi.terms.items():
             v = residual.get(q, 0) - c * s
             if v:

@@ -107,6 +107,18 @@ def test_disk_cache_roundtrip(operator, tmp_path):
     assert t2.provenance(m) == "disk"
 
 
+def test_disk_hit_leaves_the_cache_file_alone(operator, tmp_path):
+    import os
+    m = (0, 0, 0, 0, 1, 0, 1)
+    chi = CharacterTable(operator, cache_dir=str(tmp_path)).character(m)
+    (path,) = tmp_path.iterdir()
+    os.utime(path, ns=(0, 0))
+    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    assert t.character(m) == chi
+    assert t.provenance(m) == "disk"
+    assert path.stat().st_mtime_ns == 0
+
+
 def test_multi_digit_weights_in_cache(operator, tmp_path):
     t = CharacterTable(operator, cache_dir=str(tmp_path))
     m = (0, 0, 0, 0, 0, 0, 11)

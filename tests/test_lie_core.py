@@ -3,14 +3,66 @@ from fractions import Fraction
 import pytest
 
 from charkit.lie_core import (
-    CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, RANK,
+    CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, RANK,
     TWO_RHO_ALPHA, ZERO_WEIGHT,
-    cartan_matrix, dominant_weights_below, dominant_weights_below_boxed,
+    cartan_matrix, dominant_weights_below,
     eigenvalue, height_of, weight_diff_in_roots, weight_height2, weyl_dim,
     NonDominantError,
 )
 
 L = FUNDAMENTAL_WEIGHTS
+
+
+def _downset_order(m, weights):
+    hm = weight_height2(m)
+    return sorted(weights, key=lambda mu: (hm - weight_height2(mu),
+                                           tuple(-x for x in mu)))
+
+
+def boxed_dominant_weights_below(m):
+    """Reference enumeration by search over the coordinate box
+    0 <= c <= A^{-1} m of m - mu in the simple-root basis.  A branch is cut
+    once some coordinate of m - A c can no longer become non-negative."""
+    bound = [sum(CARTAN_AINV2[i][j] * m[j] for j in range(RANK)) // 2
+             for i in range(RANK)]
+    # slack[k][i]: the most that c_k, ..., c_7 can still add to mu_i
+    slack = [[sum(-CARTAN_A[i][j] * bound[j]
+                  for j in range(k, RANK) if j != i)
+              for i in range(RANK)] for k in range(RANK + 1)]
+    out = []
+
+    def rec(idx, mu):
+        if idx == RANK:
+            if min(mu) >= 0:
+                out.append(tuple(mu))
+            return
+        for v in range(bound[idx] + 1):
+            nxt = [mu[i] - CARTAN_A[i][idx] * v for i in range(RANK)]
+            if nxt[idx] + slack[idx + 1][idx] < 0:
+                break       # mu_idx only falls as c_idx grows
+            if all(nxt[i] + slack[idx + 1][i] >= 0 for i in range(RANK)):
+                rec(idx + 1, nxt)
+
+    rec(0, list(m))
+    return _downset_order(m, out)
+
+
+def closure_dominant_weights_below(m):
+    """Reference enumeration on weight tuples: the closure of {m} under
+    subtraction of positive roots, keeping dominant results."""
+    pos_fund = cartan_matrix().positive_roots_fund
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for rf in pos_fund:
+                nu = tuple(a - b for a, b in zip(mu, rf))
+                if nu not in seen and min(nu) >= 0:
+                    seen.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+    return _downset_order(m, seen)
 
 
 def test_cartan_matrix_entries():
@@ -123,8 +175,21 @@ def test_dominant_weights_below_order_and_membership():
     (1, 0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0, 0),
 ])
 def test_dominant_weights_below_matches_box_enumeration(m):
-    # the box search is exponential; these weights keep it to a few seconds
-    assert dominant_weights_below(m) == dominant_weights_below_boxed(m)
+    assert dominant_weights_below(m) == boxed_dominant_weights_below(m)
+
+
+@pytest.mark.parametrize("m", [
+    (0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 2, 2, 2), (0, 0, 0, 0, 0, 0, 24),
+])
+def test_dominant_weights_below_matches_tuple_closure(m):
+    got = dominant_weights_below(m)
+    assert got == closure_dominant_weights_below(m)
+    # The first two reach coordinates that a bit field sized from max(m),
+    # with two of headroom, could not hold; the bound 2(m, rho) // 27 can.
+    top = max(max(mu) for mu in got)
+    assert top <= weight_height2(m) // min(TWO_RHO_ALPHA)
+    if max(m) <= 2:
+        assert top >= 1 << (max(m) + 2).bit_length()
 
 
 def test_dominant_weights_below_rejects_non_dominant():

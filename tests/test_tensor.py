@@ -2,7 +2,10 @@ import pytest
 
 from charkit import fixtures
 from charkit.charsolve import CharacterTable
-from charkit.lie_core import FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, weyl_dim
+from charkit.lie_core import (
+    FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, Downset, dominant_weights_below,
+    weyl_dim,
+)
 from charkit.polyring import MultiPoly
 from charkit.tensor import (
     CGSeries, DecompositionError, cg_decompose, monomial_decompose,
@@ -81,6 +84,19 @@ def test_dimension_identity_everywhere(table):
     for m, n in [(L[0], L[6]), (L[2], L[6])]:
         got = cg_decompose(m, n, table)
         assert got.total_dimension() == weyl_dim(m) * weyl_dim(n)
+
+
+def test_constituent_supports_filter_the_top_downset(table):
+    # Constituents solved inside a decomposition take their support from
+    # the top's downset; it must equal their own enumeration, order included.
+    z4_cubed = (0, 0, 0, 3, 0, 0, 0)
+    m, n = (0, 0, 0, 0, 0, 1, 2), (0, 0, 1, 0, 0, 0, 1)
+    cases = [(z4_cubed, monomial_decompose(z4_cubed, table)),
+             (tuple(a + b for a, b in zip(m, n)), cg_decompose(m, n, table))]
+    for top, series in cases:
+        downset = Downset(dominant_weights_below(top))
+        for mu, _ in series:
+            assert downset.below(mu) == dominant_weights_below(mu)
 
 
 def test_decomposition_error_on_corrupted_character(operator):
