@@ -2,13 +2,13 @@
 differential operator in the fundamental-character variables."""
 
 from .lie_core import (
-    cartan_matrix, weyl_dim, eigenvalue, height_of,
-    weight_diff_in_roots, dominant_weights_below, NonDominantError,
+    cartan_matrix, weyl_dim, eigenvalue, dominant_weights_below,
+    NonDominantError,
 )
 from .polyring import MultiPoly
 from .csmodel import (
-    QuadraticCorpus, Delta1Operator, build_b, build_a, build_delta1,
-    apply_delta1, CorpusIncompleteError, StructuralViolationError,
+    QuadraticCorpus, Delta1Operator, build_b, build_a,
+    CorpusIncompleteError, StructuralViolationError,
 )
 from .charsolve import CharacterTable, CharacterReport, IntegralityError
 from .tensor import (
@@ -20,12 +20,11 @@ from .oracle import freudenthal, torus_check, WeightSystem, OracleRefusal
 __version__ = "1.0.0"
 
 __all__ = [
-    "cartan_matrix", "weyl_dim", "eigenvalue", "height_of",
-    "weight_diff_in_roots", "dominant_weights_below", "NonDominantError",
+    "cartan_matrix", "weyl_dim", "eigenvalue", "dominant_weights_below",
+    "NonDominantError",
     "MultiPoly",
     "QuadraticCorpus", "Delta1Operator", "build_b", "build_a",
-    "build_delta1", "apply_delta1", "CorpusIncompleteError",
-    "StructuralViolationError",
+    "CorpusIncompleteError", "StructuralViolationError",
     "CharacterTable", "CharacterReport", "IntegralityError",
     "CGSeries", "cg_decompose", "monomial_decompose", "series_family_z7",
     "verify_quadratic_roundtrip", "DecompositionError",

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from .csmodel import StructuralViolationError
 from .lie_core import (
     ZERO_WEIGHT, FUNDAMENTAL_DIMS,
-    dominant_weights_below, eigenvalue, is_dominant, weyl_dim,
-    NonDominantError,
+    dominant_weights_below, eigenvalue, require_dominant, weyl_dim,
 )
 from .polyring import MultiPoly
 from . import fixtures
@@ -79,10 +78,10 @@ class CharacterTable:
             os.makedirs(cache_dir, exist_ok=True)
 
     # -------------------------------------------------------------- caching
-    def seed(self, m, chi, provenance="fixture"):
+    def seed(self, m, chi):
         m = tuple(m)
         self._cache[m] = chi
-        self._provenance[m] = provenance
+        self._provenance[m] = "fixture"
 
     def provenance(self, m):
         return self._provenance.get(tuple(m))
@@ -97,7 +96,10 @@ class CharacterTable:
         path = self._disk_path(m)
         if not os.path.exists(path):
             return None
-        loaded = fixtures.load_chi_file(path)
+        try:
+            loaded = fixtures.load_chi_file(path)
+        except (fixtures.FixtureFormatError, fixtures.FixtureCorruptError):
+            return None     # a miss: the solve overwrites the bad file
         return loaded.get(m)
 
     def _store_disk(self, m, chi):
@@ -117,28 +119,22 @@ class CharacterTable:
                 self._store_disk(m, chi)
 
     # -------------------------------------------------------------- solvers
-    def character(self, m, method="m1", downset=None):
-        """The character of highest weight m, from cache or by solving.
+    def character(self, m, downset=None):
+        """The character of highest weight m, from cache or by Method 1.
 
-        ``downset``, a ``Downset`` containing m, is handed to a Method 1
-        solve as the source of its support.  Only solved characters are
-        written to the disk cache.
+        ``downset``, a ``Downset`` containing m, is handed to the solve as
+        the source of its support.  Only solved characters are written to
+        the disk cache.
         """
-        if method not in ("m1", "m2"):
-            raise ValueError(f"unknown method {method!r}")
         m = tuple(m)
-        if not is_dominant(m):
-            raise NonDominantError(f"weight {m} is not dominant")
+        require_dominant(m)
         chi = self._cache.get(m)
         if chi is not None:
             return chi
         chi = self._load_disk(m)
         prov = "disk"
         if chi is None:
-            if method == "m2":
-                chi, prov = self.character_m2(m), "method-2"
-            else:
-                chi, prov = self.character_m1(m, downset), "method-1"
+            chi, prov = self.character_m1(m, downset), "method-1"
         with self._lock:
             self._cache.setdefault(m, chi)
             self._provenance.setdefault(m, prov)
@@ -155,8 +151,7 @@ class CharacterTable:
         otherwise; both give the same weights in the same order.
         """
         m = tuple(m)
-        if not is_dominant(m):
-            raise NonDominantError(f"weight {m} is not dominant")
+        require_dominant(m)
         if m == ZERO_WEIGHT:
             return MultiPoly.one()
         op = self.operator
@@ -201,8 +196,7 @@ class CharacterTable:
     def character_m2(self, m):
         """Solve for chi_m by the annihilator product (Method 2)."""
         m = tuple(m)
-        if not is_dominant(m):
-            raise NonDominantError(f"weight {m} is not dominant")
+        require_dominant(m)
         if m == ZERO_WEIGHT:
             return MultiPoly.one()
         op = self.operator

@@ -10,7 +10,8 @@ series-family K N     z7 * chi_{n lambda_k} against its closed form
 verify CORPUS         re-derive a fixture corpus and report pass/fail
 
 Weights are seven digits (``0000002``) or comma-separated (``0,...,12``).
-Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
+Exit status: 0 on success; 1 on a verification failure or on a failed
+internal invariant (a one-line ``error:`` on stderr); 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -21,12 +22,19 @@ import os
 import sys
 
 from . import fixtures
-from .csmodel import QuadraticCorpus, build_a
-from .lie_core import weyl_dim
+from .charsolve import IntegralityError, ZeroGapError
+from .csmodel import QuadraticCorpus, StructuralViolationError, build_a
+from .lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, weyl_dim
+from .oracle import OracleRefusal, freudenthal, torus_check
+from .polyring import monomial_key
 from .tensor import (
-    cg_decompose, monomial_decompose, series_family_z7,
+    DecompositionError, cg_decompose, monomial_decompose, series_family_z7,
     verify_quadratic_roundtrip,
 )
+
+# Failures of a self-check or of the oracle's work ceiling: exit 1.
+INVARIANT_ERRORS = (DecompositionError, IntegralityError, ZeroGapError,
+                    StructuralViolationError, OracleRefusal)
 
 DEFAULT_CACHE = ".charcache"
 
@@ -97,24 +105,15 @@ def _make_table(args):
 
 
 def _poly_json(w, poly):
-    terms = sorted(poly.terms.items(),
-                   key=lambda it: (sum(it[0]), tuple(reversed(it[0]))),
-                   reverse=True)
+    exps = sorted(poly.terms, key=monomial_key, reverse=True)
     return {"weight": list(w),
-            "polynomial": [[str(c), list(e)] for e, c in terms]}
-
-
-def _series_items(series):
-    from .lie_core import weight_height2
-    return sorted(series.terms.items(),
-                  key=lambda it: (-weight_height2(it[0]),
-                                  tuple(-x for x in it[0])))
+            "polynomial": [[str(poly.terms[e]), list(e)] for e in exps]}
 
 
 def _series_json(factors, series, dim_check):
     return {"factors": [list(f) for f in factors],
             "series": [{"weight": list(w), "mult": n}
-                       for w, n in _series_items(series)],
+                       for w, n in fixtures.series_items(series.terms)],
             "dim_check": dim_check}
 
 
@@ -128,7 +127,7 @@ def _emit_series(args, factors, series, label):
     else:
         print(f"# {label}, dimension {want}, dim_check "
               f"{'ok' if ok else 'FAILED'}")
-        for w, n in _series_items(series):
+        for w, n in fixtures.series_items(series.terms):
             print(f"{fixtures.format_weight(w)}:{n}")
     return 0 if ok else 1
 
@@ -138,7 +137,7 @@ def cmd_character(args):
     status = 0
     for w in args.weights:
         if args.method in ("m1", "both"):
-            chi = table.character(w, method="m1")
+            chi = table.character(w)
         if args.method in ("m2", "both"):
             chi2 = table.character_m2(w)
             if args.method == "both" and chi != chi2:
@@ -232,8 +231,6 @@ def _verify_cubic(table, rows):
 
 
 def _verify_oracle(table, rows, trials, seed):
-    from .lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS
-    from .oracle import freudenthal, torus_check
     for i in range(7):
         system = freudenthal(FUNDAMENTAL_WEIGHTS[i])
         ok = system.total() == FUNDAMENTAL_DIMS[i]
@@ -289,7 +286,10 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (fixtures.FixtureFormatError, ValueError) as exc:
+    except INVARIANT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

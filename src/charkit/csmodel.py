@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lie_core import (
-    RANK, TWO_RHO_ALPHA, ZERO_WEIGHT, FUNDAMENTAL_WEIGHTS,
-    eigenvalue, weight_diff_in_roots,
+    RANK, TWO_RHO_ALPHA, ZERO_WEIGHT, FUNDAMENTAL_WEIGHTS, eigenvalue,
 )
 from .polyring import MultiPoly
 from . import fixtures
@@ -42,12 +41,12 @@ class OperatorIncompleteError(RuntimeError):
 
 
 class StructuralViolationError(AssertionError):
-    """The operator produced a monomial outside the positive root lattice
-    cone below its input; the triangular structure would be broken."""
+    """The operator sent a monomial of a character's support outside that
+    support; the triangular structure would be broken."""
 
 
 # b_j(z) = eps_j * z_j; the eigenvalue coefficients on z_1..z_7.
-B_COEFFS = tuple(eigenvalue(w, 1) for w in FUNDAMENTAL_WEIGHTS)
+B_COEFFS = tuple(eigenvalue(w) for w in FUNDAMENTAL_WEIGHTS)
 
 
 def build_b():
@@ -111,10 +110,8 @@ class Delta1Operator:
     recursion solvers revisit the same monomials across many characters.
     """
 
-    def __init__(self, a=None, b_coeffs=B_COEFFS):
+    def __init__(self, a=None):
         self._a = {}
-        self._rules = {}     # (j,k) with j<=k -> [(a-term exps, coeff), ...]
-        self._b = tuple(b_coeffs)
         self._image_cache = {}
         if a:
             for (j, k), poly in a.items():
@@ -124,22 +121,12 @@ class Delta1Operator:
     def register_pair(self, j, k, poly):
         j, k = min(j, k), max(j, k)
         self._a[(j, k)] = poly
-        self._rules[(j, k)] = list(poly.terms.items())
         self._image_cache.clear()
 
     @property
     def a(self):
         """Mapping (j, k) with j <= k to the coefficient polynomial."""
         return dict(self._a)
-
-    @property
-    def b(self):
-        """The seven polynomials b_j = eps_j z_j."""
-        return tuple(self._b[j] * MultiPoly.variable(j + 1)
-                     for j in range(RANK))
-
-    def a_entry(self, j, k):
-        return self._a[(min(j, k), max(j, k))]
 
     def complete(self):
         return len(self._a) == 28
@@ -167,15 +154,15 @@ class Delta1Operator:
                 if factor == 0:
                     continue
                 pair = (j, k)
-                terms = self._rules.get(pair)
-                if terms is None:
+                poly = self._a.get(pair)
+                if poly is None:
                     raise OperatorIncompleteError(
                         f"coefficient pair {pair} needed for monomial {n} "
                         f"is not built")
                 base = list(n)
                 base[j - 1] -= 1
                 base[k - 1] -= 1
-                for e, c in terms:
+                for e, c in poly.terms.items():
                     q = (base[0] + e[0], base[1] + e[1], base[2] + e[2],
                          base[3] + e[3], base[4] + e[4], base[5] + e[5],
                          base[6] + e[6])
@@ -185,7 +172,7 @@ class Delta1Operator:
                     else:
                         del out[q]
         # first-derivative part: b_j d_j z^n = eps_j n_j z^n
-        diag = sum(self._b[i] * n[i] for i in range(RANK))
+        diag = sum(B_COEFFS[i] * n[i] for i in range(RANK))
         if diag:
             s = out.get(n, 0) + diag
             if s:
@@ -211,31 +198,6 @@ class Delta1Operator:
         """Apply the operator to a MultiPoly."""
         return MultiPoly(self.apply_terms(p.terms), _clean_input=False)
 
-    def monomial_image(self, n):
-        """Image of z^n as (beta, coefficient) pairs, with beta = n - output
-        expressed in the simple-root basis.
-
-        Every output offset must lie in the positive root lattice; a
-        violation means the triangular structure is broken and raises.
-        The beta = 0 entry, when present, carries the eigenvalue of n.
-        """
-        n = tuple(n)
-        out = []
-        for q, s in self.image_terms(n).items():
-            beta = weight_diff_in_roots(n, q)
-            if beta is None:
-                raise StructuralViolationError(
-                    f"image monomial {q} of {n} is not below it in the "
-                    f"root lattice")
-            out.append((beta, s))
-        out.sort(key=lambda item: (sum(item[0]), item[0]))
-        return out
-
-
-def apply_delta1(op, p):
-    """Apply an assembled operator to a polynomial."""
-    return op.apply(p)
-
 
 def _pair_order():
     """The 28 index pairs in ascending combined fundamental height; the
@@ -248,7 +210,7 @@ def _pair_order():
     return sorted(pairs, key=key.get)
 
 
-def build_a(corpus, character_table=None):
+def build_a(corpus):
     """Reconstruct all 28 a_jk polynomials from the quadratic corpus.
 
     Returns (a_dict, operator, table): the coefficient polynomials, the
@@ -259,13 +221,9 @@ def build_a(corpus, character_table=None):
 
     corpus.validate()
     op = Delta1Operator()
-    if character_table is None:
-        table = CharacterTable(op)
-    else:
-        table = character_table
-        table.operator = op
+    table = CharacterTable(op)
     for w, chi in corpus.seed_characters().items():
-        table.seed(w, chi, provenance="fixture")
+        table.seed(w, chi)
 
     zvars = [MultiPoly.variable(i + 1) for i in range(RANK)]
     for (j, k) in _pair_order():
@@ -291,12 +249,3 @@ def build_a(corpus, character_table=None):
         op.register_pair(j, k, MultiPoly(halved))
     assert op.complete()
     return op.a, op, table
-
-
-def build_delta1(corpus=None):
-    """Assemble the full operator (and its bootstrap character table) from
-    the packaged corpus, or from an explicit one."""
-    if corpus is None:
-        corpus = QuadraticCorpus.load_default()
-    _, op, table = build_a(corpus)
-    return op, table

@@ -17,7 +17,7 @@ from __future__ import annotations
 import importlib.resources
 import warnings
 
-from .lie_core import RANK, FUNDAMENTAL_DIMS, weyl_dim
+from .lie_core import RANK, FUNDAMENTAL_DIMS, weight_height2, weyl_dim
 from .polyring import MultiPoly
 
 
@@ -95,7 +95,7 @@ def _series_dim(series):
     return sum(n * weyl_dim(w) for w, n in series.items())
 
 
-def load_cg_file(path, validate=True):
+def load_cg_file(path):
     """Parse ``cg j k = ...`` lines into {(j, k): {weight: mult}}."""
     out = {}
     for lineno, line in _iter_lines(path):
@@ -110,18 +110,17 @@ def load_cg_file(path, validate=True):
         if not (1 <= j <= RANK and 1 <= k <= RANK):
             raise FixtureFormatError(f"{path}:{lineno}: bad pair {j} {k}")
         series = _parse_series_rhs(rhs, lineno, path)
-        if validate:
-            want = FUNDAMENTAL_DIMS[j - 1] * FUNDAMENTAL_DIMS[k - 1]
-            got = _series_dim(series)
-            if got != want:
-                raise FixtureCorruptError(
-                    f"{path}:{lineno}: series {j} {k} dimension sum {got} "
-                    f"!= {want}")
+        want = FUNDAMENTAL_DIMS[j - 1] * FUNDAMENTAL_DIMS[k - 1]
+        got = _series_dim(series)
+        if got != want:
+            raise FixtureCorruptError(
+                f"{path}:{lineno}: series {j} {k} dimension sum {got} "
+                f"!= {want}")
         out[(min(j, k), max(j, k))] = series
     return out
 
 
-def load_mcg_file(path, validate=True):
+def load_mcg_file(path):
     """Parse ``mcg m = ...`` lines into {exponents: {weight: mult}}."""
     out = {}
     for lineno, line in _iter_lines(path):
@@ -134,24 +133,23 @@ def load_mcg_file(path, validate=True):
         except (ValueError, FixtureFormatError) as exc:
             raise FixtureFormatError(f"{path}:{lineno}: {exc}")
         series = _parse_series_rhs(rhs, lineno, path)
-        if validate:
-            want = 1
-            for i in range(RANK):
-                want *= FUNDAMENTAL_DIMS[i] ** exps[i]
-            got = _series_dim(series)
-            if got != want:
-                raise FixtureCorruptError(
-                    f"{path}:{lineno}: monomial series {format_weight(exps)} "
-                    f"dimension sum {got} != {want}")
+        want = 1
+        for i in range(RANK):
+            want *= FUNDAMENTAL_DIMS[i] ** exps[i]
+        got = _series_dim(series)
+        if got != want:
+            raise FixtureCorruptError(
+                f"{path}:{lineno}: monomial series {format_weight(exps)} "
+                f"dimension sum {got} != {want}")
         out[exps] = series
     return out
 
 
-def load_chi_file(path, validate=True):
+def load_chi_file(path):
     """Parse ``chi m = <poly>`` lines into {weight: MultiPoly}.
 
-    Validation checks the two cheap character invariants: unit coefficient
-    on z^m and the dimension evaluation.
+    Each character is checked for the two cheap character invariants: unit
+    coefficient on z^m and the dimension evaluation.
     """
     out = {}
     for lineno, line in _iter_lines(path):
@@ -164,17 +162,16 @@ def load_chi_file(path, validate=True):
             poly = MultiPoly.from_text(rhs)
         except (ValueError, FixtureFormatError) as exc:
             raise FixtureFormatError(f"{path}:{lineno}: {exc}")
-        if validate:
-            if poly.coefficient_of(w) != 1:
-                raise FixtureCorruptError(
-                    f"{path}:{lineno}: character {format_weight(w)} lacks "
-                    f"unit leading coefficient")
-            got = poly.eval_integer(FUNDAMENTAL_DIMS)
-            want = weyl_dim(w)
-            if got != want:
-                raise FixtureCorruptError(
-                    f"{path}:{lineno}: character {format_weight(w)} "
-                    f"evaluates to {got}, dimension is {want}")
+        if poly.coefficient_of(w) != 1:
+            raise FixtureCorruptError(
+                f"{path}:{lineno}: character {format_weight(w)} lacks "
+                f"unit leading coefficient")
+        got = poly.eval_integer(FUNDAMENTAL_DIMS)
+        want = weyl_dim(w)
+        if got != want:
+            raise FixtureCorruptError(
+                f"{path}:{lineno}: character {format_weight(w)} "
+                f"evaluates to {got}, dimension is {want}")
         out[w] = poly
     return out
 
@@ -221,11 +218,14 @@ def load_errata(path):
     return out
 
 
+def series_items(series):
+    """Items of a {weight: mult} series in print order, highest first."""
+    return sorted(series.items(),
+                  key=lambda it: (-weight_height2(it[0]),
+                                  tuple(-x for x in it[0])))
+
+
 def format_series_line(tag, key_text, series):
-    """Render a cg/mcg line with weights ordered by descending height."""
-    from .lie_core import weight_height2
-    items = sorted(series.items(),
-                   key=lambda it: (-weight_height2(it[0]),
-                                   tuple(-x for x in it[0])))
-    rhs = " ".join(f"{format_weight(w)}:{n}" for w, n in items)
+    """Render a cg/mcg line with weights in ``series_items`` order."""
+    rhs = " ".join(f"{format_weight(w)}:{n}" for w, n in series_items(series))
     return f"{tag} {key_text} = {rhs}"

@@ -54,18 +54,9 @@ class NonDominantError(ValueError):
     """A weight required to be dominant has a negative coordinate."""
 
 
-def is_dominant(m):
-    return len(m) == RANK and all(x >= 0 for x in m)
-
-
-def _require_dominant(m):
-    if not is_dominant(m):
+def require_dominant(m):
+    if len(m) != RANK or any(x < 0 for x in m):
         raise NonDominantError(f"weight {m} is not dominant")
-
-
-def height_of(delta):
-    """Height of a root-lattice element: the sum of its alpha-coordinates."""
-    return sum(delta)
 
 
 def weight_height2(m):
@@ -179,7 +170,7 @@ def weyl_dim(m):
     alpha-coordinates a contributes (h + a.m) / h.  Memoized per weight.
     """
     m = tuple(m)
-    _require_dominant(m)
+    require_dominant(m)
     return _weyl_dim(m)
 
 
@@ -196,21 +187,10 @@ def _weyl_dim(m):
     return q
 
 
-def eigenvalue(m, kappa=1):
-    """Energy above the ground state for quantum numbers m: 2(m, m + 2*kappa*rho)."""
-    _require_dominant(m)
-    return bilinear2(m, m) + 2 * kappa * weight_height2(m)
-
-
-def weight_diff_in_roots(m, mu):
-    """Express m - mu in the simple-root basis if it lies in the positive
-    root lattice; return None otherwise."""
-    d = tuple(a - b for a, b in zip(m, mu))
-    c2 = [sum(CARTAN_AINV2[i][j] * d[j] for j in range(RANK))
-          for i in range(RANK)]
-    if any(x < 0 or x % 2 for x in c2):
-        return None
-    return tuple(x // 2 for x in c2)
+def eigenvalue(m):
+    """Energy above the ground state for quantum numbers m: 2(m, m + 2 rho)."""
+    require_dominant(m)
+    return bilinear2(m, m) + 2 * weight_height2(m)
 
 
 def dominant_weights_below(m):
@@ -231,7 +211,7 @@ def dominant_weights_below(m):
     a decomposition takes its support from the top weight's downset through
     ``Downset.below`` instead of enumerating again.
     """
-    _require_dominant(m)
+    require_dominant(m)
     hm = weight_height2(m)
     # A dominant mu <= m has 27 mu_i <= 2(mu, rho) <= 2(m, rho), 27 being the
     # least entry of TWO_RHO_ALPHA, and one root subtraction moves mu_i by

@@ -15,12 +15,16 @@ from dataclasses import dataclass
 
 from .lie_core import (
     RANK, CARTAN_A, FUNDAMENTAL_WEIGHTS,
-    bilinear2, cartan_matrix, dominant_weights_below, is_dominant,
-    weyl_dim, NonDominantError,
+    bilinear2, cartan_matrix, dominant_weights_below, require_dominant,
+    weyl_dim,
 )
 
+# Largest dimension the oracle accepts; above every fundamental (365750).
+CEILING = 10**6
+
+
 class OracleRefusal(RuntimeError):
-    """The requested representation exceeds the configured work ceiling."""
+    """The requested representation exceeds the work ceiling ``CEILING``."""
 
 
 def dominant_representative(w):
@@ -107,22 +111,21 @@ class WeightSystem:
         return cached
 
 
-def freudenthal(m, ceiling=10**6):
+def freudenthal(m):
     """Weight multiplicities of the irreducible representation of highest
     weight m, by the Freudenthal recursion.
 
     Dominant weights are processed by increasing height gap from m, so all
     multiplicities entering the string sums are already known.  Off-cone
     lookups go through the dominant representative.  Refuses representations
-    with more than ``ceiling`` weights.
+    with more than ``CEILING`` weights.
     """
     m = tuple(m)
-    if not is_dominant(m):
-        raise NonDominantError(f"weight {m} is not dominant")
+    require_dominant(m)
     dim = weyl_dim(m)
-    if ceiling is not None and dim > ceiling:
+    if dim > CEILING:
         raise OracleRefusal(
-            f"dim {dim} of representation {m} exceeds ceiling {ceiling}")
+            f"dim {dim} of representation {m} exceeds ceiling {CEILING}")
     data = cartan_matrix()
     pos_fund = data.positive_roots_fund
     # rho is (1,...,1) in fundamental coordinates
@@ -187,7 +190,7 @@ def _character_sum(system, t):
 _fundamental_systems = {}
 
 
-def torus_check(m, chi, trials=20, seed=20240901, ceiling=10**6):
+def torus_check(m, chi, trials=20, seed=20240901):
     """Maximum deviation |chi(z(q)) - direct sum| over random alcove points.
 
     ``chi`` is the candidate polynomial for the character of weight m; the
@@ -197,14 +200,12 @@ def torus_check(m, chi, trials=20, seed=20240901, ceiling=10**6):
     365750 weights and is needed on every evaluation.
     """
     m = tuple(m)
-    target = freudenthal(m, ceiling=ceiling)
+    target = freudenthal(m)
     fundamentals = []
     for i in range(RANK):
-        key = (i, ceiling)
-        if key not in _fundamental_systems:
-            _fundamental_systems[key] = freudenthal(
-                FUNDAMENTAL_WEIGHTS[i], ceiling=ceiling)
-        fundamentals.append(_fundamental_systems[key])
+        if i not in _fundamental_systems:
+            _fundamental_systems[i] = freudenthal(FUNDAMENTAL_WEIGHTS[i])
+        fundamentals.append(_fundamental_systems[i])
     worst = 0.0
     for t in _alcove_points(trials, seed):
         z = [_character_sum(fs, t) for fs in fundamentals]

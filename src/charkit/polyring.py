@@ -1,8 +1,7 @@
 """Sparse exact polynomial arithmetic in the seven character variables z1..z7.
 
 Terms are kept in a dict keyed by exponent tuples with arbitrary-precision
-integer (or Fraction, for intermediate results) coefficients.  Zero
-coefficients are never stored, so equality of the term maps is equality of
+integer coefficients.  Zero coefficients are never stored, so equality of the term maps is equality of
 polynomials.  The canonical term order is graded, with ties broken by
 comparing exponent tuples from z7 down to z1 (higher variables first), which
 fixes serialization and iteration order.
@@ -11,11 +10,8 @@ fixes serialization and iteration order.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 NVARS = 7
-
-Exponents = tuple  # 7-tuple of non-negative ints
 
 ZERO_EXPS = (0,) * NVARS
 
@@ -78,28 +74,22 @@ class MultiPoly:
         return cls({exps: coeff})
 
     # ------------------------------------------------------------ predicates
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.terms == ({} if other == 0 else {ZERO_EXPS: other})
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __len__(self):
         return len(self.terms)
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -124,7 +114,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return MultiPoly.zero()
             return MultiPoly({e: c * other for e, c in self.terms.items()},
@@ -144,27 +134,9 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    # ------------------------------------------------------------- operators
-    def partial(self, i):
-        """Formal partial derivative with respect to z_i (1-based)."""
-        if not 1 <= i <= NVARS:
-            raise ValueError(f"variable index {i} out of range 1..{NVARS}")
-        k = i - 1
-        out = {}
-        for e, c in self.terms.items():
-            n = e[k]
-            if n == 0:
-                continue
-            e2 = e[:k] + (n - 1,) + e[k + 1:]
-            s = out.get(e2, 0) + n * c
-            if s:
-                out[e2] = s
-            else:
-                del out[e2]
-        return MultiPoly(out, _clean_input=False)
-
+    # ------------------------------------------------------------ evaluation
     def eval_integer(self, point):
-        """Exact evaluation at a tuple of integers (or Fractions)."""
+        """Exact evaluation at a tuple of integers."""
         point = tuple(point)
         if len(point) != NVARS:
             raise ValueError("evaluation point must have 7 entries")
@@ -180,16 +152,6 @@ class MultiPoly:
     def coefficient_of(self, exps):
         """Stored coefficient of the monomial with the given exponents, or 0."""
         return self.terms.get(tuple(exps), 0)
-
-    def max_coefficient_denominator(self):
-        d = 1
-        for c in self.terms.values():
-            if isinstance(c, Fraction):
-                d = max(d, c.denominator)
-        return d
-
-    def map_coefficients(self, fn):
-        return MultiPoly({e: fn(c) for e, c in self.terms.items()})
 
     # ---------------------------------------------------------- text format
     def to_text(self):
@@ -210,7 +172,7 @@ class MultiPoly:
         return " ".join(bits)
 
     _TERM_RE = re.compile(
-        r"^(?P<coeff>-?\d+(?:/\d+)?)(?P<vars>(?:\*z[1-7](?:\^\d+)?)*)$")
+        r"^(?P<coeff>-?\d+)(?P<vars>(?:\*z[1-7](?:\^\d+)?)*)$")
 
     @classmethod
     def from_text(cls, text):
@@ -223,8 +185,7 @@ class MultiPoly:
             m = cls._TERM_RE.match(tok)
             if not m:
                 raise ValueError(f"bad polynomial term {tok!r}")
-            cs = m.group("coeff")
-            coeff = Fraction(cs) if "/" in cs else int(cs)
+            coeff = int(m.group("coeff"))
             exps = [0] * NVARS
             for var, ex in re.findall(r"z([1-7])(?:\^(\d+))?", m.group("vars")):
                 exps[int(var) - 1] += int(ex) if ex else 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .lie_core import (
     RANK, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, Downset,
-    dominant_weights_below, is_dominant, weyl_dim, NonDominantError,
+    dominant_weights_below, require_dominant, weyl_dim,
 )
 
 
@@ -42,13 +42,6 @@ class CGSeries:
 
     def total_dimension(self):
         return sum(n * weyl_dim(w) for w, n in self.terms.items())
-
-    def __eq__(self, other):
-        if isinstance(other, CGSeries):
-            return self.terms == other.terms
-        if isinstance(other, dict):
-            return self.terms == other
-        return NotImplemented
 
     def __len__(self):
         return len(self.terms)
@@ -92,8 +85,8 @@ def _subtractive_decompose(product_terms, top, table):
 def cg_decompose(m, n, table):
     """Clebsch-Gordan series of the product of the characters of m and n."""
     m, n = tuple(m), tuple(n)
-    if not (is_dominant(m) and is_dominant(n)):
-        raise NonDominantError(f"weights {m}, {n} must be dominant")
+    require_dominant(m)
+    require_dominant(n)
     product = table.character(m) * table.character(n)
     top = tuple(a + b for a, b in zip(m, n))
     series = _subtractive_decompose(product.terms, top, table)
@@ -174,6 +167,14 @@ def _family_terms(k, n):
     return out
 
 
+def _series_diffs(got, want):
+    """(weight, got, want) for every weight where two {weight: mult}
+    series differ, in ascending weight order."""
+    return [(w, got.get(w, 0), want.get(w, 0))
+            for w in sorted(set(got) | set(want))
+            if got.get(w, 0) != want.get(w, 0)]
+
+
 @dataclass
 class FamilyReport:
     k: int
@@ -193,12 +194,7 @@ def series_family_z7(k, n, table):
     target = tuple(n if i == k - 1 else 0 for i in range(RANK))
     computed = cg_decompose(FUNDAMENTAL_WEIGHTS[6], target, table)
     closed = _family_terms(k, n)
-    diffs = []
-    for wgt in sorted(set(computed.terms) | set(closed)):
-        a = computed.terms.get(wgt, 0)
-        b = closed.get(wgt, 0)
-        if a != b:
-            diffs.append((wgt, a, b))
+    diffs = _series_diffs(computed.terms, closed)
     return FamilyReport(k=k, n=n, computed=computed, closed_form=closed,
                         match=not diffs, differences=diffs)
 
@@ -221,12 +217,7 @@ def verify_quadratic_roundtrip(corpus, table):
     for (j, k), fixture_series in sorted(corpus.series.items()):
         computed = cg_decompose(FUNDAMENTAL_WEIGHTS[j - 1],
                                 FUNDAMENTAL_WEIGHTS[k - 1], table)
-        diffs = []
-        for wgt in sorted(set(computed.terms) | set(fixture_series)):
-            a = computed.terms.get(wgt, 0)
-            b = fixture_series.get(wgt, 0)
-            if a != b:
-                diffs.append((wgt, a, b))
+        diffs = _series_diffs(computed.terms, fixture_series)
         results[(j, k)] = not diffs
         if diffs:
             differences[(j, k)] = diffs

@@ -1,5 +1,6 @@
 import pytest
 
+from charkit import fixtures
 from charkit.charsolve import CharacterTable
 from charkit.lie_core import (
     FUNDAMENTAL_DIMS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
@@ -119,6 +120,23 @@ def test_disk_hit_leaves_the_cache_file_alone(operator, tmp_path):
     assert path.stat().st_mtime_ns == 0
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda good: "not a character file\n",
+    lambda good: good.rstrip("\n") + " 1*z7\n",     # dimension off by 56
+    lambda good: good.rstrip("\n") + " 3/2*z1\n",   # not an integer
+], ids=["garbage", "wrong-dimension", "fraction"])
+def test_corrupt_cache_file_is_recomputed(operator, tmp_path, corrupt):
+    m = (0, 0, 0, 0, 1, 0, 1)
+    chi = fresh_table(operator).character(m)
+    path = tmp_path / "chi_0-0-0-0-1-0-1.txt"
+    path.write_text(corrupt(f"chi 0000101 = {chi.to_text()}\n"))
+    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    assert t.character(m) == chi
+    assert t.provenance(m) == "method-1"
+    assert list(tmp_path.iterdir()) == [path]
+    assert fixtures.load_chi_file(path) == {m: chi}
+
+
 def test_multi_digit_weights_in_cache(operator, tmp_path):
     t = CharacterTable(operator, cache_dir=str(tmp_path))
     m = (0, 0, 0, 0, 0, 0, 11)
@@ -133,8 +151,6 @@ def test_provenance_tracking(operator):
     assert t.provenance((0, 0, 0, 0, 0, 0, 2)) == "method-1"
     t.seed(ZERO_WEIGHT, MultiPoly.one())
     assert t.provenance(ZERO_WEIGHT) == "fixture"
-    with pytest.raises(ValueError):
-        t.character((0, 0, 0, 0, 0, 0, 2), method="m3")
 
 
 def test_concurrent_character_computation(operator):

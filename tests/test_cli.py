@@ -86,6 +86,22 @@ def test_parse_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_invariant_failure_is_a_one_line_error(tmp_path, capsys):
+    # A cache file edited without changing its dimension passes load-time
+    # validation; the decomposition that uses it fails its residual check.
+    cache = tmp_path / "cache"
+    assert main(["--cache-dir", str(cache), "character", "0000006"]) == 0
+    path = cache / "chi_0-0-0-0-0-0-6.txt"
+    path.write_text(path.read_text().rstrip("\n") + " 1*z3 -8645\n")
+    capsys.readouterr()
+    assert main(["--cache-dir", str(cache), "cg", "0000006", "0000001"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    # usage errors keep exit status 2
+    assert main(["--no-cache", "series-family", "0", "1"]) == 2
+
+
 def test_weight_comma_form(capsys):
     code, out, _ = run(capsys, "dim", "0,0,0,0,0,0,1")
     assert code == 0

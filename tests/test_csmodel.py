@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charkit import fixtures
 from charkit.csmodel import (
     B_COEFFS, CorpusIncompleteError, Delta1Operator, QuadraticCorpus,
     build_a, build_b,
 )
-from charkit.lie_core import FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, eigenvalue
+from charkit.lie_core import (
+    FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
+)
 from charkit.polyring import MultiPoly
+
+from test_polyring import partial
 
 L = FUNDAMENTAL_WEIGHTS
 
@@ -16,7 +21,7 @@ def test_build_b_coefficients():
     assert B_COEFFS == (72, 105, 144, 216, 165, 112, 57)
     for j in range(7):
         assert b[j] == B_COEFFS[j] * MultiPoly.variable(j + 1)
-        assert B_COEFFS[j] == eigenvalue(L[j], 1)
+        assert B_COEFFS[j] == eigenvalue(L[j])
 
 
 def test_a77_and_a17(assembled):
@@ -28,9 +33,9 @@ def test_a77_and_a17(assembled):
 
 
 def test_a_is_symmetric(operator):
-    for j in range(1, 8):
-        for k in range(1, 8):
-            assert operator.a_entry(j, k) == operator.a_entry(k, j)
+    # a_jk = a_kj is stored once, under the pair with j <= k
+    assert sorted(operator.a) == [(j, k) for j in range(1, 8)
+                                  for k in range(j, 8)]
 
 
 def test_reconstruction_matches_printed_table_modulo_errata(assembled):
@@ -70,36 +75,45 @@ def test_apply_linearity(operator, table):
 
 
 def test_monomial_image_z7(operator):
-    assert operator.monomial_image((0, 0, 0, 0, 0, 0, 1)) == [((0,) * 7, 57)]
+    z7 = (0, 0, 0, 0, 0, 0, 1)
+    assert operator.image_terms(z7) == {z7: 57}
 
 
 def test_monomial_image_constant(operator):
-    assert operator.monomial_image(ZERO_WEIGHT) == []
+    assert operator.image_terms(ZERO_WEIGHT) == {}
 
 
 def test_monomial_image_z7_squared(operator):
-    image = dict(operator.monomial_image((0, 0, 0, 0, 0, 0, 2)))
-    assert image[(0,) * 7] == eigenvalue((0, 0, 0, 0, 0, 0, 2))
-    # the non-diagonal offsets land exactly on the monomials z6, z1, 1
-    offsets = {beta for beta in image if beta != (0,) * 7}
-    reached = set()
-    for q, _ in operator.image_terms((0, 0, 0, 0, 0, 0, 2)).items():
-        reached.add(q)
-    assert reached == {(0, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, 1, 0),
-                       (1, 0, 0, 0, 0, 0, 0), (0,) * 7}
-    assert len(offsets) == 3
+    n = (0, 0, 0, 0, 0, 0, 2)
+    image = operator.image_terms(n)
+    assert image[n] == eigenvalue(n)
+    # the off-diagonal terms land exactly on the monomials z6, z1, 1
+    assert set(image) == {n, (0, 0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0, 0),
+                          ZERO_WEIGHT}
 
 
 def test_triangularity_on_dominant_monomials(operator):
-    from charkit.lie_core import dominant_weights_below
     for m in [(0, 1, 0, 0, 0, 1, 0), (2, 0, 0, 0, 1, 0, 0)]:
         for n in dominant_weights_below(m):
-            image = operator.monomial_image(n)
-            for beta, s in image:
-                assert all(c >= 0 for c in beta)
-            diag = [s for beta, s in image if beta == (0,) * 7]
-            if n != ZERO_WEIGHT:
-                assert diag == [eigenvalue(n)]
+            image = operator.image_terms(n)
+            assert set(image) <= set(dominant_weights_below(n))
+            assert image.get(n, 0) == eigenvalue(n)
+
+
+small_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 7),
+                              st.integers(-9, 9), max_size=4).map(MultiPoly)
+
+
+@given(small_polys)
+@settings(max_examples=30, deadline=None)
+def test_apply_matches_the_operator_definition(operator, p):
+    # D p = sum_{j<=k} (2 if j < k else 1) a_jk d_j d_k p + sum_j b_j d_j p
+    want = MultiPoly.zero()
+    for (j, k), a_jk in operator.a.items():
+        want += (2 if j < k else 1) * a_jk * partial(partial(p, j), k)
+    for j, b_j in enumerate(build_b(), 1):
+        want += b_j * partial(p, j)
+    assert operator.apply(p) == want
 
 
 def test_corpus_invariants(corpus):

@@ -6,11 +6,22 @@ from charkit.lie_core import (
     CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, RANK,
     TWO_RHO_ALPHA, ZERO_WEIGHT,
     cartan_matrix, dominant_weights_below,
-    eigenvalue, height_of, weight_diff_in_roots, weight_height2, weyl_dim,
+    eigenvalue, weight_height2, weyl_dim,
     NonDominantError,
 )
 
 L = FUNDAMENTAL_WEIGHTS
+
+
+def weight_diff_in_roots(m, mu):
+    """Express m - mu in the simple-root basis if it lies in the positive
+    root lattice; return None otherwise."""
+    d = tuple(a - b for a, b in zip(m, mu))
+    c2 = [sum(CARTAN_AINV2[i][j] * d[j] for j in range(RANK))
+          for i in range(RANK)]
+    if any(x < 0 or x % 2 for x in c2):
+        return None
+    return tuple(x // 2 for x in c2)
 
 
 def _downset_order(m, weights):
@@ -119,11 +130,11 @@ def test_weyl_dim_rejects_non_dominant():
 
 
 def test_eigenvalue_values():
-    assert eigenvalue(L[6], 1) == 57
-    assert eigenvalue(ZERO_WEIGHT, 1) == 0
-    assert eigenvalue(L[0], 1) == 72
+    assert eigenvalue(L[6]) == 57
+    assert eigenvalue(ZERO_WEIGHT) == 0
+    assert eigenvalue(L[0]) == 72
     # all seven, equal to the first-derivative coefficients
-    assert [eigenvalue(w, 1) for w in L] == [72, 105, 144, 216, 165, 112, 57]
+    assert [eigenvalue(w) for w in L] == [72, 105, 144, 216, 165, 112, 57]
 
 
 def test_eigenvalue_strictly_monotone_under_dominance():
@@ -132,12 +143,6 @@ def test_eigenvalue_strictly_monotone_under_dominance():
         top = eigenvalue(m)
         for mu in dominant_weights_below(m)[1:]:
             assert eigenvalue(mu) < top
-
-
-def test_height_of():
-    assert height_of((2, 2, 3, 4, 3, 2, 1)) == 17
-    assert height_of((0, 0, 0, 1, 0, 0, 0)) == 1
-    assert height_of((0,) * 7) == 0
 
 
 def test_weight_diff_in_roots():

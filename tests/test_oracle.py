@@ -5,7 +5,7 @@ import pytest
 
 from charkit.lie_core import FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, weyl_dim
 from charkit.oracle import (
-    OracleRefusal, dominant_representative, freudenthal, torus_check,
+    CEILING, OracleRefusal, dominant_representative, freudenthal, torus_check,
     weyl_orbit,
 )
 
@@ -47,8 +47,10 @@ def test_freudenthal_totals_match_weyl_dim(m):
 
 
 def test_oracle_refusal_on_ceiling():
+    m = (0, 0, 0, 1, 0, 0, 1)
+    assert weyl_dim(m) > CEILING
     with pytest.raises(OracleRefusal):
-        freudenthal(L[3], ceiling=1000)
+        freudenthal(m)
 
 
 def test_multiplicity_lookup_off_cone():
