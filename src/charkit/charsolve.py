@@ -13,16 +13,21 @@ The denominators are strictly positive by monotonicity of the eigenvalues
 along the dominance order, and every division must be exact; a remainder
 means a corrupted operator.
 
-Method 2 multiplies out the annihilators of all lower characters,
+Method 2 multiplies out one annihilator per distinct eigenvalue below m,
 
-    P = prod_mu (D - eps_mu) z^m,
+    P = prod_e (D - e) z^m,    e in {eps_mu : mu < m},
 
 which kills every constituent of z^m except chi_m itself and scales it by
-prod (eps_m - eps_mu); the quotient by that scalar is checked exactly.
+prod_e (eps_m - e); the quotient by that scalar is checked exactly.  z^m
+is an integer combination of the characters chi_mu with mu <= m, and D is
+diagonal on them, so one factor (D - e) removes every constituent of
+eigenvalue e at once; a second factor for the same eigenvalue would only
+multiply the result, and so the scale, by eps_m - e again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass
@@ -103,11 +108,22 @@ class CharacterTable:
         return loaded.get(m)
 
     def _store_disk(self, m, chi):
+        """Write chi_m's cache file atomically: the line goes to a temporary
+        file in the cache directory, which then replaces the target, so a
+        reader never sees a partial file and a failed write leaves none."""
         if not self.cache_dir:
             return
-        line = f"chi {fixtures.format_weight(m)} = {chi.to_text()}\n"
-        with open(self._disk_path(m), "w", encoding="utf-8") as f:
-            f.write(line)
+        path = self._disk_path(m)
+        # One name per writing thread, so concurrent writers never share it.
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(f"chi {fixtures.format_weight(m)} = {chi.to_text()}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     def flush_disk(self):
         """Persist every in-memory character that is not on disk yet; used
@@ -194,7 +210,14 @@ class CharacterTable:
         return MultiPoly(coeffs, _clean_input=False)
 
     def character_m2(self, m):
-        """Solve for chi_m by the annihilator product (Method 2)."""
+        """Solve for chi_m by the annihilator product (Method 2).
+
+        One factor (D - e) is applied per distinct eigenvalue e of the
+        dominant weights strictly below m, in order of first appearance
+        along the support; the top coefficient must come out as the
+        product of the gaps eps_m - e, which then divides every
+        coefficient exactly.
+        """
         m = tuple(m)
         require_dominant(m)
         if m == ZERO_WEIGHT:
@@ -204,17 +227,16 @@ class CharacterTable:
         eps_m = eigenvalue(m)
         poly = {m: 1}
         scale = 1
-        for mu in support[1:]:
-            e_mu = eigenvalue(mu)
+        for e in dict.fromkeys(eigenvalue(mu) for mu in support[1:]):
             nxt = op.apply_terms(poly)
             for n, c in poly.items():
-                v = nxt.get(n, 0) - e_mu * c
+                v = nxt.get(n, 0) - e * c
                 if v:
                     nxt[n] = v
                 else:
                     nxt.pop(n, None)
             poly = nxt
-            scale *= eps_m - e_mu
+            scale *= eps_m - e
         lead = poly.get(m)
         if lead != scale:
             raise IntegralityError(

@@ -149,10 +149,12 @@ def load_chi_file(path):
     """Parse ``chi m = <poly>`` lines into {weight: MultiPoly}.
 
     Each character is checked for the two cheap character invariants: unit
-    coefficient on z^m and the dimension evaluation.
+    coefficient on z^m and the dimension evaluation.  A file with no
+    entries gives an empty mapping without a warning: the character cache
+    reads one such file per weight, and an empty one is a cache miss.
     """
     out = {}
-    for lineno, line in _iter_lines(path):
+    for lineno, line in _iter_lines(path, warn_empty=False):
         try:
             head, rhs = line.split("=", 1)
             tag, wtext = head.split()

@@ -9,6 +9,7 @@ exponential sum over the full weight system of its representation.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -42,27 +43,48 @@ def dominant_representative(w):
             return tuple(w)
 
 
+# For each simple reflection s_i, the coordinates it changes and by which
+# multiple of v_i: (s_i v)_j = v_j - v_i * A_ij.
+_REFLECTION_ROWS = tuple(
+    tuple((j, a) for j, a in enumerate(CARTAN_A[i]) if a)
+    for i in range(RANK))
+
+
 def weyl_orbit(w):
-    """The full Weyl orbit of a weight, by closure under the seven simple
-    reflections.  Orbit sizes are bounded by the ambient representation
-    dimension, so no global Weyl-group enumeration is ever needed."""
-    w = tuple(w)
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(RANK):
-                c = v[i]
-                if c == 0:
-                    continue
-                row = CARTAN_A[i]
-                r = tuple(v[j] - c * row[j] for j in range(RANK))
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return seen
+    """The Weyl orbit of a weight as a list, each element exactly once.
+
+    Every non-dominant weight u of the orbit has one parent s_i u, where i
+    is the first index with u_i < 0; the parent is higher, so following
+    parents ends at the dominant representative.  Walking that tree down
+    from the dominant weight, a child s_i v (for v_i > 0) is accepted only
+    if no coordinate of it before index i is negative, which generates
+    each orbit element once with no membership test.  Orbit sizes are
+    bounded by the ambient representation dimension, so no global
+    Weyl-group enumeration is ever needed.
+    """
+    orbit = [dominant_representative(w)]
+    for v in orbit:            # the list grows while it is walked
+        for i, c in enumerate(v):
+            if c <= 0:
+                continue
+            u = list(v)
+            for j, a in _REFLECTION_ROWS[i]:
+                u[j] -= c * a
+            for x in u[:i]:
+                if x < 0:
+                    break
+            else:
+                orbit.append(tuple(u))
+    return orbit
+
+
+@functools.cache
+def _orbit_size(zero_pattern):
+    """Size of the Weyl orbit of any dominant weight with this pattern of
+    nonzero (1) and zero (0) coordinates: its stabilizer is generated by
+    the simple reflections at the zero coordinates, so the nonzero values
+    do not matter."""
+    return len(weyl_orbit(zero_pattern))
 
 
 @dataclass
@@ -149,7 +171,8 @@ def freudenthal(m):
         q, rem = divmod(2 * total, denom)
         assert rem == 0 and q > 0, (m, mu, total, denom)
         mults[mu] = q
-    orbit_sizes = {w: len(weyl_orbit(w)) for w in mults}
+    orbit_sizes = {w: _orbit_size(tuple(int(x > 0) for x in w))
+                   for w in mults}
     system = WeightSystem(highest=m, dominant_mults=mults,
                           orbit_sizes=orbit_sizes)
     assert system.total() == dim
@@ -187,7 +210,17 @@ def _character_sum(system, t):
     return complex(re, im)
 
 
-_fundamental_systems = {}
+@functools.cache
+def _fundamental_values(trials, seed):
+    """(t, z) for each alcove point t of ``_alcove_points(trials, seed)``,
+    z the seven fundamental characters at t; computed once per process
+    for each (trials, seed)."""
+    points = [tuple(t) for t in _alcove_points(trials, seed)]
+    columns = []
+    for lam in FUNDAMENTAL_WEIGHTS:
+        system = freudenthal(lam)
+        columns.append([_character_sum(system, t) for t in points])
+    return tuple(zip(points, zip(*columns)))
 
 
 def torus_check(m, chi, trials=20, seed=20240901):
@@ -196,19 +229,15 @@ def torus_check(m, chi, trials=20, seed=20240901):
     ``chi`` is the candidate polynomial for the character of weight m; the
     direct sum uses only Freudenthal data, so agreement within floating
     error certifies the polynomial independently of how it was computed.
-    The fundamental weight systems are cached across calls: the largest has
-    365750 weights and is needed on every evaluation.
+    The values z_i(q) of the seven fundamental characters are direct sums
+    too, over the fundamental weight systems (the largest, of dimension
+    365750, has 24753 distinct weights); they do not depend on m and are
+    computed once per (trials, seed).
     """
     m = tuple(m)
     target = freudenthal(m)
-    fundamentals = []
-    for i in range(RANK):
-        if i not in _fundamental_systems:
-            _fundamental_systems[i] = freudenthal(FUNDAMENTAL_WEIGHTS[i])
-        fundamentals.append(_fundamental_systems[i])
     worst = 0.0
-    for t in _alcove_points(trials, seed):
-        z = [_character_sum(fs, t) for fs in fundamentals]
+    for t, z in _fundamental_values(trials, seed):
         direct = _character_sum(target, t)
         value = 0
         for e, c in chi.terms.items():

@@ -54,6 +54,29 @@ def test_methods_agree(operator):
         assert t.character_m1(m) == t.character_m2(m)
 
 
+@pytest.mark.parametrize("m", [(0, 0, 0, 0, 0, 4, 0), (0, 0, 0, 0, 0, 0, 6)])
+def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
+                                                       m):
+    # Both supports repeat eigenvalues: 95 weights carry 58 distinct ones
+    # below (0,0,0,0,0,4,0), 42 weights carry 32 below (0,0,0,0,0,0,6).
+    below = dominant_weights_below(m)[1:]
+    distinct = {eigenvalue(mu) for mu in below}
+    assert len(distinct) < len(below)
+    calls = []
+    apply_terms = operator.apply_terms
+
+    def counted(terms):
+        calls.append(len(terms))
+        return apply_terms(terms)
+
+    monkeypatch.setattr(operator, "apply_terms", counted)
+    t = fresh_table(operator)
+    chi = t.character_m2(m)
+    assert len(calls) == len(distinct)
+    monkeypatch.undo()
+    assert chi == t.character_m1(m)
+
+
 def test_rejects_non_dominant(operator):
     t = fresh_table(operator)
     with pytest.raises(NonDominantError):
@@ -133,6 +156,38 @@ def test_corrupt_cache_file_is_recomputed(operator, tmp_path, corrupt):
     t = CharacterTable(operator, cache_dir=str(tmp_path))
     assert t.character(m) == chi
     assert t.provenance(m) == "method-1"
+    assert list(tmp_path.iterdir()) == [path]
+    assert fixtures.load_chi_file(path) == {m: chi}
+
+
+def test_failed_cache_write_leaves_no_file(operator, tmp_path, monkeypatch):
+    def broken(self):
+        raise RuntimeError("write interrupted")
+
+    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    monkeypatch.setattr(MultiPoly, "to_text", broken)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        t.character((0, 0, 0, 0, 1, 0, 1))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_cache_writes_leave_one_whole_file(operator, tmp_path):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    m = (0, 0, 0, 0, 1, 0, 1)
+    chi = fresh_table(operator).character(m)
+    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(t._store_disk, m, chi) for _ in range(64)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    path = tmp_path / "chi_0-0-0-0-1-0-1.txt"
     assert list(tmp_path.iterdir()) == [path]
     assert fixtures.load_chi_file(path) == {m: chi}
 

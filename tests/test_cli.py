@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -100,6 +101,26 @@ def test_invariant_failure_is_a_one_line_error(tmp_path, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     # usage errors keep exit status 2
     assert main(["--no-cache", "series-family", "0", "1"]) == 2
+
+
+@pytest.mark.parametrize("emptied", ["", "\n# no entries\n"],
+                         ids=["zero-bytes", "no-entries"])
+def test_empty_cache_file_is_a_silent_miss(tmp_path, capsys, emptied):
+    cache = tmp_path / "cache"
+    assert main(["--cache-dir", str(cache), "character", "0000005"]) == 0
+    want = capsys.readouterr().out
+    path = cache / "chi_0-0-0-0-0-0-5.txt"
+    path.write_text(emptied)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--cache-dir", str(cache), "character", "0000005"])
+    out = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert code == 0
+    assert out.out == want
+    assert out.out.startswith("1*z7^5 -4*z6*z7^3 ")
+    assert out.err == ""
+    assert path.read_text() == f"chi 0000005 = {want}"
 
 
 def test_weight_comma_form(capsys):

@@ -1,15 +1,72 @@
 import ast
+import itertools
 import pathlib
 
 import pytest
 
-from charkit.lie_core import FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, weyl_dim
+from charkit import oracle
+from charkit.lie_core import (
+    CARTAN_A, FUNDAMENTAL_WEIGHTS, RANK, ZERO_WEIGHT, weyl_dim,
+)
 from charkit.oracle import (
     CEILING, OracleRefusal, dominant_representative, freudenthal, torus_check,
     weyl_orbit,
 )
 
 L = FUNDAMENTAL_WEIGHTS
+
+
+def closure_weyl_orbit(w):
+    """Reference: the Weyl orbit of w as a set, by closure under the seven
+    simple reflections."""
+    w = tuple(w)
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(RANK):
+                c = v[i]
+                if c == 0:
+                    continue
+                row = CARTAN_A[i]
+                r = tuple(v[j] - c * row[j] for j in range(RANK))
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return seen
+
+
+# Every dominant weight with coordinate sum at most 2 (36 weights); their
+# zero patterns are the 29 patterns with at most two nonzero coordinates.
+SMALL_WEIGHTS = [w for w in itertools.product(range(3), repeat=RANK)
+                 if sum(w) <= 2]
+
+
+@pytest.mark.parametrize("w", SMALL_WEIGHTS, ids=lambda w: "".join(map(str, w)))
+def test_weyl_orbit_lists_the_closure_once(w):
+    orbit = weyl_orbit(w)
+    reference = closure_weyl_orbit(w)
+    assert isinstance(orbit, list)
+    assert len(orbit) == len(set(orbit)) == len(reference)
+    assert set(orbit) == reference
+    assert orbit[0] == w
+    pattern = tuple(int(x > 0) for x in w)
+    assert oracle._orbit_size(pattern) == len(reference)
+
+
+def test_fundamental_orbit_sizes():
+    assert [len(weyl_orbit(lam)) for lam in L] == \
+        [126, 576, 2016, 10080, 4032, 756, 56]
+
+
+def test_weyl_orbit_of_a_non_dominant_weight():
+    w = (1, -2, 0, 1, 0, -1, 0)
+    orbit = weyl_orbit(w)
+    assert len(orbit) == len(set(orbit))
+    assert set(orbit) == closure_weyl_orbit(w)
+    assert orbit[0] == dominant_representative(w)
 
 
 def test_dominant_representative():
@@ -82,6 +139,28 @@ def test_torus_detects_wrong_polynomial(table):
     wrong = MultiPoly.monomial((0, 0, 0, 0, 0, 0, 2))
     dev = torus_check((0, 0, 0, 0, 0, 0, 2), wrong, trials=3)
     assert dev > 1e-3
+
+
+def test_torus_fundamental_values_are_computed_once(table, monkeypatch):
+    seed = 7
+    torus_check(L[6], table.character(L[6]), trials=3, seed=seed)
+    calls = []
+    real = oracle.freudenthal
+
+    def recorded(m):
+        calls.append(tuple(m))
+        return real(m)
+
+    monkeypatch.setattr(oracle, "freudenthal", recorded)
+    m = (0, 0, 0, 0, 0, 0, 2)
+    dev = torus_check(m, table.character(m), trials=3, seed=seed)
+    assert dev <= 1e-8
+    assert calls == [m]
+    # A new seed evaluates the fundamentals at its own points.
+    from charkit.polyring import MultiPoly
+    wrong = MultiPoly.monomial(m)
+    assert torus_check(m, wrong, trials=3, seed=seed + 1) > 1e-3
+    assert sorted(calls[1:]) == sorted([m, *L])
 
 
 def test_oracle_module_is_independent():
