@@ -10,7 +10,7 @@ from .csmodel import (
     QuadraticCorpus, Delta1Operator, build_b, build_a,
     CorpusIncompleteError, StructuralViolationError,
 )
-from .charsolve import CharacterTable, CharacterReport, IntegralityError
+from .charsolve import CharacterTable, IntegralityError
 from .tensor import (
     CGSeries, cg_decompose, monomial_decompose, series_family_z7,
     verify_quadratic_roundtrip, DecompositionError,
@@ -25,7 +25,7 @@ __all__ = [
     "MultiPoly",
     "QuadraticCorpus", "Delta1Operator", "build_b", "build_a",
     "CorpusIncompleteError", "StructuralViolationError",
-    "CharacterTable", "CharacterReport", "IntegralityError",
+    "CharacterTable", "IntegralityError",
     "CGSeries", "cg_decompose", "monomial_decompose", "series_family_z7",
     "verify_quadratic_roundtrip", "DecompositionError",
     "freudenthal", "torus_check", "WeightSystem", "OracleRefusal",

@@ -30,12 +30,11 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from dataclasses import dataclass
 
-from .csmodel import StructuralViolationError
+from .csmodel import StructuralViolationError, pack, unpack
 from .lie_core import (
-    ZERO_WEIGHT, FUNDAMENTAL_DIMS,
-    dominant_weights_below, eigenvalue, require_dominant, weyl_dim,
+    ZERO_WEIGHT, dominant_weights_below, eigenvalue, require_dominant,
+    weyl_dim,  # noqa: F401 -- a binding the benchmark tracer wraps
 )
 from .polyring import MultiPoly
 from . import fixtures
@@ -48,20 +47,6 @@ class IntegralityError(ArithmeticError):
 class ZeroGapError(ArithmeticError):
     """An eigenvalue gap vanished; the dominance-order monotonicity
     invariant is broken (this must never happen)."""
-
-
-@dataclass
-class CharacterReport:
-    weight: tuple
-    eigen_ok: bool
-    dim_ok: bool
-    leading_ok: bool
-    dim_value: int
-    expected_dim: int
-
-    @property
-    def passed(self):
-        return self.eigen_ok and self.dim_ok and self.leading_ok
 
 
 class CharacterTable:
@@ -165,6 +150,13 @@ class CharacterTable:
         constituent inside the downset of a larger weight (a decomposition
         passes the top weight's ``Downset``), and ``dominant_weights_below(m)``
         otherwise; both give the same weights in the same order.
+
+        The numerators accumulate under packed keys, the operator's image
+        keys, in a dict seeded with the support's keys; a weight's entry
+        leaves it once the weight is solved.  So ``acc[q] += ...`` is also
+        the exact membership test: an image term outside the support, or on
+        a weight already solved, is a KeyError, raised as
+        ``StructuralViolationError``.  The result is keyed by tuples.
         """
         m = tuple(m)
         require_dominant(m)
@@ -175,15 +167,15 @@ class CharacterTable:
             support = dominant_weights_below(m)
         else:
             support = downset.below(m)
-        support_set = set(support)
+        keys = [pack(mu) for mu in support]
         eps_m = eigenvalue(m)
-        acc = {}
+        acc = dict.fromkeys(keys, 0)
         coeffs = {}
-        for mu in support:
+        for mu, key in zip(support, keys):
+            num = acc.pop(key)
             if mu == m:
                 c = 1
             else:
-                num = acc.pop(mu, 0)
                 if num == 0:
                     continue
                 gap = eps_m - eigenvalue(mu)
@@ -198,15 +190,16 @@ class CharacterTable:
                 if c == 0:
                     continue
             coeffs[mu] = c
-            for q, s in op.image_terms(mu).items():
-                if q == mu:
-                    continue
-                if q not in support_set:
-                    raise StructuralViolationError(
-                        f"image monomial {q} of {mu} escapes the support "
-                        f"of {m}")
-                acc[q] = acc.get(q, 0) + c * s
-        assert not any(acc.values())
+            image = op.image_terms(mu)
+            acc[key] = 0        # takes the diagonal term, then goes
+            try:
+                for q, s in image.items():
+                    acc[q] += c * s
+            except KeyError as exc:
+                raise StructuralViolationError(
+                    f"image monomial {unpack(exc.args[0])} of {mu} is not "
+                    f"an unsolved weight of the support of {m}") from None
+            del acc[key]
         return MultiPoly(coeffs, _clean_input=False)
 
     def character_m2(self, m):
@@ -251,23 +244,3 @@ class CharacterTable:
                     f"integer after normalization")
             out[n] = q
         return MultiPoly(out, _clean_input=False)
-
-    # ---------------------------------------------------------- verification
-    def verify_character(self, m, chi):
-        """Check the three character invariants for a candidate polynomial:
-        the eigenvalue identity, the dimension evaluation and the unit
-        coefficient on z^m."""
-        m = tuple(m)
-        eps = eigenvalue(m)
-        image = self.operator.apply(chi)
-        eigen_ok = image == eps * chi
-        dim_value = chi.eval_integer(FUNDAMENTAL_DIMS)
-        expected = weyl_dim(m)
-        return CharacterReport(
-            weight=m,
-            eigen_ok=eigen_ok,
-            dim_ok=(dim_value == expected),
-            leading_ok=(chi.coefficient_of(m) == 1),
-            dim_value=dim_value,
-            expected_dim=expected,
-        )

@@ -19,6 +19,17 @@ character a pair needs (beyond the shipped corpus of degree-two characters)
 is computable from the pairs already built, because a character whose top
 monomial touches the pair (u, v) has height at least that of
 lambda_u + lambda_v.
+
+Inside the operator a monomial z^e is the packed integer pack(e): one byte
+per exponent, z1's most significant.  The pair (j, k) sends z^n to keys
+pack(n) - pack(u_j) - pack(u_k) + pack(e), one integer add per a_jk term.
+No byte borrows: the pair contributes only when its factor is nonzero,
+which needs n_j, n_k >= 1 (n_j >= 2 when j = k), and every a_jk exponent
+is non-negative.  No byte carries: images are built only for exponents up
+to EXP_MAX minus the largest registered a_jk exponent (4 for E7); other
+monomials raise ``MonomialRangeError``.  Tuples appear only at the
+boundary: ``image_terms`` takes one, and ``apply_terms`` maps tuple-keyed
+term dicts to tuple-keyed term dicts.
 """
 
 from __future__ import annotations
@@ -40,10 +51,31 @@ class OperatorIncompleteError(RuntimeError):
     """A monomial image touched a coefficient pair that is not built yet."""
 
 
-class StructuralViolationError(AssertionError):
-    """The operator sent a monomial of a character's support outside that
-    support; the triangular structure would be broken."""
+class MonomialRangeError(ValueError):
+    """A monomial's exponents do not fit the packed keys of its image."""
 
+
+class StructuralViolationError(AssertionError):
+    """The operator sent a monomial of a character's support outside the
+    unsolved part of it; the triangular structure would be broken."""
+
+
+# The largest exponent a packed key holds: one byte per variable.
+EXP_MAX = 255
+
+
+def pack(e):
+    """The packed key of an exponent tuple with entries in 0..EXP_MAX."""
+    return int.from_bytes(bytes(e), "big")
+
+
+def unpack(q):
+    """The exponent tuple of a packed key."""
+    return tuple(q.to_bytes(RANK, "big"))
+
+
+# pack(u_i) for the unit exponent vectors u_1..u_7.
+_UNITS = tuple(pack(w) for w in FUNDAMENTAL_WEIGHTS)
 
 # b_j(z) = eps_j * z_j; the eigenvalue coefficients on z_1..z_7.
 B_COEFFS = tuple(eigenvalue(w) for w in FUNDAMENTAL_WEIGHTS)
@@ -106,12 +138,16 @@ class Delta1Operator:
 
     ``a`` maps unordered index pairs (j, k), 1-based and stored with
     j <= k, to integer-coefficient polynomials; entries may be registered
-    incrementally during the bootstrap.  Monomial images are memoized: the
+    incrementally during the bootstrap.  Each pair's terms are also kept
+    packed, as (pack(e), c) pairs.  Monomial images are memoized: the
     recursion solvers revisit the same monomials across many characters.
     """
 
     def __init__(self, a=None):
         self._a = {}
+        self._packed = {}
+        self._pair_max_exp = {}
+        self._max_exp = 0
         self._image_cache = {}
         if a:
             for (j, k), poly in a.items():
@@ -121,6 +157,10 @@ class Delta1Operator:
     def register_pair(self, j, k, poly):
         j, k = min(j, k), max(j, k)
         self._a[(j, k)] = poly
+        self._packed[(j, k)] = tuple(
+            (pack(e), c) for e, c in poly.terms.items())
+        self._pair_max_exp[(j, k)] = max(map(max, poly.terms), default=0)
+        self._max_exp = max(self._pair_max_exp.values())
         self._image_cache.clear()
 
     @property
@@ -133,66 +173,60 @@ class Delta1Operator:
 
     # ----------------------------------------------------------- application
     def image_terms(self, n):
-        """D applied to the monomial z^n, as a term dict {exps: coeff}.
+        """D applied to the monomial z^n, as a term dict {packed q: coeff}.
 
-        The diagonal term (the input monomial itself) carries its eigenvalue
-        when n is dominant; off-diagonal output always sits strictly lower
-        in the root-lattice order.
+        The diagonal term (the input monomial itself, key pack(n)) carries
+        its eigenvalue when n is dominant; off-diagonal output always sits
+        strictly lower in the root-lattice order.  n is an exponent tuple
+        with entries in 0..EXP_MAX - (largest a_jk exponent), which keeps
+        every output exponent inside its byte (module docstring); other
+        monomials raise ``MonomialRangeError``.
         """
         n = tuple(n)
         cached = self._image_cache.get(n)
         if cached is not None:
             return cached
+        limit = EXP_MAX - self._max_exp
+        if len(n) != RANK or min(n) < 0 or max(n) > limit:
+            raise MonomialRangeError(
+                f"monomial {n} is outside the packed range: seven "
+                f"exponents in 0..{limit}")
+        key = pack(n)
         out = {}
-        for j in range(1, RANK + 1):
-            nj = n[j - 1]
+        for j in range(RANK):
+            nj = n[j]
             if nj == 0:
                 continue
-            for k in range(j, RANK + 1):
-                nk = n[k - 1]
+            for k in range(j, RANK):
+                nk = n[k]
                 factor = nj * (nk - 1) if j == k else 2 * nj * nk
                 if factor == 0:
                     continue
-                pair = (j, k)
-                poly = self._a.get(pair)
-                if poly is None:
+                terms = self._packed.get((j + 1, k + 1))
+                if terms is None:
                     raise OperatorIncompleteError(
-                        f"coefficient pair {pair} needed for monomial {n} "
-                        f"is not built")
-                base = list(n)
-                base[j - 1] -= 1
-                base[k - 1] -= 1
-                for e, c in poly.terms.items():
-                    q = (base[0] + e[0], base[1] + e[1], base[2] + e[2],
-                         base[3] + e[3], base[4] + e[4], base[5] + e[5],
-                         base[6] + e[6])
-                    s = out.get(q, 0) + c * factor
-                    if s:
-                        out[q] = s
-                    else:
-                        del out[q]
+                        f"coefficient pair {(j + 1, k + 1)} needed for "
+                        f"monomial {n} is not built")
+                base = key - _UNITS[j] - _UNITS[k]
+                for e, c in terms:
+                    q = base + e
+                    out[q] = out.get(q, 0) + c * factor
         # first-derivative part: b_j d_j z^n = eps_j n_j z^n
-        diag = sum(B_COEFFS[i] * n[i] for i in range(RANK))
-        if diag:
-            s = out.get(n, 0) + diag
-            if s:
-                out[n] = s
-            else:
-                del out[n]
+        out[key] = out.get(key, 0) + sum(B_COEFFS[i] * n[i]
+                                         for i in range(RANK))
+        if 0 in out.values():
+            out = {q: c for q, c in out.items() if c}
         self._image_cache[n] = out
         return out
 
     def apply_terms(self, terms):
-        """Apply the operator to a raw term dict, returning a term dict."""
+        """Apply the operator to a raw term dict {exps: coeff}, returning a
+        term dict of the same kind; the sum runs on packed keys."""
         out = {}
         for n, c in terms.items():
             for q, s in self.image_terms(n).items():
-                v = out.get(q, 0) + c * s
-                if v:
-                    out[q] = v
-                else:
-                    del out[q]
-        return out
+                out[q] = out.get(q, 0) + c * s
+        return {unpack(q): v for q, v in out.items() if v}
 
     def apply(self, p):
         """Apply the operator to a MultiPoly."""

@@ -11,6 +11,7 @@ Cartan matrix and are handled by keeping twice the form integral.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 RANK = 7
@@ -67,11 +68,9 @@ def weight_height2(m):
 def bilinear2(m, mu):
     """2*(m, mu) for weights in fundamental coordinates (an integer)."""
     out = 0
-    for i in range(RANK):
-        mi = m[i]
+    for mi, row in zip(m, CARTAN_AINV2):
         if mi:
-            row = CARTAN_AINV2[i]
-            out += mi * sum(row[j] * mu[j] for j in range(RANK))
+            out += mi * sum(map(operator.mul, row, mu))
     return out
 
 
@@ -188,8 +187,15 @@ def _weyl_dim(m):
 
 
 def eigenvalue(m):
-    """Energy above the ground state for quantum numbers m: 2(m, m + 2 rho)."""
+    """Energy above the ground state for quantum numbers m: 2(m, m + 2 rho).
+    Memoized per weight."""
+    m = tuple(m)
     require_dominant(m)
+    return _eigenvalue(m)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _eigenvalue(m):
     return bilinear2(m, m) + 2 * weight_height2(m)
 
 

@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import pytest
 
 from charkit import fixtures
 from charkit.charsolve import CharacterTable
+from charkit.csmodel import Delta1Operator, StructuralViolationError
 from charkit.lie_core import (
     FUNDAMENTAL_DIMS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
     weyl_dim, NonDominantError,
@@ -11,6 +14,46 @@ from charkit.polyring import MultiPoly
 
 def fresh_table(operator, tmp=None):
     return CharacterTable(operator, cache_dir=tmp)
+
+
+@dataclass
+class CharacterReport:
+    weight: tuple
+    eigen_ok: bool
+    dim_ok: bool
+    leading_ok: bool
+    dim_value: int
+    expected_dim: int
+
+    @property
+    def passed(self):
+        return self.eigen_ok and self.dim_ok and self.leading_ok
+
+
+def verify_character(table, m, chi):
+    """Check the three character invariants for a candidate polynomial:
+    the eigenvalue identity, the dimension evaluation and the unit
+    coefficient on z^m."""
+    m = tuple(m)
+    image = table.operator.apply(chi)
+    dim_value = chi.eval_integer(FUNDAMENTAL_DIMS)
+    expected = weyl_dim(m)
+    return CharacterReport(
+        weight=m,
+        eigen_ok=image == eigenvalue(m) * chi,
+        dim_ok=(dim_value == expected),
+        leading_ok=(chi.coefficient_of(m) == 1),
+        dim_value=dim_value,
+        expected_dim=expected,
+    )
+
+
+def operator_with_escape(operator):
+    """The operator with a z4 term added to a_77: the image of z7^2 then
+    reaches z4, far above the support of 2 lambda_7."""
+    a = operator.a
+    a[(7, 7)] = a[(7, 7)] + MultiPoly.variable(4)
+    return Delta1Operator(a)
 
 
 def test_m1_second_order_example(operator):
@@ -77,6 +120,25 @@ def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
     assert chi == t.character_m1(m)
 
 
+def test_m1_refuses_an_image_that_escapes_the_support(operator):
+    t = fresh_table(operator_with_escape(operator))
+    with pytest.raises(StructuralViolationError,
+                       match=r"image monomial \(0, 0, 0, 1, 0, 0, 0\) of "
+                             r"\(0, 0, 0, 0, 0, 0, 2\)"):
+        t.character_m1((0, 0, 0, 0, 0, 0, 2))
+
+
+def test_m1_where_the_downset_exceeds_the_top(operator):
+    # Weights below (0,0,0,0,2,2,2) reach a coordinate 8, four times the
+    # top's largest.
+    m = (0, 0, 0, 0, 2, 2, 2)
+    assert max(max(mu) for mu in dominant_weights_below(m)) == 8
+    t = fresh_table(operator)
+    chi = t.character_m1(m)
+    assert operator.apply(chi) == eigenvalue(m) * chi
+    assert chi == t.character_m2(m)
+
+
 def test_rejects_non_dominant(operator):
     t = fresh_table(operator)
     with pytest.raises(NonDominantError):
@@ -94,20 +156,20 @@ def test_support_containment(operator):
 
 def test_verify_character_passes_on_good(operator, table):
     chi = table.character((0, 0, 0, 0, 0, 0, 2))
-    rep = table.verify_character((0, 0, 0, 0, 0, 0, 2), chi)
+    rep = verify_character(table, (0, 0, 0, 0, 0, 0, 2), chi)
     assert rep.passed and rep.dim_value == 1463
 
 
 def test_verify_character_fails_on_bad_candidate(table):
     z7sq = MultiPoly.monomial((0, 0, 0, 0, 0, 0, 2))
-    rep = table.verify_character((0, 0, 0, 0, 0, 0, 2), z7sq)
+    rep = verify_character(table, (0, 0, 0, 0, 0, 0, 2), z7sq)
     assert not rep.eigen_ok
     assert not rep.passed
 
 
 def test_verify_character_l1_plus_l7(operator, table):
     m = (1, 0, 0, 0, 0, 0, 1)
-    rep = table.verify_character(m, table.character(m))
+    rep = verify_character(table, m, table.character(m))
     assert rep.passed
     assert rep.dim_value == 133 * 56 - 912 - 56 == weyl_dim(m)
 

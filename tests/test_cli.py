@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from charkit import cli
 from charkit.cli import main
 from charkit.polyring import MultiPoly
 
@@ -101,6 +102,23 @@ def test_invariant_failure_is_a_one_line_error(tmp_path, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     # usage errors keep exit status 2
     assert main(["--no-cache", "series-family", "0", "1"]) == 2
+
+
+def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
+    # A z4 term added to a_77 sends z7^8 outside the support of 8 lambda_7,
+    # a weight above every character the bootstrap solves.
+    build_a = cli.build_a
+
+    def corrupted(corpus):
+        a, op, table = build_a(corpus)
+        op.register_pair(7, 7, a[(7, 7)] + MultiPoly.variable(4))
+        return op.a, op, table
+
+    monkeypatch.setattr(cli, "build_a", corrupted)
+    code, out, err = run(capsys, "character", "0000008")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: image monomial (0, 0, 0, 1, 0, 0, 6) ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("emptied", ["", "\n# no entries\n"],

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from charkit import fixtures
 from charkit.csmodel import (
-    B_COEFFS, CorpusIncompleteError, Delta1Operator, QuadraticCorpus,
-    build_a, build_b,
+    B_COEFFS, EXP_MAX, CorpusIncompleteError, Delta1Operator,
+    MonomialRangeError, QuadraticCorpus, build_a, build_b, unpack,
 )
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
@@ -74,9 +74,14 @@ def test_apply_linearity(operator, table):
         3 * operator.apply(p) - 2 * operator.apply(q)
 
 
+def image_of(op, n):
+    """``op.image_terms(n)`` keyed by exponent tuples."""
+    return {unpack(q): c for q, c in op.image_terms(n).items()}
+
+
 def test_monomial_image_z7(operator):
     z7 = (0, 0, 0, 0, 0, 0, 1)
-    assert operator.image_terms(z7) == {z7: 57}
+    assert image_of(operator, z7) == {z7: 57}
 
 
 def test_monomial_image_constant(operator):
@@ -85,7 +90,7 @@ def test_monomial_image_constant(operator):
 
 def test_monomial_image_z7_squared(operator):
     n = (0, 0, 0, 0, 0, 0, 2)
-    image = operator.image_terms(n)
+    image = image_of(operator, n)
     assert image[n] == eigenvalue(n)
     # the off-diagonal terms land exactly on the monomials z6, z1, 1
     assert set(image) == {n, (0, 0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0, 0),
@@ -95,9 +100,53 @@ def test_monomial_image_z7_squared(operator):
 def test_triangularity_on_dominant_monomials(operator):
     for m in [(0, 1, 0, 0, 0, 1, 0), (2, 0, 0, 0, 1, 0, 0)]:
         for n in dominant_weights_below(m):
-            image = operator.image_terms(n)
+            image = image_of(operator, n)
             assert set(image) <= set(dominant_weights_below(n))
             assert image.get(n, 0) == eigenvalue(n)
+
+
+def by_definition(op, p):
+    """D p = sum_{j<=k} (2 if j < k else 1) a_jk d_j d_k p
+    + sum_j b_j d_j p."""
+    want = MultiPoly.zero()
+    for (j, k), a_jk in op.a.items():
+        want += (2 if j < k else 1) * a_jk * partial(partial(p, j), k)
+    for j, b_j in enumerate(build_b(), 1):
+        want += b_j * partial(p, j)
+    return want
+
+
+def test_packed_range_boundary(operator):
+    # The largest a_jk exponent is 4, on the z1^4 term of a_44.
+    top = max(x for a_jk in operator.a.values() for e in a_jk.terms
+              for x in e)
+    assert top == 4
+    assert operator.a[(4, 4)].coefficient_of((4, 0, 0, 0, 0, 0, 0)) == -24
+    last = EXP_MAX - top
+    # z4^2 lets a_44 act, which puts z1^4 on z1^last: an exponent EXP_MAX.
+    n = (last, 0, 0, 2, 0, 0, 0)
+    image = image_of(operator, n)
+    assert max(max(e) for e in image) == EXP_MAX
+    assert MultiPoly(image) == by_definition(operator, MultiPoly.monomial(n))
+    for i in range(7):
+        operator.image_terms(tuple(last if j == i else 0 for j in range(7)))
+        with pytest.raises(MonomialRangeError, match=f"0..{last}"):
+            operator.image_terms(
+                tuple(last + 1 if j == i else 0 for j in range(7)))
+    with pytest.raises(MonomialRangeError):
+        operator.image_terms((0, 0, -1, 0, 0, 1, 0))
+    assert issubclass(MonomialRangeError, ValueError)
+
+
+def test_packed_range_follows_the_registered_terms():
+    op = Delta1Operator()
+    op.register_pair(7, 7, MultiPoly.from_text("3*z7^2 -4*z6 -24*z1 -60"))
+    last = EXP_MAX - 2
+    n = (0, 0, 0, 0, 0, 0, last)
+    want = by_definition(op, MultiPoly.monomial(n))
+    assert MultiPoly(image_of(op, n)) == want
+    with pytest.raises(MonomialRangeError):
+        op.image_terms((0, 0, 0, 0, 0, 0, last + 1))
 
 
 small_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 7),
@@ -107,13 +156,7 @@ small_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 7),
 @given(small_polys)
 @settings(max_examples=30, deadline=None)
 def test_apply_matches_the_operator_definition(operator, p):
-    # D p = sum_{j<=k} (2 if j < k else 1) a_jk d_j d_k p + sum_j b_j d_j p
-    want = MultiPoly.zero()
-    for (j, k), a_jk in operator.a.items():
-        want += (2 if j < k else 1) * a_jk * partial(partial(p, j), k)
-    for j, b_j in enumerate(build_b(), 1):
-        want += b_j * partial(p, j)
-    assert operator.apply(p) == want
+    assert operator.apply(p) == by_definition(operator, p)
 
 
 def test_corpus_invariants(corpus):
