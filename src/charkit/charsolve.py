@@ -33,7 +33,7 @@ import threading
 
 from .csmodel import StructuralViolationError, pack, unpack
 from .lie_core import (
-    ZERO_WEIGHT, dominant_weights_below, eigenvalue, require_dominant,
+    dominant_weights_below, eigenvalue, require_dominant,
     weyl_dim,  # noqa: F401 -- a binding the benchmark tracer wraps
 )
 from .polyring import MultiPoly
@@ -160,8 +160,6 @@ class CharacterTable:
         """
         m = tuple(m)
         require_dominant(m)
-        if m == ZERO_WEIGHT:
-            return MultiPoly.one()
         op = self.operator
         if downset is None:
             support = dominant_weights_below(m)
@@ -213,8 +211,6 @@ class CharacterTable:
         """
         m = tuple(m)
         require_dominant(m)
-        if m == ZERO_WEIGHT:
-            return MultiPoly.one()
         op = self.operator
         support = dominant_weights_below(m)
         eps_m = eigenvalue(m)

@@ -146,7 +146,6 @@ class Delta1Operator:
     def __init__(self, a=None):
         self._a = {}
         self._packed = {}
-        self._pair_max_exp = {}
         self._max_exp = 0
         self._image_cache = {}
         if a:
@@ -159,8 +158,8 @@ class Delta1Operator:
         self._a[(j, k)] = poly
         self._packed[(j, k)] = tuple(
             (pack(e), c) for e, c in poly.terms.items())
-        self._pair_max_exp[(j, k)] = max(map(max, poly.terms), default=0)
-        self._max_exp = max(self._pair_max_exp.values())
+        self._max_exp = max(max(map(max, p.terms), default=0)
+                            for p in self._a.values())
         self._image_cache.clear()
 
     @property

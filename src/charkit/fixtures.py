@@ -17,7 +17,9 @@ from __future__ import annotations
 import importlib.resources
 import warnings
 
-from .lie_core import RANK, FUNDAMENTAL_DIMS, weight_height2, weyl_dim
+from .lie_core import (
+    RANK, FUNDAMENTAL_DIMS, monomial_dim, series_dim, weight_height2, weyl_dim,
+)
 from .polyring import MultiPoly
 
 
@@ -91,10 +93,6 @@ def _parse_series_rhs(rhs, lineno, path):
     return series
 
 
-def _series_dim(series):
-    return sum(n * weyl_dim(w) for w, n in series.items())
-
-
 def load_cg_file(path):
     """Parse ``cg j k = ...`` lines into {(j, k): {weight: mult}}."""
     out = {}
@@ -111,7 +109,7 @@ def load_cg_file(path):
             raise FixtureFormatError(f"{path}:{lineno}: bad pair {j} {k}")
         series = _parse_series_rhs(rhs, lineno, path)
         want = FUNDAMENTAL_DIMS[j - 1] * FUNDAMENTAL_DIMS[k - 1]
-        got = _series_dim(series)
+        got = series_dim(series)
         if got != want:
             raise FixtureCorruptError(
                 f"{path}:{lineno}: series {j} {k} dimension sum {got} "
@@ -133,10 +131,8 @@ def load_mcg_file(path):
         except (ValueError, FixtureFormatError) as exc:
             raise FixtureFormatError(f"{path}:{lineno}: {exc}")
         series = _parse_series_rhs(rhs, lineno, path)
-        want = 1
-        for i in range(RANK):
-            want *= FUNDAMENTAL_DIMS[i] ** exps[i]
-        got = _series_dim(series)
+        want = monomial_dim(exps)
+        got = series_dim(series)
         if got != want:
             raise FixtureCorruptError(
                 f"{path}:{lineno}: monomial series {format_weight(exps)} "

@@ -77,35 +77,21 @@ def bilinear2(m, mu):
 def _generate_positive_roots():
     """Closure of the simple roots under root addition, in alpha-coordinates.
 
-    Uses the string property: beta + alpha_i is a root iff p - (beta, alpha_i)
-    > 0 where p is the number of steps the string extends backwards.
+    E7 is simply laced, so for a positive root beta other than alpha_i the
+    alpha_i-string through beta has at most two roots, and beta + alpha_i
+    is a root exactly when (beta, alpha_i) = -1.
     """
     simple = FUNDAMENTAL_WEIGHTS  # unit tuples double as alpha-coordinates
     roots = set(simple)
-    frontier = set(simple)
-
-    def form(u, v):
-        return sum(u[i] * CARTAN_A[i][j] * v[j]
-                   for i in range(RANK) for j in range(RANK))
-
+    frontier = simple
     while frontier:
         new = set()
         for beta in frontier:
-            for al in simple:
-                p = 0
-                cur = beta
-                while True:
-                    back = tuple(x - y for x, y in zip(cur, al))
-                    if back == ZERO_WEIGHT or back not in roots:
-                        break
-                    p += 1
-                    cur = back
-                if p - form(beta, al) > 0:
-                    up = tuple(x + y for x, y in zip(beta, al))
-                    if up not in roots:
-                        new.add(up)
-        roots |= new
-        frontier = new
+            for i, al in enumerate(simple):
+                if sum(b * CARTAN_A[j][i] for j, b in enumerate(beta)) == -1:
+                    new.add(tuple(x + y for x, y in zip(beta, al)))
+        frontier = new - roots
+        roots |= frontier
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
@@ -184,6 +170,20 @@ def _weyl_dim(m):
     q, rem = divmod(num, den)
     assert rem == 0
     return q
+
+
+def monomial_dim(exps):
+    """Dimension of the product of fundamental representations with the
+    given multiplicities: the value of z^exps at z_i = dim R_{lambda_i}."""
+    out = 1
+    for d, x in zip(FUNDAMENTAL_DIMS, exps):
+        out *= d ** x
+    return out
+
+
+def series_dim(series):
+    """Dimension of a direct sum given as {weight: multiplicity}."""
+    return sum(n * weyl_dim(w) for w, n in series.items())
 
 
 def eigenvalue(m):

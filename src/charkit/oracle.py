@@ -87,14 +87,15 @@ def _orbit_size(zero_pattern):
     return len(weyl_orbit(zero_pattern))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightSystem:
     """Weight multiplicities of one irreducible representation.
 
     ``dominant_mults`` maps each dominant weight to its multiplicity;
     ``orbit_sizes`` gives the size of its Weyl orbit.  The full system is
     the orbit expansion: every orbit element carries the multiplicity of
-    its dominant representative.
+    its dominant representative.  Frozen, since ``freudenthal`` shares one
+    instance per weight.
     """
 
     highest: tuple
@@ -108,30 +109,6 @@ class WeightSystem:
     def multiplicity(self, w):
         return self.dominant_mults.get(dominant_representative(w), 0)
 
-    def iter_all(self):
-        """Yield (weight, multiplicity) over the full orbit expansion."""
-        for w, mult in self.dominant_mults.items():
-            for v in weyl_orbit(w):
-                yield v, mult
-
-    def expanded_arrays(self):
-        """Full weight system as float arrays (weights, multiplicities);
-        built once and cached, since the expansion can run to hundreds of
-        thousands of weights."""
-        import numpy as np
-
-        cached = getattr(self, "_expanded", None)
-        if cached is None:
-            weights = []
-            mults = []
-            for w, mult in self.iter_all():
-                weights.append(w)
-                mults.append(mult)
-            cached = (np.array(weights, dtype=float),
-                      np.array(mults, dtype=float))
-            self._expanded = cached
-        return cached
-
 
 def freudenthal(m):
     """Weight multiplicities of the irreducible representation of highest
@@ -140,10 +117,16 @@ def freudenthal(m):
     Dominant weights are processed by increasing height gap from m, so all
     multiplicities entering the string sums are already known.  Off-cone
     lookups go through the dominant representative.  Refuses representations
-    with more than ``CEILING`` weights.
+    with more than ``CEILING`` weights.  Memoized per weight: every caller
+    of the same weight gets the same ``WeightSystem``.
     """
     m = tuple(m)
     require_dominant(m)
+    return _freudenthal(m)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _freudenthal(m):
     dim = weyl_dim(m)
     if dim > CEILING:
         raise OracleRefusal(
@@ -198,12 +181,27 @@ def _alcove_points(trials, seed):
     return points
 
 
-def _character_sum(system, t):
-    """Direct evaluation sum(mult * e^{2i(mu, q)}) with compensated
-    summation of the real and imaginary parts."""
+def _expand(system):
+    """The full weight system as float arrays (weights, multiplicities),
+    built from two lists; the expansion can run to hundreds of thousands
+    of weights, so callers keep it only while they use it."""
     import numpy as np
 
-    weights, mults = system.expanded_arrays()
+    weights = []
+    mults = []
+    for w, mult in system.dominant_mults.items():
+        orbit = weyl_orbit(w)
+        weights += orbit
+        mults += [mult] * len(orbit)
+    return np.array(weights, dtype=float), np.array(mults, dtype=float)
+
+
+def _character_sum(expanded, t):
+    """Direct evaluation sum(mult * e^{2i(mu, q)}) over an ``_expand``ed
+    system, with compensated summation of the real and imaginary parts."""
+    import numpy as np
+
+    weights, mults = expanded
     phases = 2.0 * (weights @ np.asarray(t, dtype=float))
     re = math.fsum((mults * np.cos(phases)).tolist())
     im = math.fsum((mults * np.sin(phases)).tolist())
@@ -218,8 +216,8 @@ def _fundamental_values(trials, seed):
     points = [tuple(t) for t in _alcove_points(trials, seed)]
     columns = []
     for lam in FUNDAMENTAL_WEIGHTS:
-        system = freudenthal(lam)
-        columns.append([_character_sum(system, t) for t in points])
+        expanded = _expand(freudenthal(lam))
+        columns.append([_character_sum(expanded, t) for t in points])
     return tuple(zip(points, zip(*columns)))
 
 
@@ -234,17 +232,6 @@ def torus_check(m, chi, trials=20, seed=20240901):
     365750, has 24753 distinct weights); they do not depend on m and are
     computed once per (trials, seed).
     """
-    m = tuple(m)
-    target = freudenthal(m)
-    worst = 0.0
-    for t, z in _fundamental_values(trials, seed):
-        direct = _character_sum(target, t)
-        value = 0
-        for e, c in chi.terms.items():
-            term = complex(c)
-            for zi, ni in zip(z, e):
-                if ni:
-                    term *= zi ** ni
-            value += term
-        worst = max(worst, abs(value - direct))
-    return worst
+    expanded = _expand(freudenthal(m))
+    return max((abs(chi.eval_integer(z) - _character_sum(expanded, t))
+                for t, z in _fundamental_values(trials, seed)), default=0.0)

@@ -136,7 +136,9 @@ class MultiPoly:
 
     # ------------------------------------------------------------ evaluation
     def eval_integer(self, point):
-        """Exact evaluation at a tuple of integers."""
+        """Evaluation at a tuple of seven numbers, exact at integers.  The
+        factors x ** n multiply in variable order and the terms add in
+        storage order, also at the complex points of ``torus_check``."""
         point = tuple(point)
         if len(point) != NVARS:
             raise ValueError("evaluation point must have 7 entries")

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lie_core import (
-    RANK, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, Downset,
-    dominant_weights_below, require_dominant, weyl_dim,
+    RANK, FUNDAMENTAL_WEIGHTS, Downset, dominant_weights_below, monomial_dim,
+    require_dominant, series_dim, weyl_dim,
 )
 
 
@@ -41,7 +41,7 @@ class CGSeries:
         return self.terms.get(tuple(w), 0)
 
     def total_dimension(self):
-        return sum(n * weyl_dim(w) for w, n in self.terms.items())
+        return series_dim(self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -50,10 +50,13 @@ class CGSeries:
         return iter(self.terms.items())
 
 
-def _subtractive_decompose(product_terms, top, table):
-    """Shared core: peel irreducible characters off a character-positive
-    polynomial whose constituents all lie below ``top``.
+def _subtractive_decompose(product_terms, top, table, expected_dim):
+    """The certified series of a character-positive polynomial whose
+    constituents all lie below ``top``.
 
+    The certificate: the residual ends at zero, ``top`` occurs exactly
+    once, and the dimension sum equals ``expected_dim``, the dimension of
+    the product as the caller computed it; otherwise ``DecompositionError``.
     The downset of ``top`` is enumerated once; a constituent that has to
     be solved takes its support from it by filtering (``Downset.below``).
     """
@@ -79,7 +82,14 @@ def _subtractive_decompose(product_terms, top, table):
         raise DecompositionError(
             f"nonzero residual after decomposing below {top}: "
             f"{sorted(residual)[:5]} ...")
-    return series
+    if series.get(top) != 1:
+        raise DecompositionError(
+            f"top weight {top} has multiplicity {series.get(top, 0)}, not 1")
+    got = series_dim(series)
+    if got != expected_dim:
+        raise DecompositionError(
+            f"dimension sum {got} != {expected_dim} below {top}")
+    return CGSeries(series)
 
 
 def cg_decompose(m, n, table):
@@ -89,15 +99,8 @@ def cg_decompose(m, n, table):
     require_dominant(n)
     product = table.character(m) * table.character(n)
     top = tuple(a + b for a, b in zip(m, n))
-    series = _subtractive_decompose(product.terms, top, table)
-    assert series.get(top) == 1
-    out = CGSeries(series)
-    want = weyl_dim(m) * weyl_dim(n)
-    got = out.total_dimension()
-    if got != want:
-        raise DecompositionError(
-            f"dimension sum {got} != {want} for {m} x {n}")
-    return out
+    return _subtractive_decompose(product.terms, top, table,
+                                  weyl_dim(m) * weyl_dim(n))
 
 
 def monomial_decompose(exps, table):
@@ -106,17 +109,7 @@ def monomial_decompose(exps, table):
     exps = tuple(exps)
     if len(exps) != RANK or any(x < 0 for x in exps):
         raise ValueError(f"bad monomial exponents {exps}")
-    series = _subtractive_decompose({exps: 1}, exps, table)
-    assert series.get(exps) == 1
-    out = CGSeries(series)
-    want = 1
-    for i in range(RANK):
-        want *= FUNDAMENTAL_DIMS[i] ** exps[i]
-    got = out.total_dimension()
-    if got != want:
-        raise DecompositionError(
-            f"dimension sum {got} != {want} for monomial {exps}")
-    return out
+    return _subtractive_decompose({exps: 1}, exps, table, monomial_dim(exps))
 
 
 # ------------------------------------------------------------ z7 families

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import itertools
 import pathlib
+from collections import Counter
 
 import pytest
 
-from charkit import oracle
+from charkit import cli, oracle
 from charkit.lie_core import (
     CARTAN_A, FUNDAMENTAL_WEIGHTS, RANK, ZERO_WEIGHT, weyl_dim,
 )
@@ -176,3 +178,27 @@ def test_oracle_module_is_independent():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 assert alias.name not in banned
+
+
+def test_verify_oracle_computes_each_weight_system_once(monkeypatch):
+    oracle._freudenthal.cache_clear()
+    oracle._fundamental_values.cache_clear()
+    counts = Counter()
+    real = oracle.dominant_weights_below
+
+    def counted(m):
+        counts[tuple(m)] += 1
+        return real(m)
+
+    monkeypatch.setattr(oracle, "dominant_weights_below", counted)
+    assert cli.main(["--no-cache", "verify", "oracle", "--trials", "3"]) == 0
+    weights = [*L, (0, 0, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, 0, 1),
+               (0, 0, 0, 0, 0, 0, 3)]
+    assert counts == Counter(weights)
+
+
+def test_freudenthal_results_are_shared_and_frozen():
+    ws = freudenthal(L[6])
+    assert freudenthal(list(L[6])) is ws
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ws.highest = L[0]

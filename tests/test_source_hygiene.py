@@ -1,0 +1,47 @@
+"""Every name a library module imports is used in that module.
+
+A deletion that leaves an import behind fails here.  An import line that
+carries ``# noqa: F401`` is exempt: such a binding is kept on purpose
+(``charsolve`` keeps ``weyl_dim`` for the benchmark tracer to wrap).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "charkit"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by an import in ``source`` and never referenced."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported.add(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_caught():
+    source = ("from .lie_core import (\n"
+              "    RANK, ZERO_WEIGHT,\n"
+              "    weyl_dim,  # noqa: F401\n"
+              ")\n"
+              "import os.path\n"
+              "print(RANK)\n")
+    assert unused_imports(source) == ["ZERO_WEIGHT", "os"]

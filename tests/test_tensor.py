@@ -8,8 +8,8 @@ from charkit.lie_core import (
 )
 from charkit.polyring import MultiPoly
 from charkit.tensor import (
-    CGSeries, DecompositionError, cg_decompose, monomial_decompose,
-    series_family_z7, verify_quadratic_roundtrip,
+    CGSeries, DecompositionError, _subtractive_decompose, cg_decompose,
+    monomial_decompose, series_family_z7, verify_quadratic_roundtrip,
 )
 
 L = FUNDAMENTAL_WEIGHTS
@@ -166,3 +166,12 @@ def test_quadratic_roundtrip(corpus, table):
     assert got17.terms == {(1, 0, 0, 0, 0, 0, 1): 1, L[1]: 1, L[6]: 1}
     got44 = cg_decompose(L[3], L[3], table)
     assert got44.multiplicity((1, 1, 0, 0, 0, 0, 1)) == 12
+
+
+def test_decomposition_certifies_its_dimension_sum(table):
+    m = (0, 0, 0, 0, 0, 0, 2)
+    product = table.character(L[6]) * table.character(L[6])
+    got = _subtractive_decompose(product.terms, m, table, 56 * 56)
+    assert got.terms == cg_decompose(L[6], L[6], table).terms
+    with pytest.raises(DecompositionError, match="dimension sum"):
+        _subtractive_decompose(product.terms, m, table, 56 * 56 + 1)
