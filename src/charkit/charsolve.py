@@ -22,7 +22,11 @@ prod_e (eps_m - e); the quotient by that scalar is checked exactly.  z^m
 is an integer combination of the characters chi_mu with mu <= m, and D is
 diagonal on them, so one factor (D - e) removes every constituent of
 eigenvalue e at once; a second factor for the same eigenvalue would only
-multiply the result, and so the scale, by eps_m - e again.
+multiply the result, and so the scale, by eps_m - e again.  Every
+factor maps the span of the dominant monomials below m to itself, so the
+operator is restricted once to that support, with an image term outside
+it refused; each factor is then one pass of exact integer arithmetic over
+a coefficient list indexed by the support.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ class CharacterTable:
     as canonical ``chi`` fixture lines (one file per weight), so repeated
     CLI invocations and long corpus runs reuse earlier work.  Insertion is
     guarded by a lock; lookups of already-cached weights are lock-free.
+    A weight being solved has one pending entry, so concurrent requests
+    for it share one solve.
     """
 
     def __init__(self, operator, cache_dir=None):
@@ -63,6 +69,7 @@ class CharacterTable:
         self.cache_dir = cache_dir
         self._cache = {}
         self._provenance = {}
+        self._pending = {}      # weight -> lock held while it is solved
         self._lock = threading.Lock()
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
@@ -125,23 +132,41 @@ class CharacterTable:
 
         ``downset``, a ``Downset`` containing m, is handed to the solve as
         the source of its support.  Only solved characters are written to
-        the disk cache.
+        the disk cache.  One thread solves a weight at a time: the others
+        asking for it wait on its pending entry and look again, so they
+        find the result, or solve it themselves if the first solve failed.
         """
         m = tuple(m)
         require_dominant(m)
-        chi = self._cache.get(m)
-        if chi is not None:
+        while True:
+            chi = self._cache.get(m)
+            if chi is not None:
+                return chi
+            with self._lock:
+                if m in self._cache:
+                    continue
+                pending = self._pending.get(m)
+                if pending is None:
+                    pending = self._pending[m] = threading.Lock()
+                    pending.acquire()
+                    break
+            with pending:       # held by the solving thread until it ends
+                pass
+        try:
+            chi = self._load_disk(m)
+            prov = "disk"
+            if chi is None:
+                chi, prov = self.character_m1(m, downset), "method-1"
+            with self._lock:
+                self._cache.setdefault(m, chi)
+                self._provenance.setdefault(m, prov)
+            if prov != "disk":
+                self._store_disk(m, chi)
             return chi
-        chi = self._load_disk(m)
-        prov = "disk"
-        if chi is None:
-            chi, prov = self.character_m1(m, downset), "method-1"
-        with self._lock:
-            self._cache.setdefault(m, chi)
-            self._provenance.setdefault(m, prov)
-        if prov != "disk":
-            self._store_disk(m, chi)
-        return chi
+        finally:
+            with self._lock:
+                del self._pending[m]
+            pending.release()
 
     def character_m1(self, m, downset=None):
         """Solve for chi_m by the triangular recursion (Method 1).
@@ -203,36 +228,33 @@ class CharacterTable:
     def character_m2(self, m):
         """Solve for chi_m by the annihilator product (Method 2).
 
-        One factor (D - e) is applied per distinct eigenvalue e of the
-        dominant weights strictly below m, in order of first appearance
-        along the support; the top coefficient must come out as the
-        product of the gaps eps_m - e, which then divides every
+        The operator is restricted once to the support of m (``restrict``),
+        and the product runs on a list of coefficients over the support's
+        positions.  One factor (D - e) is applied per distinct eigenvalue e
+        of the dominant weights strictly below m, in order of first
+        appearance along the support; the top coefficient must come out as
+        the product of the gaps eps_m - e, which then divides every
         coefficient exactly.
         """
         m = tuple(m)
         require_dominant(m)
-        op = self.operator
         support = dominant_weights_below(m)
+        rows = self.operator.restrict(support)
         eps_m = eigenvalue(m)
-        poly = {m: 1}
+        poly = [0] * len(support)
+        poly[0] = 1
         scale = 1
         for e in dict.fromkeys(eigenvalue(mu) for mu in support[1:]):
-            nxt = op.apply_terms(poly)
-            for n, c in poly.items():
-                v = nxt.get(n, 0) - e * c
-                if v:
-                    nxt[n] = v
-                else:
-                    nxt.pop(n, None)
-            poly = nxt
+            poly = _apply_factor(rows, poly, e)
             scale *= eps_m - e
-        lead = poly.get(m)
-        if lead != scale:
+        if poly[0] != scale:
             raise IntegralityError(
                 f"character {m}: annihilator product scales the top "
-                f"monomial by {lead}, expected {scale}")
+                f"monomial by {poly[0]}, expected {scale}")
         out = {}
-        for n, c in poly.items():
+        for n, c in zip(support, poly):
+            if not c:
+                continue
             q, rem = divmod(c, scale)
             if rem:
                 raise IntegralityError(
@@ -240,3 +262,14 @@ class CharacterTable:
                     f"integer after normalization")
             out[n] = q
         return MultiPoly(out, _clean_input=False)
+
+
+def _apply_factor(rows, poly, e):
+    """(D - e) applied to ``poly``, a list of coefficients over the
+    positions of the restricted operator ``rows``."""
+    out = [-e * c for c in poly]
+    for c, row in zip(poly, rows):
+        if c:
+            for j, s in row:
+                out[j] += c * s
+    return out

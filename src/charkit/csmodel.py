@@ -28,8 +28,9 @@ which needs n_j, n_k >= 1 (n_j >= 2 when j = k), and every a_jk exponent
 is non-negative.  No byte carries: images are built only for exponents up
 to EXP_MAX minus the largest registered a_jk exponent (4 for E7); other
 monomials raise ``MonomialRangeError``.  Tuples appear only at the
-boundary: ``image_terms`` takes one, and ``apply_terms`` maps tuple-keyed
-term dicts to tuple-keyed term dicts.
+boundary: ``image_terms`` takes one, ``apply_terms`` maps tuple-keyed
+term dicts to tuple-keyed term dicts, and ``restrict`` gives the rows of
+the operator on a list of weights by position in that list.
 """
 
 from __future__ import annotations
@@ -217,6 +218,24 @@ class Delta1Operator:
             out = {q: c for q, c in out.items() if c}
         self._image_cache[n] = out
         return out
+
+    def restrict(self, support):
+        """The operator's rows on a support, a list of exponent tuples whose
+        first entry is the top weight: for each weight, its image as a list
+        of (position in ``support``, coefficient) pairs, read once from
+        ``image_terms``.  An image term outside the support raises
+        ``StructuralViolationError``."""
+        index = {pack(mu): i for i, mu in enumerate(support)}
+        rows = []
+        for mu in support:
+            try:
+                rows.append([(index[q], s)
+                             for q, s in self.image_terms(mu).items()])
+            except KeyError as exc:
+                raise StructuralViolationError(
+                    f"image monomial {unpack(exc.args[0])} of {mu} is "
+                    f"outside the support of {support[0]}") from None
+        return rows
 
     def apply_terms(self, terms):
         """Apply the operator to a raw term dict {exps: coeff}, returning a

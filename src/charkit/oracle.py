@@ -5,6 +5,12 @@ weight multiplicities come from the classical Freudenthal recursion over
 positive-root strings, and character identities are re-checked numerically
 on the torus, where the character of weight m is the Weyl-invariant
 exponential sum over the full weight system of its representation.
+
+On the torus side a weight system is expanded by one batched walk down
+the Weyl orbits of all its dominant weights (``_orbit_walk``, on int64
+rows, numpy imported only here and only when first needed), and the
+exponential sum keeps only its cosine half: -1 lies in the Weyl group of
+E7, so the sine half of every sum cancels exactly.
 """
 
 from __future__ import annotations
@@ -43,39 +49,49 @@ def dominant_representative(w):
             return tuple(w)
 
 
-# For each simple reflection s_i, the coordinates it changes and by which
-# multiple of v_i: (s_i v)_j = v_j - v_i * A_ij.
-_REFLECTION_ROWS = tuple(
-    tuple((j, a) for j, a in enumerate(CARTAN_A[i]) if a)
-    for i in range(RANK))
+def _orbit_walk(dominant):
+    """The Weyl orbits of a list of dominant weights, walked together.
+
+    Returns (weights, owner): an int64 array with one row per orbit
+    element, each element exactly once, and for each row the index in
+    ``dominant`` of its dominant representative.
+
+    Every non-dominant weight u of an orbit has one parent s_i u, where i
+    is the first index with u_i < 0; the parent is higher, so following
+    parents ends at the dominant representative.  The walk goes down that
+    tree one level at a time for all orbits at once: a child s_i v (for
+    v_i > 0) is accepted only if no coordinate of it before index i is
+    negative, which generates each orbit element once with no membership
+    test.  Orbit sizes are bounded by the ambient representation
+    dimension, so no global Weyl-group enumeration is ever needed.
+    """
+    import numpy as np
+
+    cartan = np.array(CARTAN_A, dtype=np.int64)
+    level = np.array(dominant, dtype=np.int64).reshape(-1, RANK)
+    owner = np.arange(len(level))
+    levels, owners = [level], [owner]
+    while len(level):
+        kids, kid_owners = [], []
+        for i in range(RANK):
+            up = level[:, i] > 0
+            v = level[up]
+            u = v - v[:, i, None] * cartan[i]
+            keep = (u[:, :i] >= 0).all(axis=1)
+            kids.append(u[keep])
+            kid_owners.append(owner[up][keep])
+        level = np.concatenate(kids)
+        owner = np.concatenate(kid_owners)
+        levels.append(level)
+        owners.append(owner)
+    return np.concatenate(levels), np.concatenate(owners)
 
 
 def weyl_orbit(w):
-    """The Weyl orbit of a weight as a list, each element exactly once.
-
-    Every non-dominant weight u of the orbit has one parent s_i u, where i
-    is the first index with u_i < 0; the parent is higher, so following
-    parents ends at the dominant representative.  Walking that tree down
-    from the dominant weight, a child s_i v (for v_i > 0) is accepted only
-    if no coordinate of it before index i is negative, which generates
-    each orbit element once with no membership test.  Orbit sizes are
-    bounded by the ambient representation dimension, so no global
-    Weyl-group enumeration is ever needed.
-    """
-    orbit = [dominant_representative(w)]
-    for v in orbit:            # the list grows while it is walked
-        for i, c in enumerate(v):
-            if c <= 0:
-                continue
-            u = list(v)
-            for j, a in _REFLECTION_ROWS[i]:
-                u[j] -= c * a
-            for x in u[:i]:
-                if x < 0:
-                    break
-            else:
-                orbit.append(tuple(u))
-    return orbit
+    """The Weyl orbit of a weight as a list, each element exactly once,
+    its dominant representative first (``_orbit_walk``)."""
+    weights, _ = _orbit_walk([dominant_representative(w)])
+    return [tuple(row) for row in weights.tolist()]
 
 
 @functools.cache
@@ -84,7 +100,7 @@ def _orbit_size(zero_pattern):
     nonzero (1) and zero (0) coordinates: its stabilizer is generated by
     the simple reflections at the zero coordinates, so the nonzero values
     do not matter."""
-    return len(weyl_orbit(zero_pattern))
+    return len(_orbit_walk([zero_pattern])[0])
 
 
 @dataclass(frozen=True)
@@ -183,29 +199,26 @@ def _alcove_points(trials, seed):
 
 def _expand(system):
     """The full weight system as float arrays (weights, multiplicities),
-    built from two lists; the expansion can run to hundreds of thousands
-    of weights, so callers keep it only while they use it."""
+    from one ``_orbit_walk`` over its dominant weights; the expansion can
+    run to hundreds of thousands of weights, so callers keep it only while
+    they use it."""
     import numpy as np
 
-    weights = []
-    mults = []
-    for w, mult in system.dominant_mults.items():
-        orbit = weyl_orbit(w)
-        weights += orbit
-        mults += [mult] * len(orbit)
-    return np.array(weights, dtype=float), np.array(mults, dtype=float)
+    weights, owner = _orbit_walk(list(system.dominant_mults))
+    mults = np.array(list(system.dominant_mults.values()), dtype=float)
+    return weights.astype(float), mults[owner]
 
 
 def _character_sum(expanded, t):
     """Direct evaluation sum(mult * e^{2i(mu, q)}) over an ``_expand``ed
-    system, with compensated summation of the real and imaginary parts."""
+    system, with compensated summation.  Only the cosine half is summed:
+    -1 is in the Weyl group of E7, so every weight system is closed under
+    negation and its sine half cancels to exactly 0.0."""
     import numpy as np
 
     weights, mults = expanded
     phases = 2.0 * (weights @ np.asarray(t, dtype=float))
-    re = math.fsum((mults * np.cos(phases)).tolist())
-    im = math.fsum((mults * np.sin(phases)).tolist())
-    return complex(re, im)
+    return complex(math.fsum((mults * np.cos(phases)).tolist()), 0.0)
 
 
 @functools.cache

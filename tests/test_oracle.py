@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import itertools
+import math
 import pathlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from charkit import cli, oracle
@@ -69,6 +71,37 @@ def test_weyl_orbit_of_a_non_dominant_weight():
     assert len(orbit) == len(set(orbit))
     assert set(orbit) == closure_weyl_orbit(w)
     assert orbit[0] == dominant_representative(w)
+
+
+@pytest.mark.parametrize("w", [*L, (0, 0, 0, 0, 0, 0, 3)],
+                         ids=lambda w: "".join(map(str, w)))
+def test_expand_lists_every_orbit_with_its_multiplicity(w):
+    system = freudenthal(w)
+    weights, mults = oracle._expand(system)
+    got = Counter()
+    for row, mult in zip(weights.tolist(), mults.tolist()):
+        got[tuple(int(x) for x in row)] += int(mult)
+    want = Counter()
+    size = 0
+    for mu, mult in system.dominant_mults.items():
+        orbit = closure_weyl_orbit(mu)
+        size += len(orbit)
+        for v in orbit:
+            want[v] += mult
+    assert got == want
+    assert len(weights) == size
+    assert sum(mults.tolist()) == weyl_dim(w)
+
+
+@pytest.mark.parametrize("lam", L, ids=lambda w: "".join(map(str, w)))
+def test_sine_half_of_a_fundamental_sum_is_exactly_zero(lam):
+    # -1 is in the Weyl group of E7, so every weight system is closed under
+    # negation: the sine terms cancel in pairs, which lets the torus sum
+    # keep only its cosine half.
+    weights, mults = oracle._expand(freudenthal(lam))
+    for t in oracle._alcove_points(20, 20240901):
+        phases = 2.0 * (weights @ np.asarray(t, dtype=float))
+        assert math.fsum((mults * np.sin(phases)).tolist()) == 0.0
 
 
 def test_dominant_representative():

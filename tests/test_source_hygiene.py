@@ -3,10 +3,16 @@
 A deletion that leaves an import behind fails here.  An import line that
 carries ``# noqa: F401`` is exempt: such a binding is kept on purpose
 (``charsolve`` keeps ``weyl_dim`` for the benchmark tracer to wrap).
+
+The set-up path and both solvers also run without importing numpy, which
+only the torus oracle uses.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +51,20 @@ def test_an_unused_import_is_caught():
               "import os.path\n"
               "print(RANK)\n")
     assert unused_imports(source) == ["ZERO_WEIGHT", "os"]
+
+
+def test_setup_and_solvers_do_not_import_numpy():
+    # numpy is the torus oracle's alone; importing it costs about as much
+    # as the whole set-up path.
+    script = (
+        "import sys\n"
+        "import charkit\n"
+        "_, _, table = charkit.build_a(charkit.QuadraticCorpus.load_default())\n"
+        "m = (0, 0, 0, 0, 0, 1, 1)\n"
+        "assert table.character(m) == table.character_m2(m)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
