@@ -60,8 +60,6 @@ class CharacterTable:
     as canonical ``chi`` fixture lines (one file per weight), so repeated
     CLI invocations and long corpus runs reuse earlier work.  Insertion is
     guarded by a lock; lookups of already-cached weights are lock-free.
-    A weight being solved has one pending entry, so concurrent requests
-    for it share one solve.
     """
 
     def __init__(self, operator, cache_dir=None):
@@ -69,7 +67,6 @@ class CharacterTable:
         self.cache_dir = cache_dir
         self._cache = {}
         self._provenance = {}
-        self._pending = {}      # weight -> lock held while it is solved
         self._lock = threading.Lock()
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
@@ -132,41 +129,23 @@ class CharacterTable:
 
         ``downset``, a ``Downset`` containing m, is handed to the solve as
         the source of its support.  Only solved characters are written to
-        the disk cache.  One thread solves a weight at a time: the others
-        asking for it wait on its pending entry and look again, so they
-        find the result, or solve it themselves if the first solve failed.
+        the disk cache.
         """
         m = tuple(m)
         require_dominant(m)
-        while True:
-            chi = self._cache.get(m)
-            if chi is not None:
-                return chi
-            with self._lock:
-                if m in self._cache:
-                    continue
-                pending = self._pending.get(m)
-                if pending is None:
-                    pending = self._pending[m] = threading.Lock()
-                    pending.acquire()
-                    break
-            with pending:       # held by the solving thread until it ends
-                pass
-        try:
-            chi = self._load_disk(m)
-            prov = "disk"
-            if chi is None:
-                chi, prov = self.character_m1(m, downset), "method-1"
-            with self._lock:
-                self._cache.setdefault(m, chi)
-                self._provenance.setdefault(m, prov)
-            if prov != "disk":
-                self._store_disk(m, chi)
+        chi = self._cache.get(m)
+        if chi is not None:
             return chi
-        finally:
-            with self._lock:
-                del self._pending[m]
-            pending.release()
+        chi = self._load_disk(m)
+        prov = "disk"
+        if chi is None:
+            chi, prov = self.character_m1(m, downset), "method-1"
+        with self._lock:
+            self._cache.setdefault(m, chi)
+            self._provenance.setdefault(m, prov)
+        if prov != "disk":
+            self._store_disk(m, chi)
+        return chi
 
     def character_m1(self, m, downset=None):
         """Solve for chi_m by the triangular recursion (Method 1).

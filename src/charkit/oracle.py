@@ -91,7 +91,7 @@ def weyl_orbit(w):
     """The Weyl orbit of a weight as a list, each element exactly once,
     its dominant representative first (``_orbit_walk``)."""
     weights, _ = _orbit_walk([dominant_representative(w)])
-    return [tuple(row) for row in weights.tolist()]
+    return list(zip(*weights.T.tolist()))
 
 
 @functools.cache

@@ -290,70 +290,3 @@ def test_concurrent_character_computation(operator):
     for m, chi in zip(weights, results):
         assert chi == reference.character(m)
 
-
-def test_concurrent_requests_for_one_weight_solve_it_once(operator,
-                                                          monkeypatch):
-    import sys
-    import threading
-    import time
-    from concurrent.futures import ThreadPoolExecutor
-
-    m = (0, 0, 0, 0, 1, 0, 1)
-    t = fresh_table(operator)
-    solves = []
-    character_m1 = t.character_m1
-    start = threading.Barrier(8)
-
-    def counted(w, downset=None):
-        solves.append(w)
-        time.sleep(0.05)        # every other thread arrives meanwhile
-        return character_m1(w, downset)
-
-    def ask():
-        start.wait(timeout=60)
-        return t.character(m)
-
-    monkeypatch.setattr(t, "character_m1", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(ask) for _ in range(8)]
-            results = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert solves == [m]
-    assert all(chi is results[0] for chi in results)
-    assert results[0] == fresh_table(operator).character(m)
-    assert t.provenance(m) == "method-1"
-
-
-def test_waiters_on_a_failed_solve_raise_instead_of_hanging(operator,
-                                                            monkeypatch):
-    import threading
-    import time
-    from concurrent.futures import ThreadPoolExecutor
-
-    m = (0, 0, 0, 0, 1, 0, 1)
-    t = fresh_table(operator)
-    solves = []
-    start = threading.Barrier(4)
-
-    def broken(w, downset=None):
-        solves.append(w)
-        time.sleep(0.05)
-        raise RuntimeError("solve failed")
-
-    def ask():
-        start.wait(timeout=60)
-        return t.character(m)
-
-    monkeypatch.setattr(t, "character_m1", broken)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(ask) for _ in range(4)]
-        for future in futures:
-            with pytest.raises(RuntimeError, match="solve failed"):
-                future.result(timeout=60)
-    assert 1 <= len(solves) <= 4
-    monkeypatch.undo()
-    assert t.character(m) == fresh_table(operator).character(m)

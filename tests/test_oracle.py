@@ -73,24 +73,32 @@ def test_weyl_orbit_of_a_non_dominant_weight():
     assert orbit[0] == dominant_representative(w)
 
 
-@pytest.mark.parametrize("w", [*L, (0, 0, 0, 0, 0, 0, 3)],
+@pytest.mark.parametrize("w", [L[2], (0, 0, 0, 0, 0, 0, 3)],
                          ids=lambda w: "".join(map(str, w)))
 def test_expand_lists_every_orbit_with_its_multiplicity(w):
     system = freudenthal(w)
     weights, mults = oracle._expand(system)
     got = Counter()
-    for row, mult in zip(weights.tolist(), mults.tolist()):
-        got[tuple(int(x) for x in row)] += int(mult)
+    for row, mult in zip(zip(*weights.T.tolist()), mults.tolist()):
+        got[row] += mult
     want = Counter()
-    size = 0
     for mu, mult in system.dominant_mults.items():
-        orbit = closure_weyl_orbit(mu)
-        size += len(orbit)
-        for v in orbit:
+        for v in closure_weyl_orbit(mu):
             want[v] += mult
     assert got == want
-    assert len(weights) == size
-    assert sum(mults.tolist()) == weyl_dim(w)
+    assert len(weights) == len(got)
+
+
+@pytest.mark.parametrize("w", [*L, (0, 0, 0, 0, 0, 0, 3)],
+                         ids=lambda w: "".join(map(str, w)))
+def test_expand_rows_are_distinct_and_carry_the_dimension(w):
+    # Orbit sizes come from _orbit_size, which is checked against the
+    # closure above; the rows are distinct and carry the whole dimension.
+    system = freudenthal(w)
+    weights, mults = oracle._expand(system)
+    assert len(weights) == len(np.unique(weights, axis=0))
+    assert len(weights) == sum(system.orbit_sizes.values())
+    assert int(mults.sum()) == weyl_dim(w)
 
 
 @pytest.mark.parametrize("lam", L, ids=lambda w: "".join(map(str, w)))
