@@ -1,6 +1,8 @@
 """Irreducible characters as eigenfunctions of the assembled operator.
 
-Two independent solvers are provided.
+Two independent solvers are provided.  Both read the operator through
+``Delta1Operator.restrict``: its rows on the dominant weights below m, by
+position, each term at or after its own weight's position.
 
 Method 1 walks the dominant weights below m in order of increasing height
 gap.  Writing chi_m = sum C_mu z^mu with C_m = 1, the eigenvalue equation
@@ -11,7 +13,8 @@ fixes each lower coefficient from the ones already known:
 where S(nu -> mu) is the coefficient the operator sends z^nu to z^mu with.
 The denominators are strictly positive by monotonicity of the eigenvalues
 along the dominance order, and every division must be exact; a remainder
-means a corrupted operator.
+means a corrupted operator.  A weight's row is read only when its
+coefficient is nonzero.
 
 Method 2 multiplies out one annihilator per distinct eigenvalue below m,
 
@@ -23,10 +26,9 @@ is an integer combination of the characters chi_mu with mu <= m, and D is
 diagonal on them, so one factor (D - e) removes every constituent of
 eigenvalue e at once; a second factor for the same eigenvalue would only
 multiply the result, and so the scale, by eps_m - e again.  Every
-factor maps the span of the dominant monomials below m to itself, so the
-operator is restricted once to that support, with an image term outside
-it refused; each factor is then one pass of exact integer arithmetic over
-a coefficient list indexed by the support.
+factor maps the span of the dominant monomials below m to itself, so
+every row on that support is read once, and each factor is one pass of
+exact integer arithmetic over a coefficient list indexed by the support.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import contextlib
 import os
 import threading
 
-from .csmodel import StructuralViolationError, pack, unpack
 from .lie_core import (
     dominant_weights_below, eigenvalue, require_dominant,
     weyl_dim,  # noqa: F401 -- a binding the benchmark tracer wraps
@@ -155,29 +156,26 @@ class CharacterTable:
         passes the top weight's ``Downset``), and ``dominant_weights_below(m)``
         otherwise; both give the same weights in the same order.
 
-        The numerators accumulate under packed keys, the operator's image
-        keys, in a dict seeded with the support's keys; a weight's entry
-        leaves it once the weight is solved.  So ``acc[q] += ...`` is also
-        the exact membership test: an image term outside the support, or on
-        a weight already solved, is a KeyError, raised as
-        ``StructuralViolationError``.  The result is keyed by tuples.
+        The numerators accumulate in a list over the support's positions.
+        A weight's row of the restricted operator is read only once its
+        coefficient is known to be nonzero, and adds into the positions
+        after it; ``restrict`` refuses any other term.
         """
         m = tuple(m)
         require_dominant(m)
-        op = self.operator
         if downset is None:
             support = dominant_weights_below(m)
         else:
             support = downset.below(m)
-        keys = [pack(mu) for mu in support]
+        row = self.operator.restrict(support)
         eps_m = eigenvalue(m)
-        acc = dict.fromkeys(keys, 0)
+        acc = [0] * len(support)
         coeffs = {}
-        for mu, key in zip(support, keys):
-            num = acc.pop(key)
+        for i, mu in enumerate(support):
             if mu == m:
                 c = 1
             else:
+                num = acc[i]
                 if num == 0:
                     continue
                 gap = eps_m - eigenvalue(mu)
@@ -192,33 +190,26 @@ class CharacterTable:
                 if c == 0:
                     continue
             coeffs[mu] = c
-            image = op.image_terms(mu)
-            acc[key] = 0        # takes the diagonal term, then goes
-            try:
-                for q, s in image.items():
-                    acc[q] += c * s
-            except KeyError as exc:
-                raise StructuralViolationError(
-                    f"image monomial {unpack(exc.args[0])} of {mu} is not "
-                    f"an unsolved weight of the support of {m}") from None
-            del acc[key]
+            for j, s in row(i):
+                acc[j] += c * s
         return MultiPoly(coeffs, _clean_input=False)
 
     def character_m2(self, m):
         """Solve for chi_m by the annihilator product (Method 2).
 
-        The operator is restricted once to the support of m (``restrict``),
-        and the product runs on a list of coefficients over the support's
-        positions.  One factor (D - e) is applied per distinct eigenvalue e
-        of the dominant weights strictly below m, in order of first
-        appearance along the support; the top coefficient must come out as
-        the product of the gaps eps_m - e, which then divides every
-        coefficient exactly.
+        Every row of the operator restricted to the support of m
+        (``restrict``) is read once, and the product runs on a list of
+        coefficients over the support's positions.  One factor (D - e) is
+        applied per distinct eigenvalue e of the dominant weights strictly
+        below m, in order of first appearance along the support; the top
+        coefficient must come out as the product of the gaps eps_m - e,
+        which then divides every coefficient exactly.
         """
         m = tuple(m)
         require_dominant(m)
         support = dominant_weights_below(m)
-        rows = self.operator.restrict(support)
+        row = self.operator.restrict(support)
+        rows = [list(row(i)) for i in range(len(support))]
         eps_m = eigenvalue(m)
         poly = [0] * len(support)
         poly[0] = 1

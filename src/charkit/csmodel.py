@@ -27,10 +27,10 @@ No byte borrows: the pair contributes only when its factor is nonzero,
 which needs n_j, n_k >= 1 (n_j >= 2 when j = k), and every a_jk exponent
 is non-negative.  No byte carries: images are built only for exponents up
 to EXP_MAX minus the largest registered a_jk exponent (4 for E7); other
-monomials raise ``MonomialRangeError``.  Tuples appear only at the
-boundary: ``image_terms`` takes one, ``apply_terms`` maps tuple-keyed
-term dicts to tuple-keyed term dicts, and ``restrict`` gives the rows of
-the operator on a list of weights by position in that list.
+monomials raise ``MonomialRangeError``.  No other module sees a packed
+key: ``image_terms`` takes an exponent tuple, ``apply_terms`` maps tuple
+keys to tuple keys, and ``restrict`` gives both character solvers the
+operator on a list of weights by position in that list.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class MonomialRangeError(ValueError):
 
 
 class StructuralViolationError(AssertionError):
-    """The operator sent a monomial of a character's support outside the
-    unsolved part of it; the triangular structure would be broken."""
+    """An image term lies outside a support or above its own weight in it."""
 
 
 # The largest exponent a packed key holds: one byte per variable.
@@ -220,22 +219,25 @@ class Delta1Operator:
         return out
 
     def restrict(self, support):
-        """The operator's rows on a support, a list of exponent tuples whose
-        first entry is the top weight: for each weight, its image as a list
-        of (position in ``support``, coefficient) pairs, read once from
-        ``image_terms``.  An image term outside the support raises
-        ``StructuralViolationError``."""
+        """The operator on ``support`` (exponent tuples in solving order, the
+        top weight first) as ``row(i)``: the image of ``support[i]`` as
+        (position, coefficient) pairs.  A term outside the support or before
+        position i breaks the triangle: ``StructuralViolationError``."""
         index = {pack(mu): i for i, mu in enumerate(support)}
-        rows = []
-        for mu in support:
-            try:
-                rows.append([(index[q], s)
-                             for q, s in self.image_terms(mu).items()])
-            except KeyError as exc:
+        get = index.get
+
+        def row(i):
+            mu = support[i]
+            image = self.image_terms(mu)
+            positions = [get(q, -1) for q in image]
+            if min(positions, default=i) < i:
+                q = next(q for q, j in zip(image, positions) if j < i)
                 raise StructuralViolationError(
-                    f"image monomial {unpack(exc.args[0])} of {mu} is "
-                    f"outside the support of {support[0]}") from None
-        return rows
+                    f"image monomial {unpack(q)} of {mu} is not below it in "
+                    f"the support of {support[0]}")
+            return zip(positions, image.values())
+
+        return row
 
     def apply_terms(self, terms):
         """Apply the operator to a raw term dict {exps: coeff}, returning a

@@ -64,11 +64,14 @@ def data_path(name):
 def _iter_lines(path, warn_empty=True):
     count = 0
     with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                count += 1
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(f, 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    count += 1
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise FixtureFormatError(f"{path}: not UTF-8 text: {exc}")
     if count == 0 and warn_empty:
         warnings.warn(f"fixture file {path} contains no entries")
 

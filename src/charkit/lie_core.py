@@ -230,12 +230,12 @@ def dominant_weights_below(m):
     height_shift = step * RANK
     guard = sum(offset << s for s in shifts)
 
-    def pack(w):
+    def encode(w):
         return (weight_height2(w) << height_shift) + sum(
             x << s for x, s in zip(w, shifts))
 
-    roots = [pack(r) for r in cartan_matrix().positive_roots_fund]
-    start = guard + pack(m)
+    roots = [encode(r) for r in cartan_matrix().positive_roots_fund]
+    start = guard + encode(m)
     seen = {start}
     frontier = [start]
     while frontier:

@@ -243,8 +243,10 @@ def torus_check(m, chi, trials=20, seed=20240901):
     The values z_i(q) of the seven fundamental characters are direct sums
     too, over the fundamental weight systems (the largest, of dimension
     365750, has 24753 distinct weights); they do not depend on m and are
-    computed once per (trials, seed).
+    computed once per (trials, seed); ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"torus check needs at least 1 trial, got {trials}")
     expanded = _expand(freudenthal(m))
-    return max((abs(chi.eval_integer(z) - _character_sum(expanded, t))
-                for t, z in _fundamental_values(trials, seed)), default=0.0)
+    return max(abs(chi.eval_integer(z) - _character_sum(expanded, t))
+               for t, z in _fundamental_values(trials, seed))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -48,11 +49,10 @@ def verify_character(table, m, chi):
     )
 
 
-def operator_with_escape(operator):
-    """The operator with a z4 term added to a_77: the image of z7^2 then
-    reaches z4, far above the support of 2 lambda_7."""
+def corrupted_operator(operator, pair, extra):
+    """The operator with ``extra`` added to the coefficient of ``pair``."""
     a = operator.a
-    a[(7, 7)] = a[(7, 7)] + MultiPoly.variable(4)
+    a[pair] = a[pair] + extra
     return Delta1Operator(a)
 
 
@@ -120,20 +120,24 @@ def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
     assert chi == t.character_m1(m)
 
 
-def test_m1_refuses_an_image_that_escapes_the_support(operator):
-    t = fresh_table(operator_with_escape(operator))
+@pytest.mark.parametrize("method", ["character_m1", "character_m2"],
+                         ids=["m1", "m2"])
+@pytest.mark.parametrize("pair, extra, m, term, source", [
+    # z4 in a_77: the image of z7^2 reaches z4, far above the support.
+    ((7, 7), MultiPoly.variable(4), (0, 0, 0, 0, 0, 0, 2),
+     (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2)),
+    # z7^3 in a_67: z6*z7 is sent up to z7^3, inside the support but
+    # above it.
+    ((6, 7), MultiPoly.monomial((0, 0, 0, 0, 0, 0, 3)), (0, 0, 0, 0, 0, 0, 3),
+     (0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 1, 1)),
+], ids=["escape", "upward"])
+def test_solvers_refuse_an_image_term_that_breaks_the_triangle(
+        operator, method, pair, extra, m, term, source):
+    t = fresh_table(corrupted_operator(operator, pair, extra))
     with pytest.raises(StructuralViolationError,
-                       match=r"image monomial \(0, 0, 0, 1, 0, 0, 0\) of "
-                             r"\(0, 0, 0, 0, 0, 0, 2\)"):
-        t.character_m1((0, 0, 0, 0, 0, 0, 2))
-
-
-def test_m2_refuses_an_image_that_escapes_the_support(operator):
-    t = fresh_table(operator_with_escape(operator))
-    with pytest.raises(StructuralViolationError,
-                       match=r"image monomial \(0, 0, 0, 1, 0, 0, 0\) of "
-                             r"\(0, 0, 0, 0, 0, 0, 2\)"):
-        t.character_m2((0, 0, 0, 0, 0, 0, 2))
+                       match=rf"image monomial {re.escape(str(term))} of "
+                             rf"{re.escape(str(source))} "):
+        getattr(t, method)(m)
 
 
 def test_m1_where_the_downset_exceeds_the_top(operator):
@@ -217,12 +221,14 @@ def test_disk_hit_leaves_the_cache_file_alone(operator, tmp_path):
     lambda good: "not a character file\n",
     lambda good: good.rstrip("\n") + " 1*z7\n",     # dimension off by 56
     lambda good: good.rstrip("\n") + " 3/2*z1\n",   # not an integer
-], ids=["garbage", "wrong-dimension", "fraction"])
+    lambda good: b"\xff\xfe\x00garbage",             # not UTF-8
+], ids=["garbage", "wrong-dimension", "fraction", "not-utf-8"])
 def test_corrupt_cache_file_is_recomputed(operator, tmp_path, corrupt):
     m = (0, 0, 0, 0, 1, 0, 1)
     chi = fresh_table(operator).character(m)
     path = tmp_path / "chi_0-0-0-0-1-0-1.txt"
-    path.write_text(corrupt(f"chi 0000101 = {chi.to_text()}\n"))
+    bad = corrupt(f"chi 0000101 = {chi.to_text()}\n")
+    path.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
     t = CharacterTable(operator, cache_dir=str(tmp_path))
     assert t.character(m) == chi
     assert t.provenance(m) == "method-1"

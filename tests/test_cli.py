@@ -121,6 +121,13 @@ def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_oracle_without_torus_points_is_a_usage_error(capsys, trials):
+    code, out, err = run(capsys, "verify", "oracle", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: torus check needs at least 1 trial, got {trials}\n"
+
+
 @pytest.mark.parametrize("emptied", ["", "\n# no entries\n"],
                          ids=["zero-bytes", "no-entries"])
 def test_empty_cache_file_is_a_silent_miss(tmp_path, capsys, emptied):

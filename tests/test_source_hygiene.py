@@ -4,8 +4,9 @@ A deletion that leaves an import behind fails here.  An import line that
 carries ``# noqa: F401`` is exempt: such a binding is kept on purpose
 (``charsolve`` keeps ``weyl_dim`` for the benchmark tracer to wrap).
 
-The set-up path and both solvers also run without importing numpy, which
-only the torus oracle uses.
+The packed monomial key format belongs to ``csmodel``: no other module
+names ``pack`` or ``unpack``.  The set-up path and both solvers also run
+without importing numpy, which only the torus oracle uses.
 """
 
 import ast
@@ -51,6 +52,34 @@ def test_an_unused_import_is_caught():
               "import os.path\n"
               "print(RANK)\n")
     assert unused_imports(source) == ["ZERO_WEIGHT", "os"]
+
+
+def packed_key_names(source):
+    """Every mention of ``pack`` or ``unpack`` in ``source``: a name, an
+    attribute or an imported binding."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name.split(".")[-1] for alias in node.names]
+    return sorted(n for n in found if n in ("pack", "unpack"))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "csmodel.py"],
+    ids=lambda p: p.name)
+def test_only_csmodel_knows_the_packed_key_format(path):
+    assert packed_key_names(path.read_text()) == []
+
+
+def test_a_packed_key_mention_is_caught():
+    source = ("from .csmodel import pack\n"
+              "from . import csmodel\n"
+              "print(pack((1,)), csmodel.unpack(1))\n")
+    assert packed_key_names(source) == ["pack", "pack", "unpack"]
 
 
 def test_setup_and_solvers_do_not_import_numpy():
