@@ -1,12 +1,16 @@
 """Irreducible characters as eigenfunctions of the assembled operator.
 
 Two independent solvers are provided.  Both read the operator through
-``Delta1Operator.restrict``: its rows on the dominant weights below m, by
-position, each term at or after its own weight's position.
+``Delta1Operator.restrict``: its rows on a ``Downset``, by position, each
+term at or after its own weight's position, each row built at most once
+per downset.
 
 Method 1 walks the dominant weights below m in order of increasing height
-gap.  Writing chi_m = sum C_mu z^mu with C_m = 1, the eigenvalue equation
-fixes each lower coefficient from the ones already known:
+gap: the positions of m's own ``Downset``, or those of a larger downset
+from m's position on (a decomposition solves every constituent on its top
+weight's), where a term that is not below m is refused.  Writing
+chi_m = sum C_mu z^mu with C_m = 1, the eigenvalue equation fixes each
+lower coefficient from the ones already known:
 
     (eps_m - eps_mu) C_mu = sum over already-solved nu of C_nu * S(nu -> mu)
 
@@ -37,8 +41,9 @@ import contextlib
 import os
 import threading
 
+from .csmodel import StructuralViolationError
 from .lie_core import (
-    dominant_weights_below, eigenvalue, require_dominant,
+    Downset, dominant_weights_below, eigenvalue, require_dominant,
     weyl_dim,  # noqa: F401 -- a binding the benchmark tracer wraps
 )
 from .polyring import MultiPoly
@@ -128,9 +133,9 @@ class CharacterTable:
     def character(self, m, downset=None):
         """The character of highest weight m, from cache or by Method 1.
 
-        ``downset``, a ``Downset`` containing m, is handed to the solve as
-        the source of its support.  Only solved characters are written to
-        the disk cache.
+        ``downset``, a ``Downset`` containing m, is the one the solve runs
+        on, sharing its rows of the operator.  Only solved characters are
+        written to the disk cache.
         """
         m = tuple(m)
         require_dominant(m)
@@ -151,33 +156,46 @@ class CharacterTable:
     def character_m1(self, m, downset=None):
         """Solve for chi_m by the triangular recursion (Method 1).
 
-        The support is ``downset.below(m)`` when m is solved as a
-        constituent inside the downset of a larger weight (a decomposition
-        passes the top weight's ``Downset``), and ``dominant_weights_below(m)``
-        otherwise; both give the same weights in the same order.
-
-        The numerators accumulate in a list over the support's positions.
-        A weight's row of the restricted operator is read only once its
+        The solve runs on ``downset``, a ``Downset`` with m among its
+        members (a decomposition passes its top weight's), or else on a
+        ``Downset`` of m's own.  It walks the downset's positions from m's
+        own, and the numerators accumulate in a list over those positions.
+        Before dividing, every nonzero numerator's position passes the
+        downset's below-test from m's position, or the image term that put
+        it there escapes m's support: ``StructuralViolationError``.  A
+        weight's row of the restricted operator is read only once its
         coefficient is known to be nonzero, and adds into the positions
         after it; ``restrict`` refuses any other term.
         """
         m = tuple(m)
         require_dominant(m)
         if downset is None:
-            support = dominant_weights_below(m)
+            downset = Downset(dominant_weights_below(m))
+            p = 0
         else:
-            support = downset.below(m)
-        row = self.operator.restrict(support)
+            p = downset.position(m)
+        row = self.operator.restrict(downset)
+        is_below = downset.below_test(p)
+        weights = downset.weights
         eps_m = eigenvalue(m)
-        acc = [0] * len(support)
+        acc = [0] * len(weights)
+        acc[p] = 1
         coeffs = {}
-        for i, mu in enumerate(support):
-            if mu == m:
+        for i in range(p, len(weights)):
+            num = acc[i]
+            if num == 0:
+                continue
+            mu = weights[i]
+            if i == p:
                 c = 1
             else:
-                num = acc[i]
-                if num == 0:
-                    continue
+                if not is_below(i):
+                    source = next(
+                        nu for k, nu in enumerate(weights[p:i], p)
+                        if nu in coeffs and i in row(k)[0])
+                    raise StructuralViolationError(
+                        f"image monomial {mu} of {source} is not below it "
+                        f"in the support of {m}")
                 gap = eps_m - eigenvalue(mu)
                 if gap <= 0:
                     raise ZeroGapError(
@@ -190,16 +208,17 @@ class CharacterTable:
                 if c == 0:
                     continue
             coeffs[mu] = c
-            for j, s in row(i):
+            targets, values = row(i)
+            for j, s in zip(targets, values):
                 acc[j] += c * s
         return MultiPoly(coeffs, _clean_input=False)
 
     def character_m2(self, m):
         """Solve for chi_m by the annihilator product (Method 2).
 
-        Every row of the operator restricted to the support of m
+        Every row of the operator restricted to a ``Downset`` of m
         (``restrict``) is read once, and the product runs on a list of
-        coefficients over the support's positions.  One factor (D - e) is
+        coefficients over the downset's positions.  One factor (D - e) is
         applied per distinct eigenvalue e of the dominant weights strictly
         below m, in order of first appearance along the support; the top
         coefficient must come out as the product of the gaps eps_m - e,
@@ -207,9 +226,10 @@ class CharacterTable:
         """
         m = tuple(m)
         require_dominant(m)
-        support = dominant_weights_below(m)
-        row = self.operator.restrict(support)
-        rows = [list(row(i)) for i in range(len(support))]
+        downset = Downset(dominant_weights_below(m))
+        support = downset.weights
+        row = self.operator.restrict(downset)
+        rows = [list(zip(*row(i))) for i in range(len(support))]
         eps_m = eigenvalue(m)
         poly = [0] * len(support)
         poly[0] = 1

@@ -27,10 +27,13 @@ No byte borrows: the pair contributes only when its factor is nonzero,
 which needs n_j, n_k >= 1 (n_j >= 2 when j = k), and every a_jk exponent
 is non-negative.  No byte carries: images are built only for exponents up
 to EXP_MAX minus the largest registered a_jk exponent (4 for E7); other
-monomials raise ``MonomialRangeError``.  No other module sees a packed
-key: ``image_terms`` takes an exponent tuple, ``apply_terms`` maps tuple
-keys to tuple keys, and ``restrict`` gives both character solvers the
-operator on a list of weights by position in that list.
+monomials raise ``MonomialRangeError``.  An image is memoized as two
+tuples, its packed keys and their coefficients.  No other module sees a
+packed key: ``image_terms`` takes an exponent tuple, ``apply_terms`` maps
+tuple keys to tuple keys, and ``restrict`` gives both character solvers
+the operator on a ``Downset`` by position in it: each row is a list of
+target positions with the image's coefficient tuple, built once and kept
+on the downset.
 """
 
 from __future__ import annotations
@@ -172,7 +175,8 @@ class Delta1Operator:
 
     # ----------------------------------------------------------- application
     def image_terms(self, n):
-        """D applied to the monomial z^n, as a term dict {packed q: coeff}.
+        """D applied to the monomial z^n, as two tuples: the packed keys q
+        of its terms and their coefficients, in the same order.
 
         The diagonal term (the input monomial itself, key pack(n)) carries
         its eigenvalue when n is dominant; off-diagonal output always sits
@@ -215,27 +219,37 @@ class Delta1Operator:
                                          for i in range(RANK))
         if 0 in out.values():
             out = {q: c for q, c in out.items() if c}
-        self._image_cache[n] = out
-        return out
+        image = tuple(out), tuple(out.values())
+        self._image_cache[n] = image
+        return image
 
-    def restrict(self, support):
-        """The operator on ``support`` (exponent tuples in solving order, the
-        top weight first) as ``row(i)``: the image of ``support[i]`` as
-        (position, coefficient) pairs.  A term outside the support or before
-        position i breaks the triangle: ``StructuralViolationError``."""
-        index = {pack(mu): i for i, mu in enumerate(support)}
+    def restrict(self, downset):
+        """The operator on a ``Downset`` as ``row(i)``: the image of the
+        member at position i, as a list of target positions and the tuple
+        of their coefficients.  Rows are memoized on the downset, so each
+        is built once however many members are solved on it.  A term
+        outside the downset or before position i breaks the triangle:
+        ``StructuralViolationError``, naming the downset's top."""
+        memo = downset.rows.get(self)
+        if memo is None:
+            index = {pack(mu): i for i, mu in enumerate(downset.weights)}
+            memo = downset.rows[self] = index, [None] * len(downset.weights)
+        index, rows = memo
         get = index.get
+        weights = downset.weights
 
         def row(i):
-            mu = support[i]
-            image = self.image_terms(mu)
-            positions = [get(q, -1) for q in image]
-            if min(positions, default=i) < i:
-                q = next(q for q, j in zip(image, positions) if j < i)
-                raise StructuralViolationError(
-                    f"image monomial {unpack(q)} of {mu} is not below it in "
-                    f"the support of {support[0]}")
-            return zip(positions, image.values())
+            r = rows[i]
+            if r is None:
+                keys, coeffs = self.image_terms(weights[i])
+                targets = [get(q, -1) for q in keys]
+                if min(targets, default=i) < i:
+                    q = next(q for q, j in zip(keys, targets) if j < i)
+                    raise StructuralViolationError(
+                        f"image monomial {unpack(q)} of {weights[i]} is not "
+                        f"below it in the support of {weights[0]}")
+                r = rows[i] = targets, coeffs
+            return r
 
         return row
 
@@ -244,7 +258,8 @@ class Delta1Operator:
         term dict of the same kind; the sum runs on packed keys."""
         out = {}
         for n, c in terms.items():
-            for q, s in self.image_terms(n).items():
+            keys, coeffs = self.image_terms(n)
+            for q, s in zip(keys, coeffs):
                 out[q] = out.get(q, 0) + c * s
         return {unpack(q): v for q, v in out.items() if v}
 

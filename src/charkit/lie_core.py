@@ -56,7 +56,7 @@ class NonDominantError(ValueError):
 
 
 def require_dominant(m):
-    if len(m) != RANK or any(x < 0 for x in m):
+    if len(m) != RANK or min(m) < 0:
         raise NonDominantError(f"weight {m} is not dominant")
 
 
@@ -214,8 +214,8 @@ def dominant_weights_below(m):
     integer order is the order above.
 
     This is the one enumeration of a downset.  A constituent solved inside
-    a decomposition takes its support from the top weight's downset through
-    ``Downset.below`` instead of enumerating again.
+    a decomposition is solved on the top weight's ``Downset`` instead of
+    enumerating again.
     """
     require_dominant(m)
     hm = weight_height2(m)
@@ -253,37 +253,52 @@ def dominant_weights_below(m):
 
 
 class Downset:
-    """The dominant weights below a top weight, from which the downset of
-    every member is filtered instead of enumerated again.
+    """The dominant weights below a top weight, by position in solving
+    order, together with the operator's rows on them.
 
-    ``weights`` is ``dominant_weights_below(top)``.  Members differ from the
-    top, and so from each other, by root-lattice elements, so nu lies below
-    mu exactly when the doubled simple-root coordinates c = CARTAN_AINV2 . w
+    ``weights`` is ``dominant_weights_below(top)``.  ``rows`` is the memo of
+    ``Delta1Operator.restrict``, so a row is read at most once however many
+    members are solved on the same downset.  Members differ from the top,
+    and so from each other, by root-lattice elements, so nu lies below mu
+    exactly when the doubled simple-root coordinates c = CARTAN_AINV2 . w
     satisfy c(mu) - c(nu) >= 0 componentwise.  Each c is packed into one
-    integer, so that test is one subtraction and one guard-mask test.
+    integer, so that test is one subtraction and one guard-mask test.  The
+    packed coordinates and the position index are built on first use.
     """
 
     def __init__(self, weights):
         self.weights = weights
-        self._index = {mu: i for i, mu in enumerate(weights)}
+        self.rows = {}
+
+    @functools.cached_property
+    def _index(self):
+        return {mu: i for i, mu in enumerate(self.weights)}
+
+    @functools.cached_property
+    def _packed(self):
+        """The guard mask and every member's packed coordinates."""
         coords = [tuple(sum(row[j] * mu[j] for j in range(RANK))
-                        for row in CARTAN_AINV2) for mu in weights]
+                        for row in CARTAN_AINV2) for mu in self.weights]
         # 0 <= c_i(nu) <= c_i(top) on dominant members, so every difference
         # lies within +-max c(top) and fits under a guard bit above it.
         width = max(coords[0]).bit_length()
         step = width + 1
-        offset = 1 << width
         shifts = tuple(step * i for i in range(RANK))
-        self._guard = sum(offset << s for s in shifts)
-        self._packed = [sum(x << s for x, s in zip(c, shifts))
-                        for c in coords]
+        guard = sum((1 << width) << s for s in shifts)
+        return guard, [sum(x << s for x, s in zip(c, shifts))
+                       for c in coords]
 
-    def below(self, mu):
-        """``dominant_weights_below(mu)`` for a member mu, in the same
-        order: the sort key differs from the top's by a constant, and no
-        weight below mu comes before it."""
-        i = self._index[mu]
-        guard = self._guard
-        base = guard + self._packed[i]
-        return [nu for nu, c in zip(self.weights[i:], self._packed[i:])
-                if (base - c) & guard == guard]
+    def position(self, mu):
+        """The position of the member mu."""
+        return self._index[mu]
+
+    def below_test(self, p):
+        """The test ``is_below(i)``: does the member at position i >= p lie
+        below the member at position p?  The members below it are exactly
+        those that pass, in the order of their own downset: the sort key
+        differs from the top's by a constant."""
+        if p == 0:
+            return lambda i: True
+        guard, packed = self._packed
+        base = guard + packed[p]
+        return lambda i: (base - packed[i]) & guard == guard

@@ -17,8 +17,9 @@ ZERO_EXPS = (0,) * NVARS
 
 
 def monomial_key(exps):
-    """Sort key for the fixed monomial order (ascending)."""
-    return (sum(exps), tuple(reversed(exps)))
+    """Sort key for the fixed monomial order (ascending); ``exps`` is an
+    exponent tuple."""
+    return (sum(exps), exps[::-1])
 
 
 def _clean(terms):

@@ -7,9 +7,11 @@ residual coefficient of z^mu, and N_mu * chi_mu is subtracted.  A zero
 final residual certifies the decomposition (and, transitively, every
 character that entered it); the exact dimension sum is checked as well.
 
-The downset of the top weight is enumerated once per decomposition.  A
-constituent character that is not cached yet is solved by Method 1 on a
-support filtered from that downset, never enumerated again.
+The downset of the top weight is enumerated once per decomposition, and
+the operator is restricted to it once: a constituent character that is not
+cached yet is solved by Method 1 on that ``Downset``, from its own position,
+so its support is never enumerated again and each row of the operator is
+read at most once per decomposition.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ def _subtractive_decompose(product_terms, top, table, expected_dim):
     The certificate: the residual ends at zero, ``top`` occurs exactly
     once, and the dimension sum equals ``expected_dim``, the dimension of
     the product as the caller computed it; otherwise ``DecompositionError``.
-    The downset of ``top`` is enumerated once; a constituent that has to
-    be solved takes its support from it by filtering (``Downset.below``).
+    The downset of ``top`` is enumerated once, as one ``Downset``; every
+    constituent that has to be solved is solved on it and shares its
+    memoized rows of the operator.
     """
     residual = dict(product_terms)
     series = {}

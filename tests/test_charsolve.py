@@ -7,7 +7,7 @@ from charkit import charsolve, fixtures
 from charkit.charsolve import CharacterTable
 from charkit.csmodel import Delta1Operator, StructuralViolationError
 from charkit.lie_core import (
-    FUNDAMENTAL_DIMS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
+    FUNDAMENTAL_DIMS, ZERO_WEIGHT, Downset, dominant_weights_below, eigenvalue,
     weyl_dim, NonDominantError,
 )
 from charkit.polyring import MultiPoly
@@ -138,6 +138,23 @@ def test_solvers_refuse_an_image_term_that_breaks_the_triangle(
                        match=rf"image monomial {re.escape(str(term))} of "
                              rf"{re.escape(str(source))} "):
         getattr(t, method)(m)
+
+
+def test_m1_refuses_an_escape_inside_the_top_downset(operator):
+    # z7^2 in a_11: the image of z1^2 reaches z7^2.  That lies in the
+    # downset of z7^4, after z1^2, so the rows of the top's downset accept
+    # it, but it is not below z1^2: the below-test refuses it.
+    top, m, term = (0, 0, 0, 0, 0, 0, 4), (2, 0, 0, 0, 0, 0, 0), \
+        (0, 0, 0, 0, 0, 0, 2)
+    downset = Downset(dominant_weights_below(top))
+    assert downset.position(term) > downset.position(m)
+    assert term not in dominant_weights_below(m)
+    t = fresh_table(corrupted_operator(operator, (1, 1),
+                                       MultiPoly.monomial(term)))
+    with pytest.raises(StructuralViolationError,
+                       match=re.escape(f"image monomial {term} of {m} is not "
+                                       f"below it in the support of {m}")):
+        t.character_m1(m, downset=downset)
 
 
 def test_m1_where_the_downset_exceeds_the_top(operator):

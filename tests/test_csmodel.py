@@ -75,8 +75,12 @@ def test_apply_linearity(operator, table):
 
 
 def image_of(op, n):
-    """``op.image_terms(n)`` keyed by exponent tuples."""
-    return {unpack(q): c for q, c in op.image_terms(n).items()}
+    """``op.image_terms(n)`` keyed by exponent tuples.  The image lists each
+    key once, with a nonzero coefficient."""
+    keys, coeffs = op.image_terms(n)
+    assert len(keys) == len(coeffs) == len(set(keys))
+    assert 0 not in coeffs
+    return {unpack(q): c for q, c in zip(keys, coeffs)}
 
 
 def test_monomial_image_z7(operator):
@@ -85,7 +89,7 @@ def test_monomial_image_z7(operator):
 
 
 def test_monomial_image_constant(operator):
-    assert operator.image_terms(ZERO_WEIGHT) == {}
+    assert operator.image_terms(ZERO_WEIGHT) == ((), ())
 
 
 def test_monomial_image_z7_squared(operator):

@@ -2,6 +2,7 @@ import pytest
 
 from charkit import fixtures
 from charkit.charsolve import CharacterTable
+from charkit.csmodel import Delta1Operator
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, Downset, dominant_weights_below,
     weyl_dim,
@@ -86,17 +87,47 @@ def test_dimension_identity_everywhere(table):
         assert got.total_dimension() == weyl_dim(m) * weyl_dim(n)
 
 
-def test_constituent_supports_filter_the_top_downset(table):
-    # Constituents solved inside a decomposition take their support from
-    # the top's downset; it must equal their own enumeration, order included.
+def test_constituent_supports_filter_the_top_downset(operator, table):
+    # Constituents solved inside a decomposition are solved on the top's
+    # downset: the members that pass the below-test from a constituent's
+    # position must be its own enumeration, order included, and the
+    # character solved there must be the one solved on its own.
     z4_cubed = (0, 0, 0, 3, 0, 0, 0)
     m, n = (0, 0, 0, 0, 0, 1, 2), (0, 0, 1, 0, 0, 0, 1)
     cases = [(z4_cubed, monomial_decompose(z4_cubed, table)),
              (tuple(a + b for a, b in zip(m, n)), cg_decompose(m, n, table))]
     for top, series in cases:
         downset = Downset(dominant_weights_below(top))
+        on_top = CharacterTable(operator)
         for mu, _ in series:
-            assert downset.below(mu) == dominant_weights_below(mu)
+            p = downset.position(mu)
+            is_below = downset.below_test(p)
+            support = [downset.weights[i]
+                       for i in range(p, len(downset.weights)) if is_below(i)]
+            assert support == dominant_weights_below(mu)
+            assert on_top.character_m1(mu, downset=downset) == \
+                CharacterTable(operator).character_m1(mu)
+
+
+def test_a_decomposition_reads_each_row_once(operator, monkeypatch):
+    # All 305 weights below z4^3 are constituents of it, and each solve
+    # reads the rows it needs from the top's downset: one image per weight
+    # for the whole decomposition, not one per constituent that needs it.
+    z4_cubed = (0, 0, 0, 3, 0, 0, 0)
+    calls = []
+    image_terms = Delta1Operator.image_terms
+
+    def counted(self, n):
+        calls.append(tuple(n))
+        return image_terms(self, n)
+
+    monkeypatch.setattr(Delta1Operator, "image_terms", counted)
+    series = monomial_decompose(z4_cubed, CharacterTable(operator))
+    monkeypatch.undo()
+    downset = dominant_weights_below(z4_cubed)
+    assert len(series) == len(downset) == 305
+    assert len(calls) <= len(downset)
+    assert set(calls) <= set(downset)
 
 
 def test_decomposition_error_on_corrupted_character(operator):
