@@ -2,12 +2,11 @@
 differential operator in the fundamental-character variables."""
 
 from .lie_core import (
-    cartan_matrix, weyl_dim, eigenvalue, dominant_weights_below,
-    NonDominantError,
+    weyl_dim, eigenvalue, dominant_weights_below, NonDominantError,
 )
 from .polyring import MultiPoly
 from .csmodel import (
-    QuadraticCorpus, Delta1Operator, build_b, build_a,
+    QuadraticCorpus, Delta1Operator, build_a,
     CorpusIncompleteError, StructuralViolationError,
 )
 from .charsolve import CharacterTable, IntegralityError
@@ -20,10 +19,9 @@ from .oracle import freudenthal, torus_check, WeightSystem, OracleRefusal
 __version__ = "1.0.0"
 
 __all__ = [
-    "cartan_matrix", "weyl_dim", "eigenvalue", "dominant_weights_below",
-    "NonDominantError",
+    "weyl_dim", "eigenvalue", "dominant_weights_below", "NonDominantError",
     "MultiPoly",
-    "QuadraticCorpus", "Delta1Operator", "build_b", "build_a",
+    "QuadraticCorpus", "Delta1Operator", "build_a",
     "CorpusIncompleteError", "StructuralViolationError",
     "CharacterTable", "IntegralityError",
     "CGSeries", "cg_decompose", "monomial_decompose", "series_family_z7",

@@ -11,7 +11,9 @@ verify CORPUS         re-derive a fixture corpus and report pass/fail
 
 Weights are seven digits (``0000002``) or comma-separated (``0,...,12``).
 Exit status: 0 on success; 1 on a verification failure or on a failed
-internal invariant (a one-line ``error:`` on stderr); 2 on usage errors.
+internal invariant (a one-line ``error:`` on stderr); 2 on usage errors,
+among them a cache directory that cannot be created or written (an
+``OSError``, also reported as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ def main(argv=None):
     except INVARIANT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,11 +84,6 @@ _UNITS = tuple(pack(w) for w in FUNDAMENTAL_WEIGHTS)
 B_COEFFS = tuple(eigenvalue(w) for w in FUNDAMENTAL_WEIGHTS)
 
 
-def build_b():
-    """The seven first-derivative coefficient polynomials b_j = eps_j z_j."""
-    return tuple(B_COEFFS[j] * MultiPoly.variable(j + 1) for j in range(RANK))
-
-
 @dataclass
 class QuadraticCorpus:
     """The 28 pairwise fundamental tensor series plus the characters needed
@@ -169,9 +164,6 @@ class Delta1Operator:
     def a(self):
         """Mapping (j, k) with j <= k to the coefficient polynomial."""
         return dict(self._a)
-
-    def complete(self):
-        return len(self._a) == 28
 
     # ----------------------------------------------------------- application
     def image_terms(self, n):
@@ -263,10 +255,6 @@ class Delta1Operator:
                 out[q] = out.get(q, 0) + c * s
         return {unpack(q): v for q, v in out.items() if v}
 
-    def apply(self, p):
-        """Apply the operator to a MultiPoly."""
-        return MultiPoly(self.apply_terms(p.terms), _clean_input=False)
-
 
 def _pair_order():
     """The 28 index pairs in ascending combined fundamental height; the
@@ -316,5 +304,6 @@ def build_a(corpus):
                     f"a_{j}{k} reconstruction is not an integer polynomial")
             halved[e] = q
         op.register_pair(j, k, MultiPoly(halved))
-    assert op.complete()
-    return op.a, op, table
+    a = op.a
+    assert len(a) == 28
+    return a, op, table

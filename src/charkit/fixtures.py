@@ -5,7 +5,6 @@ Line formats (``#`` starts a comment, blank lines are ignored):
     cg j k = m1..m7:N ...       tensor-product series of two fundamentals
     mcg m1..m7 = w1..w7:N ...   decomposition of a monomial in the z's
     chi m1..m7 = <polynomial>   character in canonical polynomial text
-    a j k = <polynomial>        an entry of the second-derivative table
 
 Weights are written either as a compact digit string (``0000002``) or as
 seven comma-separated integers (``0,0,0,0,0,0,12``).  Series fixtures are
@@ -174,48 +173,6 @@ def load_chi_file(path):
                 f"{path}:{lineno}: character {format_weight(w)} "
                 f"evaluates to {got}, dimension is {want}")
         out[w] = poly
-    return out
-
-
-def load_a_table(path):
-    """Parse ``a j k = <poly>`` lines into {(j, k): MultiPoly}."""
-    out = {}
-    for lineno, line in _iter_lines(path):
-        try:
-            head, rhs = line.split("=", 1)
-            tag, j, k = head.split()
-            if tag != "a":
-                raise ValueError(f"expected 'a', got {tag!r}")
-            j, k = int(j), int(k)
-            poly = MultiPoly.from_text(rhs)
-        except ValueError as exc:
-            raise FixtureFormatError(f"{path}:{lineno}: {exc}")
-        out[(min(j, k), max(j, k))] = poly
-    return out
-
-
-def load_errata(path):
-    """Parse errata lines ``a jk : printed <poly> ; reconstructed <poly> ;
-    verdict <who-wins>`` into {(j, k): (printed, reconstructed, verdict)}.
-    An errata file with no entries is the good case, so no warning."""
-    out = {}
-    for lineno, line in _iter_lines(path, warn_empty=False):
-        try:
-            head, rest = line.split(":", 1)
-            tag, jk = head.split()
-            assert tag == "a" and len(jk) == 2
-            j, k = int(jk[0]), int(jk[1])
-            printed_part, recon_part, verdict_part = rest.split(";")
-            printed = MultiPoly.from_text(
-                printed_part.strip().removeprefix("printed").strip())
-            recon = MultiPoly.from_text(
-                recon_part.strip().removeprefix("reconstructed").strip())
-            verdict = verdict_part.strip().removeprefix("verdict").strip()
-            if verdict not in ("reconstructed-wins", "printed-wins"):
-                raise ValueError(f"bad verdict {verdict!r}")
-        except (ValueError, AssertionError) as exc:
-            raise FixtureFormatError(f"{path}:{lineno}: {exc}")
-        out[(j, k)] = (printed, recon, verdict)
     return out
 
 

@@ -6,13 +6,18 @@ basis.  All inner products use the bilinear form given by the Cartan
 matrix with the simply-laced normalization (alpha_i, alpha_i) = 2, so
 every computation is exact: half-integers appear only through the inverse
 Cartan matrix and are handled by keeping twice the form integral.
+
+The Cartan data are plain integer constants: ``CARTAN_A``, twice its
+inverse ``CARTAN_AINV2``, the doubled Weyl vector ``TWO_RHO_ALPHA``, and
+the 63 positive roots ``POSITIVE_ROOTS`` (alpha-coordinates, by height) and
+``POSITIVE_ROOTS_FUND`` (fundamental coordinates), computed at import and
+checked there against the identities of ``_check``.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from fractions import Fraction
 
 RANK = 7
 
@@ -95,57 +100,37 @@ def _generate_positive_roots():
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
-class CartanData:
-    """Immutable bundle of the E7 Cartan data.
-
-    Attributes
-    ----------
-    A : 7x7 integer Cartan matrix
-    Ainv : 7x7 matrix of Fractions, exact inverse of A
-    positive_roots : 63 root-lattice vectors in alpha-coordinates, by height
-    positive_roots_fund : the same roots in fundamental coordinates
-    rho_alpha : Weyl vector in alpha-coordinates (Fractions)
-    """
-
-    def __init__(self):
-        self.A = CARTAN_A
-        self.Ainv = tuple(
-            tuple(Fraction(x, 2) for x in row) for row in CARTAN_AINV2)
-        self.positive_roots = tuple(_generate_positive_roots())
-        self.positive_roots_fund = tuple(
-            tuple(sum(CARTAN_A[i][j] * r[j] for j in range(RANK))
-                  for i in range(RANK))
-            for r in self.positive_roots)
-        self.rho_alpha = tuple(Fraction(x, 2) for x in TWO_RHO_ALPHA)
-        self._check()
-
-    def _check(self):
-        assert len(self.positive_roots) == 63
-        # A symmetric with diagonal 2, Ainv exact inverse
-        for i in range(RANK):
-            assert self.A[i][i] == 2
-            for j in range(RANK):
-                assert self.A[i][j] == self.A[j][i]
-                s = sum(self.Ainv[i][k] * self.A[k][j] for k in range(RANK))
-                assert s == (1 if i == j else 0)
-        # height histogram of the 63 positive roots
-        hist = [0] * 18
-        for r in self.positive_roots:
-            hist[sum(r)] += 1
-        assert hist[1:] == [7, 6, 6, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 1]
-        # sum of positive roots is 2*rho
-        for i in range(RANK):
-            assert sum(r[i] for r in self.positive_roots) == TWO_RHO_ALPHA[i]
-        # (rho, rho) = 399/2
-        rr = sum(self.rho_alpha[i] * self.A[i][j] * self.rho_alpha[j]
-                 for i in range(RANK) for j in range(RANK))
-        assert rr == Fraction(399, 2)
+# The 63 positive roots in alpha-coordinates, by height, and the same roots
+# in fundamental coordinates.
+POSITIVE_ROOTS = tuple(_generate_positive_roots())
+POSITIVE_ROOTS_FUND = tuple(
+    tuple(sum(CARTAN_A[i][j] * r[j] for j in range(RANK)) for i in range(RANK))
+    for r in POSITIVE_ROOTS)
 
 
-@functools.lru_cache(maxsize=1)
-def cartan_matrix():
-    """The shared, immutable CartanData instance."""
-    return CartanData()
+def _check():
+    assert len(POSITIVE_ROOTS) == 63
+    # A symmetric with diagonal 2, CARTAN_AINV2 twice its exact inverse
+    for i in range(RANK):
+        assert CARTAN_A[i][i] == 2
+        for j in range(RANK):
+            assert CARTAN_A[i][j] == CARTAN_A[j][i]
+            s = sum(CARTAN_AINV2[i][k] * CARTAN_A[k][j] for k in range(RANK))
+            assert s == (2 if i == j else 0)
+    # height histogram of the 63 positive roots
+    hist = [0] * 18
+    for r in POSITIVE_ROOTS:
+        hist[sum(r)] += 1
+    assert hist[1:] == [7, 6, 6, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 1]
+    # sum of positive roots is 2*rho
+    for i in range(RANK):
+        assert sum(r[i] for r in POSITIVE_ROOTS) == TWO_RHO_ALPHA[i]
+    # (2 rho, 2 rho) = 798, i.e. (rho, rho) = 399/2
+    assert sum(TWO_RHO_ALPHA[i] * CARTAN_A[i][j] * TWO_RHO_ALPHA[j]
+               for i in range(RANK) for j in range(RANK)) == 798
+
+
+_check()
 
 
 def weyl_dim(m):
@@ -163,7 +148,7 @@ def weyl_dim(m):
 def _weyl_dim(m):
     num = 1
     den = 1
-    for r in cartan_matrix().positive_roots:
+    for r in POSITIVE_ROOTS:
         h = sum(r)
         num *= h + sum(r[i] * m[i] for i in range(RANK))
         den *= h
@@ -234,7 +219,7 @@ def dominant_weights_below(m):
         return (weight_height2(w) << height_shift) + sum(
             x << s for x, s in zip(w, shifts))
 
-    roots = [encode(r) for r in cartan_matrix().positive_roots_fund]
+    roots = [encode(r) for r in POSITIVE_ROOTS_FUND]
     start = guard + encode(m)
     seen = {start}
     frontier = [start]

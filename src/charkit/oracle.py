@@ -21,9 +21,8 @@ import random
 from dataclasses import dataclass
 
 from .lie_core import (
-    RANK, CARTAN_A, FUNDAMENTAL_WEIGHTS,
-    bilinear2, cartan_matrix, dominant_weights_below, require_dominant,
-    weyl_dim,
+    RANK, CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS_FUND,
+    bilinear2, dominant_weights_below, require_dominant, weyl_dim,
 )
 
 # Largest dimension the oracle accepts; above every fundamental (365750).
@@ -122,9 +121,6 @@ class WeightSystem:
         return sum(self.dominant_mults[w] * self.orbit_sizes[w]
                    for w in self.dominant_mults)
 
-    def multiplicity(self, w):
-        return self.dominant_mults.get(dominant_representative(w), 0)
-
 
 def freudenthal(m):
     """Weight multiplicities of the irreducible representation of highest
@@ -147,8 +143,6 @@ def _freudenthal(m):
     if dim > CEILING:
         raise OracleRefusal(
             f"dim {dim} of representation {m} exceeds ceiling {CEILING}")
-    data = cartan_matrix()
-    pos_fund = data.positive_roots_fund
     # rho is (1,...,1) in fundamental coordinates
     mrho = tuple(x + 1 for x in m)
     norm_top = bilinear2(mrho, mrho)
@@ -157,7 +151,7 @@ def _freudenthal(m):
         murho = tuple(x + 1 for x in mu)
         denom = norm_top - bilinear2(murho, murho)
         total = 0
-        for alpha in pos_fund:
+        for alpha in POSITIVE_ROOTS_FUND:
             nu = mu
             while True:
                 nu = tuple(a + b for a, b in zip(nu, alpha))
@@ -188,7 +182,7 @@ def _alcove_points(trials, seed):
     stays strictly inside (0, pi) and the point is well inside the alcove.
     """
     rng = random.Random(seed)
-    ainv = [[float(x) for x in row] for row in cartan_matrix().Ainv]
+    ainv = [[x / 2 for x in row] for row in CARTAN_AINV2]
     points = []
     for _ in range(trials):
         g = [rng.uniform(0.0, math.pi / 20.0) for _ in range(RANK)]

@@ -55,10 +55,6 @@ class MultiPoly:
         return cls({ZERO_EXPS: 1}, _clean_input=False)
 
     @classmethod
-    def constant(cls, c):
-        return cls({ZERO_EXPS: c})
-
-    @classmethod
     def variable(cls, i):
         """The polynomial z_i, 1-based index."""
         if not 1 <= i <= NVARS:
@@ -66,13 +62,6 @@ class MultiPoly:
         e = [0] * NVARS
         e[i - 1] = 1
         return cls({tuple(e): 1}, _clean_input=False)
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        exps = tuple(exps)
-        if len(exps) != NVARS or any(x < 0 for x in exps):
-            raise ValueError(f"bad exponent tuple {exps}")
-        return cls({exps: coeff})
 
     # ------------------------------------------------------------ predicates
     def __bool__(self):
@@ -90,8 +79,6 @@ class MultiPoly:
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out = dict(self.terms)
@@ -103,16 +90,11 @@ class MultiPoly:
                 out.pop(e, None)
         return MultiPoly(out, _clean_input=False)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly({e: -c for e, c in self.terms.items()}, _clean_input=False)
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -39,17 +39,11 @@ class CGSeries:
         if any(n <= 0 for n in self.terms.values()):
             raise ValueError("CGSeries multiplicities must be positive")
 
-    def multiplicity(self, w):
-        return self.terms.get(tuple(w), 0)
-
     def total_dimension(self):
         return series_dim(self.terms)
 
     def __len__(self):
         return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms.items())
 
 
 def _subtractive_decompose(product_terms, top, table, expected_dim):
@@ -110,8 +104,7 @@ def monomial_decompose(exps, table):
     """Decompose the monomial z^exps, i.e. the product of fundamental
     characters with the given multiplicities, into irreducibles."""
     exps = tuple(exps)
-    if len(exps) != RANK or any(x < 0 for x in exps):
-        raise ValueError(f"bad monomial exponents {exps}")
+    require_dominant(exps)      # the top weight of z^exps is exps
     return _subtractive_decompose({exps: 1}, exps, table, monomial_dim(exps))
 
 
@@ -199,10 +192,6 @@ def series_family_z7(k, n, table):
 class RoundTripReport:
     results: dict          # (j,k) -> bool
     differences: dict      # (j,k) -> list of (weight, computed, fixture)
-
-    @property
-    def passed(self):
-        return all(self.results.values())
 
 
 def verify_quadratic_roundtrip(corpus, table):

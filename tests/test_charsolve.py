@@ -12,6 +12,8 @@ from charkit.lie_core import (
 )
 from charkit.polyring import MultiPoly
 
+from test_csmodel import apply
+
 
 def fresh_table(operator, tmp=None):
     return CharacterTable(operator, cache_dir=tmp)
@@ -36,7 +38,7 @@ def verify_character(table, m, chi):
     the eigenvalue identity, the dimension evaluation and the unit
     coefficient on z^m."""
     m = tuple(m)
-    image = table.operator.apply(chi)
+    image = apply(table.operator, chi)
     dim_value = chi.eval_integer(FUNDAMENTAL_DIMS)
     expected = weyl_dim(m)
     return CharacterReport(
@@ -128,7 +130,7 @@ def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
      (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2)),
     # z7^3 in a_67: z6*z7 is sent up to z7^3, inside the support but
     # above it.
-    ((6, 7), MultiPoly.monomial((0, 0, 0, 0, 0, 0, 3)), (0, 0, 0, 0, 0, 0, 3),
+    ((6, 7), MultiPoly({(0, 0, 0, 0, 0, 0, 3): 1}), (0, 0, 0, 0, 0, 0, 3),
      (0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 1, 1)),
 ], ids=["escape", "upward"])
 def test_solvers_refuse_an_image_term_that_breaks_the_triangle(
@@ -150,7 +152,7 @@ def test_m1_refuses_an_escape_inside_the_top_downset(operator):
     assert downset.position(term) > downset.position(m)
     assert term not in dominant_weights_below(m)
     t = fresh_table(corrupted_operator(operator, (1, 1),
-                                       MultiPoly.monomial(term)))
+                                       MultiPoly({term: 1})))
     with pytest.raises(StructuralViolationError,
                        match=re.escape(f"image monomial {term} of {m} is not "
                                        f"below it in the support of {m}")):
@@ -164,7 +166,7 @@ def test_m1_where_the_downset_exceeds_the_top(operator):
     assert max(max(mu) for mu in dominant_weights_below(m)) == 8
     t = fresh_table(operator)
     chi = t.character_m1(m)
-    assert operator.apply(chi) == eigenvalue(m) * chi
+    assert apply(operator, chi) == eigenvalue(m) * chi
     assert chi == t.character_m2(m)
 
 
@@ -190,7 +192,7 @@ def test_verify_character_passes_on_good(operator, table):
 
 
 def test_verify_character_fails_on_bad_candidate(table):
-    z7sq = MultiPoly.monomial((0, 0, 0, 0, 0, 0, 2))
+    z7sq = MultiPoly({(0, 0, 0, 0, 0, 0, 2): 1})
     rep = verify_character(table, (0, 0, 0, 0, 0, 0, 2), z7sq)
     assert not rep.eigen_ok
     assert not rep.passed
@@ -208,7 +210,7 @@ def test_all_cached_characters_are_integral_eigenfunctions(operator):
     for m in [(0, 0, 0, 0, 2, 0, 0), (1, 0, 1, 0, 0, 0, 0)]:
         chi = t.character(m)
         assert all(isinstance(c, int) for c in chi.terms.values())
-        assert operator.apply(chi) == eigenvalue(m) * chi
+        assert apply(operator, chi) == eigenvalue(m) * chi
         assert chi.eval_integer(FUNDAMENTAL_DIMS) == weyl_dim(m)
 
 

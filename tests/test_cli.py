@@ -148,6 +148,20 @@ def test_empty_cache_file_is_a_silent_miss(tmp_path, capsys, emptied):
     assert path.read_text() == f"chi 0000005 = {want}"
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+def test_unusable_cache_dir_is_a_one_line_error(tmp_path, capsys, under):
+    # A regular file where the cache directory, or one of its parents,
+    # should be.
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    cache = blocker / under if under else blocker
+    code = main(["--cache-dir", str(cache), "character", "0000001"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert str(blocker) in out.err
+
+
 def test_weight_comma_form(capsys):
     code, out, _ = run(capsys, "dim", "0,0,0,0,0,0,1")
     assert code == 0

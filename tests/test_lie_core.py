@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from charkit.lie_core import (
-    CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, RANK,
-    TWO_RHO_ALPHA, ZERO_WEIGHT,
-    cartan_matrix, dominant_weights_below,
+    CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS,
+    POSITIVE_ROOTS, POSITIVE_ROOTS_FUND, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT,
+    dominant_weights_below,
     eigenvalue, weight_height2, weyl_dim,
     NonDominantError,
 )
@@ -61,13 +61,12 @@ def boxed_dominant_weights_below(m):
 def closure_dominant_weights_below(m):
     """Reference enumeration on weight tuples: the closure of {m} under
     subtraction of positive roots, keeping dominant results."""
-    pos_fund = cartan_matrix().positive_roots_fund
     seen = {m}
     frontier = [m]
     while frontier:
         nxt = []
         for mu in frontier:
-            for rf in pos_fund:
+            for rf in POSITIVE_ROOTS_FUND:
                 nu = tuple(a - b for a, b in zip(mu, rf))
                 if nu not in seen and min(nu) >= 0:
                     seen.add(nu)
@@ -77,38 +76,36 @@ def closure_dominant_weights_below(m):
 
 
 def test_cartan_matrix_entries():
-    data = cartan_matrix()
     # 1-indexed: A[1][3] = -1, A[1][2] = 0
-    assert data.A[0][2] == -1
-    assert data.A[0][1] == 0
+    assert CARTAN_A[0][2] == -1
+    assert CARTAN_A[0][1] == 0
     for i in range(RANK):
-        assert data.A[i][i] == 2
+        assert CARTAN_A[i][i] == 2
 
 
 def test_ainv_is_exact_inverse():
-    data = cartan_matrix()
+    ainv = [[Fraction(x, 2) for x in row] for row in CARTAN_AINV2]
     for i in range(RANK):
         for j in range(RANK):
-            s = sum(data.Ainv[i][k] * data.A[k][j] for k in range(RANK))
+            s = sum(ainv[i][k] * CARTAN_A[k][j] for k in range(RANK))
             assert s == (1 if i == j else 0)
-            assert 2 * data.Ainv[i][j] == CARTAN_AINV2[i][j]
 
 
 def test_positive_roots_histogram_and_weyl_vector():
-    data = cartan_matrix()
-    assert len(data.positive_roots) == 63
+    assert len(POSITIVE_ROOTS) == 63
     hist = {}
-    for r in data.positive_roots:
+    for r in POSITIVE_ROOTS:
         hist[sum(r)] = hist.get(sum(r), 0) + 1
     assert [hist.get(h, 0) for h in range(1, 18)] == [
         7, 6, 6, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 1]
     # the highest root
-    assert data.positive_roots[-1] == (2, 2, 3, 4, 3, 2, 1)
+    assert POSITIVE_ROOTS[-1] == (2, 2, 3, 4, 3, 2, 1)
     # sum of positive roots is 2 rho
-    assert tuple(sum(r[i] for r in data.positive_roots)
+    assert tuple(sum(r[i] for r in POSITIVE_ROOTS)
                  for i in range(RANK)) == TWO_RHO_ALPHA
     # (rho, rho) = 399/2
-    rr = sum(data.rho_alpha[i] * data.A[i][j] * data.rho_alpha[j]
+    rho_alpha = [Fraction(x, 2) for x in TWO_RHO_ALPHA]
+    rr = sum(rho_alpha[i] * CARTAN_A[i][j] * rho_alpha[j]
              for i in range(RANK) for j in range(RANK))
     assert rr == Fraction(399, 2)
 

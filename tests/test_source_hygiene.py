@@ -1,8 +1,15 @@
-"""Every name a library module imports is used in that module.
+"""The library in ``src/charkit`` holds no dead code.
 
-A deletion that leaves an import behind fails here.  An import line that
-carries ``# noqa: F401`` is exempt: such a binding is kept on purpose
+Every name a library module imports is used in that module.  A deletion
+that leaves an import behind fails here.  An import line that carries
+``# noqa: F401`` is exempt: such a binding is kept on purpose
 (``charsolve`` keeps ``weyl_dim`` for the benchmark tracer to wrap).
+
+Every function, class and method the library defines, dunders aside, has
+a caller outside the tests: a library module, a file under ``bench/`` (the
+tracer names its targets by string), or the README's library session.
+The check is by name, so a name that some caller uses for anything else
+also counts; code that only the tests call belongs in ``tests/``.
 
 The packed monomial key format belongs to ``csmodel``: no other module
 names ``pack`` or ``unpack``.  The set-up path and both solvers also run
@@ -12,12 +19,14 @@ without importing numpy, which only the torus oracle uses.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "charkit"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "charkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,6 +61,70 @@ def test_an_unused_import_is_caught():
               "import os.path\n"
               "print(RANK)\n")
     assert unused_imports(source) == ["ZERO_WEIGHT", "os"]
+
+
+def defined_names(source):
+    """Every function, class and method ``source`` defines, dunders aside."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def referenced_names(source):
+    """Every name ``source`` refers to: a name, an attribute, an imported
+    binding, or a component of a string that is a dotted path, such as the
+    tracer's ``"charkit.csmodel:Delta1Operator"`` or ``"oracle.weyl_orbit"``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.:]+", node.value)):
+            found.update(re.split(r"[.:]", node.value))
+    return found
+
+
+def uncalled(definitions, callers):
+    """The names defined in the ``definitions`` sources that no source in
+    ``callers`` refers to."""
+    defined = set().union(*map(defined_names, definitions))
+    referenced = set().union(*map(referenced_names, callers))
+    return sorted(defined - referenced)
+
+
+def test_every_src_name_has_a_caller_outside_tests():
+    readme = (ROOT / "README.md").read_text()
+    (session,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    callers = [p.read_text() for p in MODULES]
+    callers += [p.read_text() for p in sorted((ROOT / "bench").rglob("*.py"))]
+    callers.append(session)
+    definitions = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert uncalled(definitions, callers) == []
+
+
+def test_a_name_without_a_caller_is_caught():
+    library = ("class Table:\n"
+               "    def __init__(self):\n"
+               "        self.rows = helper()\n"
+               "    def used(self):\n"
+               "        pass\n"
+               "    def traced(self):\n"
+               "        pass\n"
+               "    def only_tested(self):\n"
+               "        pass\n"
+               "def helper():\n"
+               "    return 'only_tested is named in prose only'\n")
+    bench = ('TARGETS = (("lib:Table", "traced", "lib.traced"),)\n'
+             "Table().used()\n")
+    assert uncalled([library], [library, bench]) == ["only_tested"]
+    assert uncalled([library], [library]) == ["Table", "only_tested",
+                                              "traced", "used"]
 
 
 def packed_key_names(source):

@@ -4,8 +4,8 @@ from charkit import fixtures
 from charkit.charsolve import CharacterTable
 from charkit.csmodel import Delta1Operator
 from charkit.lie_core import (
-    FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, Downset, dominant_weights_below,
-    weyl_dim,
+    FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, Downset, NonDominantError,
+    dominant_weights_below, weyl_dim,
 )
 from charkit.polyring import MultiPoly
 from charkit.tensor import (
@@ -38,7 +38,7 @@ def test_cg_leading_multiplicity_one(table):
     for m, n in [(L[0], L[2]), (L[4], L[6]), (L[1], L[1])]:
         got = cg_decompose(m, n, table)
         top = tuple(x + y for x, y in zip(m, n))
-        assert got.multiplicity(top) == 1
+        assert got.terms.get(top, 0) == 1
 
 
 def test_trivial_rep_multiplicity_reflects_self_duality(table):
@@ -47,7 +47,7 @@ def test_trivial_rep_multiplicity_reflects_self_duality(table):
     for j in range(7):
         for k in range(j, 7):
             got = cg_decompose(L[j], L[k], table)
-            assert got.multiplicity(ZERO_WEIGHT) == (1 if j == k else 0)
+            assert got.terms.get(ZERO_WEIGHT, 0) == (1 if j == k else 0)
 
 
 def test_monomial_z7_squared(table):
@@ -99,7 +99,7 @@ def test_constituent_supports_filter_the_top_downset(operator, table):
     for top, series in cases:
         downset = Downset(dominant_weights_below(top))
         on_top = CharacterTable(operator)
-        for mu, _ in series:
+        for mu, _ in series.terms.items():
             p = downset.position(mu)
             is_below = downset.below_test(p)
             support = [downset.weights[i]
@@ -136,6 +136,15 @@ def test_decomposition_error_on_corrupted_character(operator):
     t.seed((0, 0, 0, 0, 0, 0, 2), bad)
     with pytest.raises(DecompositionError):
         cg_decompose(L[6], L[6], t)
+
+
+@pytest.mark.parametrize("exps", [(0, 0, 0, 0, 0, 2),
+                                  (0, 0, 0, 0, 0, -1, 2)],
+                         ids=["six-exponents", "negative"])
+def test_monomial_decompose_refuses_bad_exponents(table, exps):
+    with pytest.raises(NonDominantError, match="is not dominant"):
+        monomial_decompose(exps, table)
+    assert issubclass(NonDominantError, ValueError)
 
 
 def test_cgseries_rejects_nonpositive():
@@ -189,14 +198,14 @@ def test_family_argument_validation(table):
 
 def test_quadratic_roundtrip(corpus, table):
     report = verify_quadratic_roundtrip(corpus, table)
-    assert report.passed
+    assert all(report.results.values())
     assert len(report.results) == 28
     assert report.results[(1, 7)]
     # spot values against the fixtures
     got17 = cg_decompose(L[0], L[6], table)
     assert got17.terms == {(1, 0, 0, 0, 0, 0, 1): 1, L[1]: 1, L[6]: 1}
     got44 = cg_decompose(L[3], L[3], table)
-    assert got44.multiplicity((1, 1, 0, 0, 0, 0, 1)) == 12
+    assert got44.terms.get((1, 1, 0, 0, 0, 0, 1), 0) == 12
 
 
 def test_decomposition_certifies_its_dimension_sum(table):
