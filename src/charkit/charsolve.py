@@ -3,14 +3,15 @@
 Two independent solvers are provided.  Both read the operator through
 ``Delta1Operator.restrict``: its rows on a ``Downset``, by position, each
 term at or after its own weight's position, each row built at most once
-per downset.
+per downset.  The operator's triangle is certified when its coefficients
+are registered, so neither solver checks it; a top weight outside the
+operator's packed range is refused before its downset is enumerated.
 
 Method 1 walks the dominant weights below m in order of increasing height
 gap: the positions of m's own ``Downset``, or those of a larger downset
 from m's position on (a decomposition solves every constituent on its top
-weight's), where a term that is not below m is refused.  Writing
-chi_m = sum C_mu z^mu with C_m = 1, the eigenvalue equation fixes each
-lower coefficient from the ones already known:
+weight's).  Writing chi_m = sum C_mu z^mu with C_m = 1, the eigenvalue
+equation fixes each lower coefficient from the ones already known:
 
     (eps_m - eps_mu) C_mu = sum over already-solved nu of C_nu * S(nu -> mu)
 
@@ -41,7 +42,6 @@ import contextlib
 import os
 import threading
 
-from .csmodel import StructuralViolationError
 from .lie_core import (
     Downset, dominant_weights_below, eigenvalue, require_dominant,
     weyl_dim,  # noqa: F401 -- a binding the benchmark tracer wraps
@@ -159,23 +159,21 @@ class CharacterTable:
         The solve runs on ``downset``, a ``Downset`` with m among its
         members (a decomposition passes its top weight's), or else on a
         ``Downset`` of m's own.  It walks the downset's positions from m's
-        own, and the numerators accumulate in a list over those positions.
-        Before dividing, every nonzero numerator's position passes the
-        downset's below-test from m's position, or the image term that put
-        it there escapes m's support: ``StructuralViolationError``.  A
-        weight's row of the restricted operator is read only once its
-        coefficient is known to be nonzero, and adds into the positions
-        after it; ``restrict`` refuses any other term.
+        own, and the numerators accumulate in a list over those positions;
+        a row of a weight below m adds only into positions of weights below
+        it, so no numerator leaves m's support.  A weight's row of the
+        restricted operator is read only once its coefficient is known to
+        be nonzero, and adds into the positions after it.
         """
         m = tuple(m)
         require_dominant(m)
         if downset is None:
+            self.operator.require_in_range(m)
             downset = Downset(dominant_weights_below(m))
             p = 0
         else:
             p = downset.position(m)
         row = self.operator.restrict(downset)
-        is_below = downset.below_test(p)
         weights = downset.weights
         eps_m = eigenvalue(m)
         acc = [0] * len(weights)
@@ -189,13 +187,6 @@ class CharacterTable:
             if i == p:
                 c = 1
             else:
-                if not is_below(i):
-                    source = next(
-                        nu for k, nu in enumerate(weights[p:i], p)
-                        if nu in coeffs and i in row(k)[0])
-                    raise StructuralViolationError(
-                        f"image monomial {mu} of {source} is not below it "
-                        f"in the support of {m}")
                 gap = eps_m - eigenvalue(mu)
                 if gap <= 0:
                     raise ZeroGapError(
@@ -226,6 +217,7 @@ class CharacterTable:
         """
         m = tuple(m)
         require_dominant(m)
+        self.operator.require_in_range(m)
         downset = Downset(dominant_weights_below(m))
         support = downset.weights
         row = self.operator.restrict(downset)

@@ -27,13 +27,19 @@ No byte borrows: the pair contributes only when its factor is nonzero,
 which needs n_j, n_k >= 1 (n_j >= 2 when j = k), and every a_jk exponent
 is non-negative.  No byte carries: images are built only for exponents up
 to EXP_MAX minus the largest registered a_jk exponent (4 for E7); other
-monomials raise ``MonomialRangeError``.  An image is memoized as two
-tuples, its packed keys and their coefficients.  No other module sees a
-packed key: ``image_terms`` takes an exponent tuple, ``apply_terms`` maps
-tuple keys to tuple keys, and ``restrict`` gives both character solvers
-the operator on a ``Downset`` by position in it: each row is a list of
-target positions with the image's coefficient tuple, built once and kept
-on the downset.
+monomials raise ``MonomialRangeError`` (``require_in_range``, which the
+solvers apply to a top weight before enumerating its downset).  An image
+is memoized as two tuples, its packed keys and their coefficients.  No
+other module sees a packed key: ``image_terms`` takes an exponent tuple,
+``apply_terms`` maps tuple keys to tuple keys, and ``restrict`` gives both
+character solvers the operator on a ``Downset`` by position in it: each
+row is a list of target positions with the image's coefficient tuple,
+built once and kept on the downset.
+
+The operator is triangular: an image term n - u_j - u_k + e, for e a term
+of a_jk, lies below n exactly when e lies below lambda_j + lambda_k.
+``register_pair`` refuses any other term, so a row on a ``Downset`` never
+leaves it, and no solve checks the triangle again.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass, field
 
 from .lie_core import (
     RANK, TWO_RHO_ALPHA, ZERO_WEIGHT, FUNDAMENTAL_WEIGHTS, eigenvalue,
+    is_below,
 )
 from .polyring import MultiPoly
 from . import fixtures
@@ -60,7 +67,8 @@ class MonomialRangeError(ValueError):
 
 
 class StructuralViolationError(AssertionError):
-    """An image term lies outside a support or above its own weight in it."""
+    """A coefficient term of a_jk is not below lambda_j + lambda_k, which
+    would break the operator's triangle."""
 
 
 # The largest exponent a packed key holds: one byte per variable.
@@ -152,7 +160,16 @@ class Delta1Operator:
 
     # ------------------------------------------------------------- assembly
     def register_pair(self, j, k, poly):
+        """Register a_jk.  A term not below lambda_j + lambda_k is refused
+        with ``StructuralViolationError`` before any state changes."""
         j, k = min(j, k), max(j, k)
+        top = tuple(a + b for a, b in zip(FUNDAMENTAL_WEIGHTS[j - 1],
+                                          FUNDAMENTAL_WEIGHTS[k - 1]))
+        for e in poly.terms:
+            if not is_below(e, top):
+                raise StructuralViolationError(
+                    f"term z^{e} of a_{j}{k} is not below lambda_{j} + "
+                    f"lambda_{k} = {top}")
         self._a[(j, k)] = poly
         self._packed[(j, k)] = tuple(
             (pack(e), c) for e, c in poly.terms.items())
@@ -166,6 +183,16 @@ class Delta1Operator:
         return dict(self._a)
 
     # ----------------------------------------------------------- application
+    def require_in_range(self, n):
+        """Refuse, with ``MonomialRangeError``, a monomial whose image would
+        not fit the packed keys: seven exponents in 0..EXP_MAX - (largest
+        a_jk exponent)."""
+        limit = EXP_MAX - self._max_exp
+        if len(n) != RANK or min(n) < 0 or max(n) > limit:
+            raise MonomialRangeError(
+                f"monomial {n} is outside the packed range: seven "
+                f"exponents in 0..{limit}")
+
     def image_terms(self, n):
         """D applied to the monomial z^n, as two tuples: the packed keys q
         of its terms and their coefficients, in the same order.
@@ -175,17 +202,13 @@ class Delta1Operator:
         strictly lower in the root-lattice order.  n is an exponent tuple
         with entries in 0..EXP_MAX - (largest a_jk exponent), which keeps
         every output exponent inside its byte (module docstring); other
-        monomials raise ``MonomialRangeError``.
+        monomials raise ``MonomialRangeError`` (``require_in_range``).
         """
         n = tuple(n)
         cached = self._image_cache.get(n)
         if cached is not None:
             return cached
-        limit = EXP_MAX - self._max_exp
-        if len(n) != RANK or min(n) < 0 or max(n) > limit:
-            raise MonomialRangeError(
-                f"monomial {n} is outside the packed range: seven "
-                f"exponents in 0..{limit}")
+        self.require_in_range(n)
         key = pack(n)
         out = {}
         for j in range(RANK):
@@ -219,28 +242,21 @@ class Delta1Operator:
         """The operator on a ``Downset`` as ``row(i)``: the image of the
         member at position i, as a list of target positions and the tuple
         of their coefficients.  Rows are memoized on the downset, so each
-        is built once however many members are solved on it.  A term
-        outside the downset or before position i breaks the triangle:
-        ``StructuralViolationError``, naming the downset's top."""
+        is built once however many members are solved on it.  Every target
+        is a member at or after position i: ``register_pair`` admits only
+        coefficient terms that keep the operator triangular."""
         memo = downset.rows.get(self)
         if memo is None:
             index = {pack(mu): i for i, mu in enumerate(downset.weights)}
             memo = downset.rows[self] = index, [None] * len(downset.weights)
         index, rows = memo
-        get = index.get
         weights = downset.weights
 
         def row(i):
             r = rows[i]
             if r is None:
                 keys, coeffs = self.image_terms(weights[i])
-                targets = [get(q, -1) for q in keys]
-                if min(targets, default=i) < i:
-                    q = next(q for q, j in zip(keys, targets) if j < i)
-                    raise StructuralViolationError(
-                        f"image monomial {unpack(q)} of {weights[i]} is not "
-                        f"below it in the support of {weights[0]}")
-                r = rows[i] = targets, coeffs
+                r = rows[i] = [index[q] for q in keys], coeffs
             return r
 
         return row

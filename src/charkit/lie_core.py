@@ -184,6 +184,18 @@ def _eigenvalue(m):
     return bilinear2(m, m) + 2 * weight_height2(m)
 
 
+def is_below(nu, mu):
+    """Does nu lie below mu in the dominance order, mu - nu being a sum of
+    positive roots (or zero)?  Exactly when CARTAN_AINV2 . (mu - nu), twice
+    its simple-root coordinates, is even and non-negative in every entry."""
+    d = [a - b for a, b in zip(mu, nu)]
+    for row in CARTAN_AINV2:
+        c = sum(map(operator.mul, row, d))
+        if c < 0 or c % 2:
+            return False
+    return True
+
+
 def dominant_weights_below(m):
     """All dominant mu with m - mu in the positive root lattice.
 
@@ -243,12 +255,10 @@ class Downset:
 
     ``weights`` is ``dominant_weights_below(top)``.  ``rows`` is the memo of
     ``Delta1Operator.restrict``, so a row is read at most once however many
-    members are solved on the same downset.  Members differ from the top,
-    and so from each other, by root-lattice elements, so nu lies below mu
-    exactly when the doubled simple-root coordinates c = CARTAN_AINV2 . w
-    satisfy c(mu) - c(nu) >= 0 componentwise.  Each c is packed into one
-    integer, so that test is one subtraction and one guard-mask test.  The
-    packed coordinates and the position index are built on first use.
+    members are solved on the same downset.  Each row's targets are members
+    at or after the row's own position: every coefficient term of the
+    operator lies below its pair's weight (``Delta1Operator.register_pair``).
+    The position index is built on first use.
     """
 
     def __init__(self, weights):
@@ -259,31 +269,6 @@ class Downset:
     def _index(self):
         return {mu: i for i, mu in enumerate(self.weights)}
 
-    @functools.cached_property
-    def _packed(self):
-        """The guard mask and every member's packed coordinates."""
-        coords = [tuple(sum(row[j] * mu[j] for j in range(RANK))
-                        for row in CARTAN_AINV2) for mu in self.weights]
-        # 0 <= c_i(nu) <= c_i(top) on dominant members, so every difference
-        # lies within +-max c(top) and fits under a guard bit above it.
-        width = max(coords[0]).bit_length()
-        step = width + 1
-        shifts = tuple(step * i for i in range(RANK))
-        guard = sum((1 << width) << s for s in shifts)
-        return guard, [sum(x << s for x, s in zip(c, shifts))
-                       for c in coords]
-
     def position(self, mu):
         """The position of the member mu."""
         return self._index[mu]
-
-    def below_test(self, p):
-        """The test ``is_below(i)``: does the member at position i >= p lie
-        below the member at position p?  The members below it are exactly
-        those that pass, in the order of their own downset: the sort key
-        differs from the top's by a constant."""
-        if p == 0:
-            return lambda i: True
-        guard, packed = self._packed
-        base = guard + packed[p]
-        return lambda i: (base - packed[i]) & guard == guard

@@ -53,12 +53,15 @@ def _subtractive_decompose(product_terms, top, table, expected_dim):
     The certificate: the residual ends at zero, ``top`` occurs exactly
     once, and the dimension sum equals ``expected_dim``, the dimension of
     the product as the caller computed it; otherwise ``DecompositionError``.
-    The downset of ``top`` is enumerated once, as one ``Downset``; every
-    constituent that has to be solved is solved on it and shares its
-    memoized rows of the operator.
+    A ``top`` outside the operator's packed range is refused
+    (``MonomialRangeError``) before anything is enumerated.  The downset of
+    ``top`` is enumerated once, as one ``Downset``; every constituent that
+    has to be solved is solved on it and shares its memoized rows of the
+    operator.
     """
     residual = dict(product_terms)
     series = {}
+    table.operator.require_in_range(top)
     downset = Downset(dominant_weights_below(top))
     for mu in downset.weights:
         c = residual.get(mu, 0)

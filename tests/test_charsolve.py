@@ -7,7 +7,7 @@ from charkit import charsolve, fixtures
 from charkit.charsolve import CharacterTable
 from charkit.csmodel import Delta1Operator, StructuralViolationError
 from charkit.lie_core import (
-    FUNDAMENTAL_DIMS, ZERO_WEIGHT, Downset, dominant_weights_below, eigenvalue,
+    FUNDAMENTAL_DIMS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
     weyl_dim, NonDominantError,
 )
 from charkit.polyring import MultiPoly
@@ -49,13 +49,6 @@ def verify_character(table, m, chi):
         dim_value=dim_value,
         expected_dim=expected,
     )
-
-
-def corrupted_operator(operator, pair, extra):
-    """The operator with ``extra`` added to the coefficient of ``pair``."""
-    a = operator.a
-    a[pair] = a[pair] + extra
-    return Delta1Operator(a)
 
 
 def test_m1_second_order_example(operator):
@@ -122,41 +115,36 @@ def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
     assert chi == t.character_m1(m)
 
 
-@pytest.mark.parametrize("method", ["character_m1", "character_m2"],
-                         ids=["m1", "m2"])
-@pytest.mark.parametrize("pair, extra, m, term, source", [
-    # z4 in a_77: the image of z7^2 reaches z4, far above the support.
-    ((7, 7), MultiPoly.variable(4), (0, 0, 0, 0, 0, 0, 2),
-     (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2)),
-    # z7^3 in a_67: z6*z7 is sent up to z7^3, inside the support but
-    # above it.
-    ((6, 7), MultiPoly({(0, 0, 0, 0, 0, 0, 3): 1}), (0, 0, 0, 0, 0, 0, 3),
-     (0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 1, 1)),
-], ids=["escape", "upward"])
-def test_solvers_refuse_an_image_term_that_breaks_the_triangle(
-        operator, method, pair, extra, m, term, source):
-    t = fresh_table(corrupted_operator(operator, pair, extra))
-    with pytest.raises(StructuralViolationError,
-                       match=rf"image monomial {re.escape(str(term))} of "
-                             rf"{re.escape(str(source))} "):
-        getattr(t, method)(m)
-
-
-def test_m1_refuses_an_escape_inside_the_top_downset(operator):
-    # z7^2 in a_11: the image of z1^2 reaches z7^2.  That lies in the
-    # downset of z7^4, after z1^2, so the rows of the top's downset accept
-    # it, but it is not below z1^2: the below-test refuses it.
-    top, m, term = (0, 0, 0, 0, 0, 0, 4), (2, 0, 0, 0, 0, 0, 0), \
-        (0, 0, 0, 0, 0, 0, 2)
-    downset = Downset(dominant_weights_below(top))
-    assert downset.position(term) > downset.position(m)
-    assert term not in dominant_weights_below(m)
-    t = fresh_table(corrupted_operator(operator, (1, 1),
-                                       MultiPoly({term: 1})))
-    with pytest.raises(StructuralViolationError,
-                       match=re.escape(f"image monomial {term} of {m} is not "
-                                       f"below it in the support of {m}")):
-        t.character_m1(m, downset=downset)
+@pytest.mark.parametrize("pair, term, m", [
+    # z4 in a_77: the image of z7^2 would reach z4, far above the support.
+    ((7, 7), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2)),
+    # z7^3 in a_67: z6*z7 would be sent up to z7^3, inside the support of
+    # z7^3 but above z6*z7.
+    ((6, 7), (0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 0, 3)),
+    # z7^2 in a_11: the image of z1^2 would reach z7^2, which lies after
+    # z1^2 in the downset of z7^4 but is not below z1^2.
+    ((1, 1), (0, 0, 0, 0, 0, 0, 2), (2, 0, 0, 0, 0, 0, 0)),
+], ids=["z4-in-a77", "z7^3-in-a67", "z7^2-in-a11"])
+def test_register_pair_refuses_a_term_not_below_its_pair(operator, pair,
+                                                         term, m):
+    j, k = pair
+    message = re.escape(f"term z^{term} of a_{j}{k} is not below "
+                        f"lambda_{j} + lambda_{k}")
+    a = operator.a
+    corrupted = a[pair] + MultiPoly({term: 1})
+    with pytest.raises(StructuralViolationError, match=message):
+        Delta1Operator({**a, pair: corrupted})
+    # A refused registration leaves the operator as it was: the same
+    # coefficients, and solves that read the pair as before.
+    op = Delta1Operator(a)
+    want = fresh_table(operator).character_m1(m)
+    assert fresh_table(op).character_m1(m) == want
+    with pytest.raises(StructuralViolationError, match=message):
+        op.register_pair(j, k, corrupted)
+    assert op.a == a
+    t = fresh_table(op)
+    assert t.character_m1(m) == want
+    assert t.character_m2(m) == want
 
 
 def test_m1_where_the_downset_exceeds_the_top(operator):

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from charkit import cli
+from charkit import charsolve, cli, tensor
 from charkit.cli import main
 from charkit.polyring import MultiPoly
 
@@ -105,8 +105,8 @@ def test_invariant_failure_is_a_one_line_error(tmp_path, capsys):
 
 
 def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
-    # A z4 term added to a_77 sends z7^8 outside the support of 8 lambda_7,
-    # a weight above every character the bootstrap solves.
+    # A z4 term added to a_77 would send z7^8 outside the support of
+    # 8 lambda_7; the operator refuses it when the pair is registered.
     build_a = cli.build_a
 
     def corrupted(corpus):
@@ -117,8 +117,37 @@ def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_a", corrupted)
     code, out, err = run(capsys, "character", "0000008")
     assert (code, out) == (1, "")
-    assert err.startswith("error: image monomial (0, 0, 0, 1, 0, 0, 6) ")
-    assert err.count("\n") == 1
+    assert err == ("error: term z^(0, 0, 0, 1, 0, 0, 0) of a_77 is not below "
+                   "lambda_7 + lambda_7 = (0, 0, 0, 0, 0, 0, 2)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "0,0,0,0,0,0,252"],
+    ["character", "--method", "m2", "0,0,0,0,0,0,252"],
+    ["monomial-cg", "0,0,0,0,0,0,252"],
+], ids=["m1", "m2", "monomial-cg"])
+def test_out_of_range_weight_is_refused_before_its_downset(monkeypatch,
+                                                           capsys, argv):
+    # Exponents above 251 do not fit the operator's packed keys.  The
+    # refusal comes before the downset is enumerated, which for these
+    # weights would run for minutes.
+    build_a = cli.build_a
+
+    def guarded(corpus):
+        built = build_a(corpus)
+
+        def unreachable(m):
+            raise AssertionError(f"downset of {m} enumerated")
+
+        for module in (charsolve, tensor):
+            monkeypatch.setattr(module, "dominant_weights_below", unreachable)
+        return built
+
+    monkeypatch.setattr(cli, "build_a", guarded)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: monomial (0, 0, 0, 0, 0, 0, 252) is outside the "
+                   "packed range: seven exponents in 0..251\n")
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -10,6 +10,7 @@ from charkit.csmodel import (
 )
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
+    is_below,
 )
 from charkit.polyring import MultiPoly
 
@@ -182,6 +183,15 @@ small_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 7),
 @settings(max_examples=30, deadline=None)
 def test_apply_matches_the_operator_definition(operator, p):
     assert apply(operator, p) == by_definition(operator, p)
+
+
+@given(st.tuples(*[st.integers(0, 3)] * 7))
+@settings(max_examples=40, deadline=None)
+def test_every_image_term_lies_below_its_monomial(operator, n):
+    # The triangle that register_pair certifies pair by pair, seen on the
+    # images of whole monomials.
+    image = operator.apply_terms({n: 1})
+    assert all(is_below(q, n) for q in image)
 
 
 def test_corpus_invariants(corpus):

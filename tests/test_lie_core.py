@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from charkit.lie_core import (
     CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS,
     POSITIVE_ROOTS, POSITIVE_ROOTS_FUND, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT,
-    dominant_weights_below,
+    dominant_weights_below, is_below,
     eigenvalue, weight_height2, weyl_dim,
     NonDominantError,
 )
@@ -192,6 +193,20 @@ def test_dominant_weights_below_matches_tuple_closure(m):
     assert top <= weight_height2(m) // min(TWO_RHO_ALPHA)
     if max(m) <= 2:
         assert top >= 1 << (max(m) + 2).bit_length()
+
+
+def test_is_below_is_a_positive_root_lattice_difference():
+    assert is_below(ZERO_WEIGHT, L[0]) and is_below(L[3], L[3])
+    assert not is_below(L[0], L[6])      # not in the root lattice
+    assert not is_below(L[6], ZERO_WEIGHT)
+    assert not is_below(L[0], ZERO_WEIGHT)   # a negative difference
+    assert not is_below((0, 0, 0, 0, 0, 0, 2), (2, 0, 0, 0, 0, 0, 0))
+    small = [mu for mu in itertools.product(range(2), repeat=RANK)
+             if sum(mu) <= 2]
+    for m in small:
+        for mu in small:
+            assert is_below(mu, m) == (weight_diff_in_roots(m, mu)
+                                       is not None)
 
 
 def test_dominant_weights_below_rejects_non_dominant():

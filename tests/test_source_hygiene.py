@@ -12,7 +12,9 @@ The check is by name, so a name that some caller uses for anything else
 also counts; code that only the tests call belongs in ``tests/``.
 
 The packed monomial key format belongs to ``csmodel``: no other module
-names ``pack`` or ``unpack``.  The set-up path and both solvers also run
+names ``pack`` or ``unpack``.  The operator's triangle is checked in one
+place: ``StructuralViolationError`` is raised only in
+``Delta1Operator.register_pair``, where the coefficients enter.  The set-up path and both solvers also run
 without importing numpy, which only the torus oracle uses.
 """
 
@@ -153,6 +155,56 @@ def test_a_packed_key_mention_is_caught():
               "from . import csmodel\n"
               "print(pack((1,)), csmodel.unpack(1))\n")
     assert packed_key_names(source) == ["pack", "pack", "unpack"]
+
+
+def raise_sites(source, name):
+    """The qualified names of the functions in ``source`` that raise the
+    exception ``name``, a bare or a dotted name, called or not; a raise at
+    module or class level is reported under the enclosing scope."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if name in (getattr(exc, "id", None),
+                            getattr(exc, "attr", None)):
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_the_triangle_is_refused_only_at_registration():
+    sites = [f"{p.name}:{site}" for p in sorted(SRC.glob("*.py"))
+             for site in raise_sites(p.read_text(), "StructuralViolationError")]
+    assert sites == ["csmodel.py:Delta1Operator.register_pair"]
+
+
+def test_a_second_raise_site_is_caught():
+    source = ("class Op:\n"
+              "    def register(self, e):\n"
+              "        if e:\n"
+              "            raise Refused(e)\n"
+              "    def row(self, i):\n"
+              "        def inner():\n"
+              "            raise errors.Refused\n"
+              "        raise ValueError(i)\n"
+              "def solve():\n"
+              "    try:\n"
+              "        pass\n"
+              "    except Refused:\n"
+              "        raise\n"
+              "raise Refused('at import')\n")
+    assert raise_sites(source, "Refused") == [
+        "Op.register", "Op.row.inner", "<module>"]
 
 
 def test_setup_and_solvers_do_not_import_numpy():

@@ -5,7 +5,7 @@ from charkit.charsolve import CharacterTable
 from charkit.csmodel import Delta1Operator
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, Downset, NonDominantError,
-    dominant_weights_below, weyl_dim,
+    dominant_weights_below, is_below, weyl_dim,
 )
 from charkit.polyring import MultiPoly
 from charkit.tensor import (
@@ -89,9 +89,9 @@ def test_dimension_identity_everywhere(table):
 
 def test_constituent_supports_filter_the_top_downset(operator, table):
     # Constituents solved inside a decomposition are solved on the top's
-    # downset: the members that pass the below-test from a constituent's
-    # position must be its own enumeration, order included, and the
-    # character solved there must be the one solved on its own.
+    # downset: the members from a constituent's position on that lie below
+    # it must be its own enumeration, order included, and the character
+    # solved there must be the one solved on its own.
     z4_cubed = (0, 0, 0, 3, 0, 0, 0)
     m, n = (0, 0, 0, 0, 0, 1, 2), (0, 0, 1, 0, 0, 0, 1)
     cases = [(z4_cubed, monomial_decompose(z4_cubed, table)),
@@ -99,11 +99,9 @@ def test_constituent_supports_filter_the_top_downset(operator, table):
     for top, series in cases:
         downset = Downset(dominant_weights_below(top))
         on_top = CharacterTable(operator)
-        for mu, _ in series.terms.items():
+        for mu in series.terms:
             p = downset.position(mu)
-            is_below = downset.below_test(p)
-            support = [downset.weights[i]
-                       for i in range(p, len(downset.weights)) if is_below(i)]
+            support = [nu for nu in downset.weights[p:] if is_below(nu, mu)]
             assert support == dominant_weights_below(mu)
             assert on_top.character_m1(mu, downset=downset) == \
                 CharacterTable(operator).character_m1(mu)
