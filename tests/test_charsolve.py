@@ -115,6 +115,28 @@ def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
     assert chi == t.character_m1(m)
 
 
+@pytest.mark.parametrize("method", ["character_m1", "character_m2"],
+                         ids=["m1", "m2"])
+@pytest.mark.parametrize("pair, term, m", [
+    # z4 in a_77: the image of z7^2 would reach z4, far above the support.
+    ((7, 7), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2)),
+    # z7^3 in a_67: z6*z7 would be sent up to z7^3, inside the support but
+    # above it.
+    ((6, 7), (0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 0, 3)),
+], ids=["escape", "upward"])
+def test_solvers_refuse_an_image_term_that_breaks_the_triangle(
+        operator, method, pair, term, m):
+    # The coefficient that would break the triangle is refused when it is
+    # registered, so no solve by either method runs on it.
+    j, k = pair
+    a = operator.a
+    a[pair] = a[pair] + MultiPoly({term: 1})
+    with pytest.raises(StructuralViolationError,
+                       match=re.escape(f"term z^{term} of a_{j}{k} is not "
+                                       f"below lambda_{j} + lambda_{k}")):
+        getattr(fresh_table(Delta1Operator(a)), method)(m)
+
+
 @pytest.mark.parametrize("pair, term, m", [
     # z4 in a_77: the image of z7^2 would reach z4, far above the support.
     ((7, 7), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2)),
