@@ -1,15 +1,16 @@
 """Irreducible characters as eigenfunctions of the assembled operator.
 
-Two independent solvers are provided.  Both read the operator through
-``Delta1Operator.restrict``: its rows on a ``Downset``, by position, each
-term at or after its own weight's position, each row built at most once
-per downset.  The operator's triangle is certified when its coefficients
-are registered, so neither solver checks it; a top weight outside the
-operator's packed range is refused before its downset is enumerated.
+Two independent solvers are provided.  Both run on a ``Restriction``,
+the operator restricted to a downset (``Delta1Operator.restrict``): its
+rows by position, each term at or after its own weight's position, each
+row built at most once per restriction.  The operator's triangle is
+certified when its coefficients are registered, so neither solver checks
+it; a top weight outside the operator's packed range is refused before its
+downset is enumerated.
 
 Method 1 walks the dominant weights below m in order of increasing height
-gap: the positions of m's own ``Downset``, or those of a larger downset
-from m's position on (a decomposition solves every constituent on its top
+gap: the positions of m's own support, or those of a larger support from
+m's position on (a decomposition solves every constituent on its top
 weight's).  Writing chi_m = sum C_mu z^mu with C_m = 1, the eigenvalue
 equation fixes each lower coefficient from the ones already known:
 
@@ -43,7 +44,7 @@ import os
 import threading
 
 from .lie_core import (
-    Downset, dominant_weights_below, eigenvalue, require_dominant,
+    dominant_weights_below, eigenvalue, require_dominant,
     weyl_dim,  # noqa: F401 -- a binding the benchmark tracer wraps
 )
 from .polyring import MultiPoly
@@ -130,12 +131,12 @@ class CharacterTable:
                 self._store_disk(m, chi)
 
     # -------------------------------------------------------------- solvers
-    def character(self, m, downset=None):
+    def character(self, m, support=None):
         """The character of highest weight m, from cache or by Method 1.
 
-        ``downset``, a ``Downset`` containing m, is the one the solve runs
-        on, sharing its rows of the operator.  Only solved characters are
-        written to the disk cache.
+        ``support``, a ``Restriction`` with m among its weights, is the one
+        the solve runs on, sharing its rows of the operator.  Only solved
+        characters are written to the disk cache.
         """
         m = tuple(m)
         require_dominant(m)
@@ -145,7 +146,7 @@ class CharacterTable:
         chi = self._load_disk(m)
         prov = "disk"
         if chi is None:
-            chi, prov = self.character_m1(m, downset), "method-1"
+            chi, prov = self.character_m1(m, support), "method-1"
         with self._lock:
             self._cache.setdefault(m, chi)
             self._provenance.setdefault(m, prov)
@@ -153,28 +154,25 @@ class CharacterTable:
             self._store_disk(m, chi)
         return chi
 
-    def character_m1(self, m, downset=None):
+    def character_m1(self, m, support=None):
         """Solve for chi_m by the triangular recursion (Method 1).
 
-        The solve runs on ``downset``, a ``Downset`` with m among its
-        members (a decomposition passes its top weight's), or else on a
-        ``Downset`` of m's own.  It walks the downset's positions from m's
+        The solve runs on ``support``, a ``Restriction`` with m among its
+        weights (a decomposition passes its top weight's), or else on m's
+        own (``_support``).  It walks the support's positions from m's
         own, and the numerators accumulate in a list over those positions;
         a row of a weight below m adds only into positions of weights below
-        it, so no numerator leaves m's support.  A weight's row of the
-        restricted operator is read only once its coefficient is known to
-        be nonzero, and adds into the positions after it.
+        it, so no numerator leaves the weights below m.  A weight's row is
+        read only once its coefficient is known to be nonzero, and adds
+        into the positions after it.
         """
         m = tuple(m)
         require_dominant(m)
-        if downset is None:
-            self.operator.require_in_range(m)
-            downset = Downset(dominant_weights_below(m))
-            p = 0
-        else:
-            p = downset.position(m)
-        row = self.operator.restrict(downset)
-        weights = downset.weights
+        if support is None:
+            support = self._support(m)
+        p = support.position(m)
+        row = support.row
+        weights = support.weights
         eps_m = eigenvalue(m)
         acc = [0] * len(weights)
         acc[p] = 1
@@ -207,26 +205,25 @@ class CharacterTable:
     def character_m2(self, m):
         """Solve for chi_m by the annihilator product (Method 2).
 
-        Every row of the operator restricted to a ``Downset`` of m
-        (``restrict``) is read once, and the product runs on a list of
-        coefficients over the downset's positions.  One factor (D - e) is
-        applied per distinct eigenvalue e of the dominant weights strictly
-        below m, in order of first appearance along the support; the top
-        coefficient must come out as the product of the gaps eps_m - e,
-        which then divides every coefficient exactly.
+        Every row of m's own ``Restriction`` (``_support``) is read once,
+        and the product runs on a list of coefficients over its positions.
+        One factor (D - e) is applied per distinct eigenvalue e of the
+        dominant weights strictly below m, in order of first appearance
+        along the support; the top coefficient must come out as the
+        product of the gaps eps_m - e, which then divides every coefficient
+        exactly.
         """
         m = tuple(m)
         require_dominant(m)
-        self.operator.require_in_range(m)
-        downset = Downset(dominant_weights_below(m))
-        support = downset.weights
-        row = self.operator.restrict(downset)
-        rows = [list(zip(*row(i))) for i in range(len(support))]
+        support = self._support(m)
+        weights = support.weights
+        row = support.row
+        rows = [list(zip(*row(i))) for i in range(len(weights))]
         eps_m = eigenvalue(m)
-        poly = [0] * len(support)
+        poly = [0] * len(weights)
         poly[0] = 1
         scale = 1
-        for e in dict.fromkeys(eigenvalue(mu) for mu in support[1:]):
+        for e in dict.fromkeys(eigenvalue(mu) for mu in weights[1:]):
             poly = _apply_factor(rows, poly, e)
             scale *= eps_m - e
         if poly[0] != scale:
@@ -234,7 +231,7 @@ class CharacterTable:
                 f"character {m}: annihilator product scales the top "
                 f"monomial by {poly[0]}, expected {scale}")
         out = {}
-        for n, c in zip(support, poly):
+        for n, c in zip(weights, poly):
             if not c:
                 continue
             q, rem = divmod(c, scale)
@@ -244,6 +241,12 @@ class CharacterTable:
                     f"integer after normalization")
             out[n] = q
         return MultiPoly(out, _clean_input=False)
+
+    def _support(self, m):
+        """The operator restricted to the dominant weights below m, once m
+        is known to fit the operator's packed range."""
+        self.operator.require_in_range(m)
+        return self.operator.restrict(dominant_weights_below(m))
 
 
 def _apply_factor(rows, poly, e):

@@ -32,14 +32,15 @@ solvers apply to a top weight before enumerating its downset).  An image
 is memoized as two tuples, its packed keys and their coefficients.  No
 other module sees a packed key: ``image_terms`` takes an exponent tuple,
 ``apply_terms`` maps tuple keys to tuple keys, and ``restrict`` gives both
-character solvers the operator on a ``Downset`` by position in it: each
-row is a list of target positions with the image's coefficient tuple,
-built once and kept on the downset.
+character solvers the operator on a downset as a ``Restriction``.  It
+holds the members' one index, by packed key, and their rows by position:
+each row is a list of target positions with the image's coefficient
+tuple, built once per restriction.
 
 The operator is triangular: an image term n - u_j - u_k + e, for e a term
 of a_jk, lies below n exactly when e lies below lambda_j + lambda_k.
-``register_pair`` refuses any other term, so a row on a ``Downset`` never
-leaves it, and no solve checks the triangle again.
+``register_pair`` refuses any other term, so a row of a ``Restriction``
+never leaves its downset, and no solve checks the triangle again.
 """
 
 from __future__ import annotations
@@ -238,28 +239,10 @@ class Delta1Operator:
         self._image_cache[n] = image
         return image
 
-    def restrict(self, downset):
-        """The operator on a ``Downset`` as ``row(i)``: the image of the
-        member at position i, as a list of target positions and the tuple
-        of their coefficients.  Rows are memoized on the downset, so each
-        is built once however many members are solved on it.  Every target
-        is a member at or after position i: ``register_pair`` admits only
-        coefficient terms that keep the operator triangular."""
-        memo = downset.rows.get(self)
-        if memo is None:
-            index = {pack(mu): i for i, mu in enumerate(downset.weights)}
-            memo = downset.rows[self] = index, [None] * len(downset.weights)
-        index, rows = memo
-        weights = downset.weights
-
-        def row(i):
-            r = rows[i]
-            if r is None:
-                keys, coeffs = self.image_terms(weights[i])
-                r = rows[i] = [index[q] for q in keys], coeffs
-            return r
-
-        return row
+    def restrict(self, weights):
+        """The operator on ``weights``, a ``dominant_weights_below`` list,
+        as a ``Restriction``."""
+        return Restriction(self, weights)
 
     def apply_terms(self, terms):
         """Apply the operator to a raw term dict {exps: coeff}, returning a
@@ -270,6 +253,36 @@ class Delta1Operator:
             for q, s in zip(keys, coeffs):
                 out[q] = out.get(q, 0) + c * s
         return {unpack(q): v for q, v in out.items() if v}
+
+
+class Restriction:
+    """The operator on a downset: ``weights``, the dominant weights below
+    a top weight in solving order, and the operator's rows on them.
+
+    ``row(i)`` is the image of the member at position i, as a list of
+    target positions and the tuple of their coefficients.  Each row is
+    built once, however many members are solved on the restriction.  Every
+    target is a member at or after position i: ``register_pair`` admits
+    only coefficient terms that keep the operator triangular.
+    """
+
+    def __init__(self, operator, weights):
+        self.operator = operator
+        self.weights = weights
+        self._index = {pack(mu): i for i, mu in enumerate(weights)}
+        self._rows = [None] * len(weights)
+
+    def position(self, mu):
+        """The position of the member mu."""
+        return self._index[pack(mu)]
+
+    def row(self, i):
+        r = self._rows[i]
+        if r is None:
+            keys, coeffs = self.operator.image_terms(self.weights[i])
+            index = self._index
+            r = self._rows[i] = [index[q] for q in keys], coeffs
+        return r
 
 
 def _pair_order():

@@ -211,8 +211,8 @@ def dominant_weights_below(m):
     integer order is the order above.
 
     This is the one enumeration of a downset.  A constituent solved inside
-    a decomposition is solved on the top weight's ``Downset`` instead of
-    enumerating again.
+    a decomposition is solved on the top weight's restriction of the
+    operator (``Delta1Operator.restrict``) instead of enumerating again.
     """
     require_dominant(m)
     hm = weight_height2(m)
@@ -247,28 +247,3 @@ def dominant_weights_below(m):
     mask = (1 << step) - 1
     return [tuple(((y >> s) & mask) - offset for s in shifts)
             for y in sorted(seen, reverse=True)]
-
-
-class Downset:
-    """The dominant weights below a top weight, by position in solving
-    order, together with the operator's rows on them.
-
-    ``weights`` is ``dominant_weights_below(top)``.  ``rows`` is the memo of
-    ``Delta1Operator.restrict``, so a row is read at most once however many
-    members are solved on the same downset.  Each row's targets are members
-    at or after the row's own position: every coefficient term of the
-    operator lies below its pair's weight (``Delta1Operator.register_pair``).
-    The position index is built on first use.
-    """
-
-    def __init__(self, weights):
-        self.weights = weights
-        self.rows = {}
-
-    @functools.cached_property
-    def _index(self):
-        return {mu: i for i, mu in enumerate(self.weights)}
-
-    def position(self, mu):
-        """The position of the member mu."""
-        return self._index[mu]

@@ -9,9 +9,11 @@ character that entered it); the exact dimension sum is checked as well.
 
 The downset of the top weight is enumerated once per decomposition, and
 the operator is restricted to it once: a constituent character that is not
-cached yet is solved by Method 1 on that ``Downset``, from its own position,
-so its support is never enumerated again and each row of the operator is
-read at most once per decomposition.
+cached yet is solved by Method 1 on that ``Restriction``, from its own
+position, so its downset is never enumerated again and each row of the
+operator is read at most once per decomposition.  Each public entry refuses
+a top weight outside the operator's packed range before it solves or
+enumerates anything.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lie_core import (
-    RANK, FUNDAMENTAL_WEIGHTS, Downset, dominant_weights_below, monomial_dim,
+    RANK, FUNDAMENTAL_WEIGHTS, dominant_weights_below, monomial_dim,
     require_dominant, series_dim, weyl_dim,
 )
 
@@ -53,24 +55,22 @@ def _subtractive_decompose(product_terms, top, table, expected_dim):
     The certificate: the residual ends at zero, ``top`` occurs exactly
     once, and the dimension sum equals ``expected_dim``, the dimension of
     the product as the caller computed it; otherwise ``DecompositionError``.
-    A ``top`` outside the operator's packed range is refused
-    (``MonomialRangeError``) before anything is enumerated.  The downset of
-    ``top`` is enumerated once, as one ``Downset``; every constituent that
-    has to be solved is solved on it and shares its memoized rows of the
-    operator.
+    ``top`` must fit the operator's packed range, which the callers check
+    before they solve anything.  The downset of ``top`` is enumerated once
+    and the operator restricted to it once; every constituent that has to
+    be solved is solved on that ``Restriction`` and shares its rows.
     """
     residual = dict(product_terms)
     series = {}
-    table.operator.require_in_range(top)
-    downset = Downset(dominant_weights_below(top))
-    for mu in downset.weights:
+    support = table.operator.restrict(dominant_weights_below(top))
+    for mu in support.weights:
         c = residual.get(mu, 0)
         if c == 0:
             continue
         if c < 0:
             raise DecompositionError(
                 f"negative multiplicity {c} for weight {mu} under {top}")
-        chi = table.character(mu, downset=downset)
+        chi = table.character(mu, support=support)
         for q, s in chi.terms.items():
             v = residual.get(q, 0) - c * s
             if v:
@@ -97,8 +97,9 @@ def cg_decompose(m, n, table):
     m, n = tuple(m), tuple(n)
     require_dominant(m)
     require_dominant(n)
-    product = table.character(m) * table.character(n)
     top = tuple(a + b for a, b in zip(m, n))
+    table.operator.require_in_range(top)
+    product = table.character(m) * table.character(n)
     return _subtractive_decompose(product.terms, top, table,
                                   weyl_dim(m) * weyl_dim(n))
 
@@ -108,6 +109,7 @@ def monomial_decompose(exps, table):
     characters with the given multiplicities, into irreducibles."""
     exps = tuple(exps)
     require_dominant(exps)      # the top weight of z^exps is exps
+    table.operator.require_in_range(exps)
     return _subtractive_decompose({exps: 1}, exps, table, monomial_dim(exps))
 
 

@@ -125,12 +125,15 @@ def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
     ["character", "0,0,0,0,0,0,252"],
     ["character", "--method", "m2", "0,0,0,0,0,0,252"],
     ["monomial-cg", "0,0,0,0,0,0,252"],
-], ids=["m1", "m2", "monomial-cg"])
+    ["cg", "0,0,0,0,0,0,126", "0,0,0,0,0,0,126"],
+    ["series-family", "7", "251"],
+], ids=["m1", "m2", "monomial-cg", "cg", "series-family"])
 def test_out_of_range_weight_is_refused_before_its_downset(monkeypatch,
                                                            capsys, argv):
     # Exponents above 251 do not fit the operator's packed keys.  The
     # refusal comes before the downset is enumerated, which for these
-    # weights would run for minutes.
+    # weights would run for minutes; a product's top is refused before
+    # either factor is solved.
     build_a = cli.build_a
 
     def guarded(corpus):

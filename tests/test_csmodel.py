@@ -131,6 +131,21 @@ def test_triangularity_on_dominant_monomials(operator):
             assert image.get(n, 0) == eigenvalue(n)
 
 
+@pytest.mark.parametrize("top", [(0, 0, 0, 3, 0, 0, 0), (0, 0, 0, 0, 2, 2, 2)])
+def test_restriction_rows_are_the_images_by_position(operator, top):
+    weights = dominant_weights_below(top)
+    support = operator.restrict(weights)
+    assert support.weights is weights
+    for i, mu in enumerate(weights):
+        row = support.row(i)
+        targets, coeffs = row
+        assert all(j >= i for j in targets)
+        assert {weights[j]: c for j, c in zip(targets, coeffs)} == \
+            operator.apply_terms({mu: 1})
+        assert support.position(mu) == i
+        assert support.row(i) is row
+
+
 def by_definition(op, p):
     """D p = sum_{j<=k} (2 if j < k else 1) a_jk d_j d_k p
     + sum_j b_j d_j p."""

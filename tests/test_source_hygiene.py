@@ -12,10 +12,13 @@ The check is by name, so a name that some caller uses for anything else
 also counts; code that only the tests call belongs in ``tests/``.
 
 The packed monomial key format belongs to ``csmodel``: no other module
-names ``pack`` or ``unpack``.  The operator's triangle is checked in one
-place: ``StructuralViolationError`` is raised only in
-``Delta1Operator.register_pair``, where the coefficients enter.  The set-up path and both solvers also run
-without importing numpy, which only the torus oracle uses.
+names ``pack`` or ``unpack``.  The operator meets a support in one place:
+no module but ``csmodel`` names ``image_terms``, so the solvers read the
+operator's images only through ``Restriction.row``.  The operator's
+triangle is checked in one place: ``StructuralViolationError`` is raised
+only in ``Delta1Operator.register_pair``, where the coefficients enter.
+The set-up path and both solvers also run without importing numpy, which
+only the torus oracle uses.
 """
 
 import ast
@@ -129,8 +132,8 @@ def test_a_name_without_a_caller_is_caught():
                                               "traced", "used"]
 
 
-def packed_key_names(source):
-    """Every mention of ``pack`` or ``unpack`` in ``source``: a name, an
+def mentions(source, names):
+    """Every mention in ``source`` of one of ``names``: a name, an
     attribute or an imported binding."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -140,21 +143,34 @@ def packed_key_names(source):
             found.append(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [alias.name.split(".")[-1] for alias in node.names]
-    return sorted(n for n in found if n in ("pack", "unpack"))
+    return sorted(n for n in found if n in names)
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "csmodel.py"],
-    ids=lambda p: p.name)
+NOT_CSMODEL = [p for p in MODULES if p.name != "csmodel.py"]
+
+
+@pytest.mark.parametrize("path", NOT_CSMODEL, ids=lambda p: p.name)
 def test_only_csmodel_knows_the_packed_key_format(path):
-    assert packed_key_names(path.read_text()) == []
+    assert mentions(path.read_text(), ("pack", "unpack")) == []
 
 
 def test_a_packed_key_mention_is_caught():
     source = ("from .csmodel import pack\n"
               "from . import csmodel\n"
               "print(pack((1,)), csmodel.unpack(1))\n")
-    assert packed_key_names(source) == ["pack", "pack", "unpack"]
+    assert mentions(source, ("pack", "unpack")) == ["pack", "pack", "unpack"]
+
+
+@pytest.mark.parametrize("path", NOT_CSMODEL, ids=lambda p: p.name)
+def test_only_a_restriction_reads_operator_images(path):
+    assert mentions(path.read_text(), ("image_terms",)) == []
+
+
+def test_an_image_read_outside_a_restriction_is_caught():
+    source = ("def solve(table, support, mu):\n"
+              "    keys, coeffs = table.operator.image_terms(mu)\n"
+              "    return support.row(support.position(mu))\n")
+    assert mentions(source, ("image_terms",)) == ["image_terms"]
 
 
 def raise_sites(source, name):

@@ -4,7 +4,7 @@ from charkit import fixtures
 from charkit.charsolve import CharacterTable
 from charkit.csmodel import Delta1Operator
 from charkit.lie_core import (
-    FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, Downset, NonDominantError,
+    FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, NonDominantError,
     dominant_weights_below, is_below, weyl_dim,
 )
 from charkit.polyring import MultiPoly
@@ -97,13 +97,13 @@ def test_constituent_supports_filter_the_top_downset(operator, table):
     cases = [(z4_cubed, monomial_decompose(z4_cubed, table)),
              (tuple(a + b for a, b in zip(m, n)), cg_decompose(m, n, table))]
     for top, series in cases:
-        downset = Downset(dominant_weights_below(top))
+        support = operator.restrict(dominant_weights_below(top))
         on_top = CharacterTable(operator)
         for mu in series.terms:
-            p = downset.position(mu)
-            support = [nu for nu in downset.weights[p:] if is_below(nu, mu)]
-            assert support == dominant_weights_below(mu)
-            assert on_top.character_m1(mu, downset=downset) == \
+            p = support.position(mu)
+            below = [nu for nu in support.weights[p:] if is_below(nu, mu)]
+            assert below == dominant_weights_below(mu)
+            assert on_top.character_m1(mu, support=support) == \
                 CharacterTable(operator).character_m1(mu)
 
 
