@@ -69,14 +69,12 @@ class CharacterTable:
     guarded by a lock; lookups of already-cached weights are lock-free.
     """
 
-    def __init__(self, operator, cache_dir=None):
+    def __init__(self, operator):
         self.operator = operator
-        self.cache_dir = cache_dir
+        self.cache_dir = None
         self._cache = {}
         self._provenance = {}
         self._lock = threading.Lock()
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
 
     # -------------------------------------------------------------- caching
     def seed(self, m, chi):
@@ -114,7 +112,7 @@ class CharacterTable:
         tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as f:
-                f.write(f"chi {fixtures.format_weight(m)} = {chi.to_text()}\n")
+                f.write(fixtures.format_chi_line(m, chi) + "\n")
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -194,8 +192,6 @@ class CharacterTable:
                     raise IntegralityError(
                         f"character {m}: coefficient of z^{mu} is "
                         f"{num}/{gap}, not an integer")
-                if c == 0:
-                    continue
             coeffs[mu] = c
             targets, values = row(i)
             for j, s in zip(targets, values):

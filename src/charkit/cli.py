@@ -63,20 +63,25 @@ def build_parser():
     c = sub.add_parser("character", help="compute irreducible characters")
     c.add_argument("weights", nargs="+", type=_weight)
     c.add_argument("--method", choices=("m1", "m2", "both"), default="m1")
+    c.set_defaults(run=cmd_character)
 
     g = sub.add_parser("cg", help="Clebsch-Gordan series of chi_m * chi_n")
     g.add_argument("weights", nargs=2, type=_weight)
+    g.set_defaults(run=cmd_cg)
 
     mg = sub.add_parser("monomial-cg", help="decompose a monomial in the z's")
     mg.add_argument("monomial", type=_weight)
+    mg.set_defaults(run=cmd_monomial_cg)
 
     d = sub.add_parser("dim", help="Weyl dimension of representations")
     d.add_argument("weights", nargs="+", type=_weight)
+    d.set_defaults(run=cmd_dim)
 
     f = sub.add_parser("series-family",
                        help="z7 * chi_{n lambda_k} against its closed form")
     f.add_argument("k", type=int)
     f.add_argument("n", type=int)
+    f.set_defaults(run=cmd_series_family)
 
     v = sub.add_parser("verify", help="re-derive a fixture corpus")
     v.add_argument("corpus",
@@ -85,6 +90,7 @@ def build_parser():
     v.add_argument("--trials", type=int, default=20,
                    help="torus points for the oracle corpus")
     v.add_argument("--seed", type=int, default=20240901)
+    v.set_defaults(run=cmd_verify)
     return p
 
 
@@ -164,9 +170,7 @@ def cmd_monomial_cg(args):
     _, table = _make_table(args)
     exps = args.monomial
     series = monomial_decompose(exps, table)
-    factors = []
-    for i, ni in enumerate(exps):
-        factors.extend([tuple(1 if j == i else 0 for j in range(7))] * ni)
+    factors = [f for f, n in zip(FUNDAMENTAL_WEIGHTS, exps) for _ in range(n)]
     label = "monomial " + fixtures.format_weight(exps)
     return _emit_series(args, factors, series, label)
 
@@ -275,16 +279,8 @@ def cmd_verify(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handlers = {
-        "character": cmd_character,
-        "cg": cmd_cg,
-        "monomial-cg": cmd_monomial_cg,
-        "dim": cmd_dim,
-        "series-family": cmd_series_family,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except INVARIANT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

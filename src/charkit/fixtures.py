@@ -75,47 +75,69 @@ def _iter_lines(path, warn_empty=True):
         warnings.warn(f"fixture file {path} contains no entries")
 
 
-def _parse_series_rhs(rhs, lineno, path):
+def _entries(path, tag, parse_key, parse_value, warn_empty=True):
+    """Yield (lineno, key, value) for each ``tag key = value`` line.
+
+    ``parse_key`` takes the head's fields, the tag first, so that its
+    unpacking counts the tag.  A line's ``ValueError`` is re-raised as a
+    ``FixtureFormatError`` that names ``path:lineno``."""
+    for lineno, line in _iter_lines(path, warn_empty):
+        try:
+            head, rhs = line.split("=", 1)
+            fields = head.split()
+            key = parse_key(fields)
+            if fields[0] != tag:
+                raise ValueError(f"expected {tag!r}, got {fields[0]!r}")
+            value = parse_value(rhs)
+        except ValueError as exc:
+            raise FixtureFormatError(f"{path}:{lineno}: {exc}")
+        yield lineno, key, value
+
+
+def _weight_key(fields):
+    _, wtext = fields
+    return parse_weight(wtext)
+
+
+def _pair_key(fields):
+    _, j, k = fields
+    j, k = int(j), int(k)
+    if not (1 <= j <= RANK and 1 <= k <= RANK):
+        raise ValueError(f"bad pair {j} {k}")
+    return j, k
+
+
+def _parse_series_rhs(rhs):
     series = {}
     for item in rhs.split():
         try:
             wtext, ntext = item.rsplit(":", 1)
             w = parse_weight(wtext)
             n = int(ntext)
-        except (ValueError, FixtureFormatError) as exc:
-            raise FixtureFormatError(
-                f"{path}:{lineno}: bad series item {item!r}: {exc}")
+        except ValueError as exc:
+            raise FixtureFormatError(f"bad series item {item!r}: {exc}")
         if n <= 0:
-            raise FixtureFormatError(
-                f"{path}:{lineno}: non-positive multiplicity in {item!r}")
+            raise FixtureFormatError(f"non-positive multiplicity in {item!r}")
         if w in series:
-            raise FixtureFormatError(
-                f"{path}:{lineno}: repeated weight {format_weight(w)}")
+            raise FixtureFormatError(f"repeated weight {format_weight(w)}")
         series[w] = n
     return series
+
+
+def _check_dim(path, lineno, label, series, want):
+    got = series_dim(series)
+    if got != want:
+        raise FixtureCorruptError(
+            f"{path}:{lineno}: {label} dimension sum {got} != {want}")
 
 
 def load_cg_file(path):
     """Parse ``cg j k = ...`` lines into {(j, k): {weight: mult}}."""
     out = {}
-    for lineno, line in _iter_lines(path):
-        try:
-            head, rhs = line.split("=", 1)
-            tag, j, k = head.split()
-            if tag != "cg":
-                raise ValueError(f"expected 'cg', got {tag!r}")
-            j, k = int(j), int(k)
-        except ValueError as exc:
-            raise FixtureFormatError(f"{path}:{lineno}: {exc}")
-        if not (1 <= j <= RANK and 1 <= k <= RANK):
-            raise FixtureFormatError(f"{path}:{lineno}: bad pair {j} {k}")
-        series = _parse_series_rhs(rhs, lineno, path)
-        want = FUNDAMENTAL_DIMS[j - 1] * FUNDAMENTAL_DIMS[k - 1]
-        got = series_dim(series)
-        if got != want:
-            raise FixtureCorruptError(
-                f"{path}:{lineno}: series {j} {k} dimension sum {got} "
-                f"!= {want}")
+    for lineno, (j, k), series in _entries(path, "cg", _pair_key,
+                                           _parse_series_rhs):
+        _check_dim(path, lineno, f"series {j} {k}", series,
+                   FUNDAMENTAL_DIMS[j - 1] * FUNDAMENTAL_DIMS[k - 1])
         out[(min(j, k), max(j, k))] = series
     return out
 
@@ -123,22 +145,10 @@ def load_cg_file(path):
 def load_mcg_file(path):
     """Parse ``mcg m = ...`` lines into {exponents: {weight: mult}}."""
     out = {}
-    for lineno, line in _iter_lines(path):
-        try:
-            head, rhs = line.split("=", 1)
-            tag, mono = head.split()
-            if tag != "mcg":
-                raise ValueError(f"expected 'mcg', got {tag!r}")
-            exps = parse_weight(mono)
-        except (ValueError, FixtureFormatError) as exc:
-            raise FixtureFormatError(f"{path}:{lineno}: {exc}")
-        series = _parse_series_rhs(rhs, lineno, path)
-        want = monomial_dim(exps)
-        got = series_dim(series)
-        if got != want:
-            raise FixtureCorruptError(
-                f"{path}:{lineno}: monomial series {format_weight(exps)} "
-                f"dimension sum {got} != {want}")
+    for lineno, exps, series in _entries(path, "mcg", _weight_key,
+                                         _parse_series_rhs):
+        _check_dim(path, lineno, f"monomial series {format_weight(exps)}",
+                   series, monomial_dim(exps))
         out[exps] = series
     return out
 
@@ -152,16 +162,8 @@ def load_chi_file(path):
     reads one such file per weight, and an empty one is a cache miss.
     """
     out = {}
-    for lineno, line in _iter_lines(path, warn_empty=False):
-        try:
-            head, rhs = line.split("=", 1)
-            tag, wtext = head.split()
-            if tag != "chi":
-                raise ValueError(f"expected 'chi', got {tag!r}")
-            w = parse_weight(wtext)
-            poly = MultiPoly.from_text(rhs)
-        except (ValueError, FixtureFormatError) as exc:
-            raise FixtureFormatError(f"{path}:{lineno}: {exc}")
+    for lineno, w, poly in _entries(path, "chi", _weight_key,
+                                    MultiPoly.from_text, warn_empty=False):
         if poly.coefficient_of(w) != 1:
             raise FixtureCorruptError(
                 f"{path}:{lineno}: character {format_weight(w)} lacks "
@@ -174,6 +176,11 @@ def load_chi_file(path):
                 f"evaluates to {got}, dimension is {want}")
         out[w] = poly
     return out
+
+
+def format_chi_line(w, chi):
+    """The ``chi`` line that ``load_chi_file`` reads back as {w: chi}."""
+    return f"chi {format_weight(w)} = {chi.to_text()}"
 
 
 def series_items(series):

@@ -22,10 +22,6 @@ def monomial_key(exps):
     return (sum(exps), exps[::-1])
 
 
-def _clean(terms):
-    return {e: c for e, c in terms.items() if c}
-
-
 class MultiPoly:
     """Immutable sparse polynomial in z1..z7.
 
@@ -39,7 +35,7 @@ class MultiPoly:
         if terms is None:
             terms = {}
         if _clean_input:
-            terms = _clean(dict(terms))
+            terms = {e: c for e, c in dict(terms).items() if c}
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
@@ -64,9 +60,6 @@ class MultiPoly:
         return cls({tuple(e): 1}, _clean_input=False)
 
     # ------------------------------------------------------------ predicates
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.terms == other.terms

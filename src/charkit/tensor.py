@@ -115,50 +115,24 @@ def monomial_decompose(exps, table):
 
 # ------------------------------------------------------------ z7 families
 
+# The published rows of z7 * chi_{n lambda_k}: each is (n - 1) lambda_k + d
+# with multiplicity 1, listed here by its offset d, the row at n = 1.
+_FAMILY_OFFSETS = {
+    1: "1000001 0100000 0000001",
+    2: "0100001 0010000 0000010 1000000",
+    3: "0010001 1100000 0000100 1000001 0100000",
+    4: "0001001 0110000 1000100 0100010 0010001 1100000 0000100",
+    5: "0000101 0001000 1000010 0100001 0010000 0000010",
+    6: "0000011 0000100 1000001 0100000 0000001",
+    7: "0000002 0000010 1000000 0000000",
+}
+
+
 def _family_terms(k, n):
-    """The closed-form series for z7 * chi_{n lambda_k} as {weight: mult}.
-
-    Rows transcribe the published parametric families; rows whose shifted
-    coordinate would go negative drop out, and coinciding rows merge with
-    their multiplicities added (relevant only at the n = 1 boundary).
-    """
-    def w(**kw):
-        out = [0] * RANK
-        for key, val in kw.items():
-            out[int(key[1]) - 1] += val
-        return tuple(out)
-
-    if k == 1:
-        rows = [w(c1=n, c7=1), w(c1=n - 1, c2=1), w(c1=n - 1, c7=1)]
-    elif k == 2:
-        rows = [w(c2=n, c7=1), w(c2=n - 1, c3=1), w(c2=n - 1, c6=1),
-                w(c2=n - 1, c1=1)]
-    elif k == 3:
-        rows = [w(c3=n, c7=1), w(c3=n - 1, c1=1, c2=1), w(c3=n - 1, c5=1),
-                w(c3=n - 1, c1=1, c7=1), w(c3=n - 1, c2=1)]
-    elif k == 4:
-        rows = [w(c4=n, c7=1), w(c4=n - 1, c2=1, c3=1),
-                w(c4=n - 1, c1=1, c5=1), w(c4=n - 1, c2=1, c6=1),
-                w(c4=n - 1, c3=1, c7=1), w(c4=n - 1, c1=1, c2=1),
-                w(c4=n - 1, c5=1)]
-    elif k == 5:
-        rows = [w(c5=n, c7=1), w(c5=n - 1, c4=1), w(c5=n - 1, c1=1, c6=1),
-                w(c5=n - 1, c2=1, c7=1), w(c5=n - 1, c3=1),
-                w(c5=n - 1, c6=1)]
-    elif k == 6:
-        rows = [w(c6=n, c7=1), w(c6=n - 1, c5=1), w(c6=n - 1, c1=1, c7=1),
-                w(c6=n - 1, c2=1), w(c6=n - 1, c7=1)]
-    elif k == 7:
-        rows = [w(c7=n + 1), w(c7=n - 1, c6=1), w(c7=n - 1, c1=1),
-                w(c7=n - 1)]
-    else:
-        raise ValueError(f"fundamental index {k} out of range 1..7")
-    out = {}
-    for row in rows:
-        if any(x < 0 for x in row):
-            continue
-        out[row] = out.get(row, 0) + 1
-    return out
+    """The closed-form series for z7 * chi_{n lambda_k} as {weight: mult}."""
+    lam = FUNDAMENTAL_WEIGHTS[k - 1]
+    return {tuple((n - 1) * x + int(d) for x, d in zip(lam, offset)): 1
+            for offset in _FAMILY_OFFSETS[k].split()}
 
 
 def _series_diffs(got, want):

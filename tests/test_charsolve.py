@@ -1,3 +1,4 @@
+import os
 import re
 from dataclasses import dataclass
 
@@ -15,8 +16,14 @@ from charkit.polyring import MultiPoly
 from test_csmodel import apply
 
 
-def fresh_table(operator, tmp=None):
-    return CharacterTable(operator, cache_dir=tmp)
+def fresh_table(operator, cache_dir=None):
+    """A table with no characters; with ``cache_dir``, a disk cache is
+    attached the way the CLI attaches one."""
+    t = CharacterTable(operator)
+    if cache_dir:
+        t.cache_dir = str(cache_dir)
+        os.makedirs(t.cache_dir, exist_ok=True)
+    return t
 
 
 @dataclass
@@ -225,22 +232,21 @@ def test_all_cached_characters_are_integral_eigenfunctions(operator):
 
 
 def test_disk_cache_roundtrip(operator, tmp_path):
-    t1 = CharacterTable(operator, cache_dir=str(tmp_path))
+    t1 = fresh_table(operator, tmp_path)
     m = (0, 1, 0, 0, 0, 0, 1)
     chi = t1.character(m)
     assert t1.provenance(m) == "method-1"
-    t2 = CharacterTable(operator, cache_dir=str(tmp_path))
+    t2 = fresh_table(operator, tmp_path)
     assert t2.character(m) == chi
     assert t2.provenance(m) == "disk"
 
 
 def test_disk_hit_leaves_the_cache_file_alone(operator, tmp_path):
-    import os
     m = (0, 0, 0, 0, 1, 0, 1)
-    chi = CharacterTable(operator, cache_dir=str(tmp_path)).character(m)
+    chi = fresh_table(operator, tmp_path).character(m)
     (path,) = tmp_path.iterdir()
     os.utime(path, ns=(0, 0))
-    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    t = fresh_table(operator, tmp_path)
     assert t.character(m) == chi
     assert t.provenance(m) == "disk"
     assert path.stat().st_mtime_ns == 0
@@ -256,9 +262,9 @@ def test_corrupt_cache_file_is_recomputed(operator, tmp_path, corrupt):
     m = (0, 0, 0, 0, 1, 0, 1)
     chi = fresh_table(operator).character(m)
     path = tmp_path / "chi_0-0-0-0-1-0-1.txt"
-    bad = corrupt(f"chi 0000101 = {chi.to_text()}\n")
+    bad = corrupt(fixtures.format_chi_line(m, chi) + "\n")
     path.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
-    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    t = fresh_table(operator, tmp_path)
     assert t.character(m) == chi
     assert t.provenance(m) == "method-1"
     assert list(tmp_path.iterdir()) == [path]
@@ -269,7 +275,7 @@ def test_failed_cache_write_leaves_no_file(operator, tmp_path, monkeypatch):
     def broken(self):
         raise RuntimeError("write interrupted")
 
-    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    t = fresh_table(operator, tmp_path)
     monkeypatch.setattr(MultiPoly, "to_text", broken)
     with pytest.raises(RuntimeError, match="write interrupted"):
         t.character((0, 0, 0, 0, 1, 0, 1))
@@ -282,7 +288,7 @@ def test_concurrent_cache_writes_leave_one_whole_file(operator, tmp_path):
 
     m = (0, 0, 0, 0, 1, 0, 1)
     chi = fresh_table(operator).character(m)
-    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    t = fresh_table(operator, tmp_path)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -298,10 +304,10 @@ def test_concurrent_cache_writes_leave_one_whole_file(operator, tmp_path):
 
 
 def test_multi_digit_weights_in_cache(operator, tmp_path):
-    t = CharacterTable(operator, cache_dir=str(tmp_path))
+    t = fresh_table(operator, tmp_path)
     m = (0, 0, 0, 0, 0, 0, 11)
     chi = t.character(m)
-    t2 = CharacterTable(operator, cache_dir=str(tmp_path))
+    t2 = fresh_table(operator, tmp_path)
     assert t2.character(m) == chi
 
 

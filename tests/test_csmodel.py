@@ -24,20 +24,9 @@ PRINTED_A_TABLE = pathlib.Path(__file__).parent / "data" / "printed_a_table.txt"
 def load_a_table():
     """Parse the ``a j k = <poly>`` lines of the printed table into
     {(j, k): MultiPoly}."""
-    out = {}
-    for lineno, line in fixtures._iter_lines(PRINTED_A_TABLE):
-        try:
-            head, rhs = line.split("=", 1)
-            tag, j, k = head.split()
-            if tag != "a":
-                raise ValueError(f"expected 'a', got {tag!r}")
-            j, k = int(j), int(k)
-            poly = MultiPoly.from_text(rhs)
-        except ValueError as exc:
-            raise fixtures.FixtureFormatError(
-                f"{PRINTED_A_TABLE}:{lineno}: {exc}")
-        out[(min(j, k), max(j, k))] = poly
-    return out
+    return {(min(j, k), max(j, k)): poly
+            for _, (j, k), poly in fixtures._entries(
+                PRINTED_A_TABLE, "a", fixtures._pair_key, MultiPoly.from_text)}
 
 
 def apply(op, p):

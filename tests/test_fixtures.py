@@ -36,11 +36,46 @@ def test_packaged_fixtures_load():
     assert len(cubic) == 84
 
 
-def test_malformed_line_reports_line_number(tmp_path):
+MALFORMED = {
+    "cg": (load_cg_file, [
+        ("tag", "cx 1 1 = 0000000:1", "expected 'cg', got 'cx'"),
+        ("equals", "cg 1 1 0000000:1",
+         "not enough values to unpack (expected 2, got 1)"),
+        ("arity", "cg 1 = 0000000:1",
+         "not enough values to unpack (expected 3, got 2)"),
+        ("value", "cg 1 1 = what", "bad series item 'what': not enough "
+         "values to unpack (expected 2, got 1)"),
+    ]),
+    "mcg": (load_mcg_file, [
+        ("tag", "cg 0000002 = 0000002:1", "expected 'mcg', got 'cg'"),
+        ("equals", "mcg 0000002 0000002:1",
+         "not enough values to unpack (expected 2, got 1)"),
+        ("arity", "mcg = 0000002:1",
+         "not enough values to unpack (expected 2, got 1)"),
+        ("value", "mcg 0000002 = 0000002:0",
+         "non-positive multiplicity in '0000002:0'"),
+    ]),
+    "chi": (load_chi_file, [
+        ("tag", "chy 0000001 = 1*z7", "expected 'chi', got 'chy'"),
+        ("equals", "chi 0000001 1*z7",
+         "not enough values to unpack (expected 2, got 1)"),
+        ("arity", "chi = 1*z7",
+         "not enough values to unpack (expected 2, got 1)"),
+        ("value", "chi 0000001 = 1*q7", "bad polynomial term '1*q7'"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("loader, line, message", [
+    pytest.param(loader, line, message, id=f"{tag}-{fault}")
+    for tag, (loader, cases) in MALFORMED.items()
+    for fault, line, message in cases])
+def test_malformed_line_reports_line_number(tmp_path, loader, line, message):
     p = tmp_path / "bad.txt"
-    p.write_text("# header\ncg 1 1 = what\n")
-    with pytest.raises(FixtureFormatError, match=r"bad\.txt:2"):
-        load_cg_file(p)
+    p.write_text(f"# header\n{line}\n")
+    with pytest.raises(FixtureFormatError) as info:
+        loader(p)
+    assert str(info.value) == f"{p}:2: {message}"
 
 
 def test_dimension_corruption_detected(tmp_path):

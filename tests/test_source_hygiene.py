@@ -17,6 +17,9 @@ no module but ``csmodel`` names ``image_terms``, so the solvers read the
 operator's images only through ``Restriction.row``.  The operator's
 triangle is checked in one place: ``StructuralViolationError`` is raised
 only in ``Delta1Operator.register_pair``, where the coefficients enter.
+The fixture line format belongs to ``fixtures``: only its reader
+``_entries`` calls ``_iter_lines``, in the library and the tests alike,
+and no other library module builds a ``chi`` line.
 The set-up path and both solvers also run without importing numpy, which
 only the torus oracle uses.
 """
@@ -173,10 +176,10 @@ def test_an_image_read_outside_a_restriction_is_caught():
     assert mentions(source, ("image_terms",)) == ["image_terms"]
 
 
-def raise_sites(source, name):
-    """The qualified names of the functions in ``source`` that raise the
-    exception ``name``, a bare or a dotted name, called or not; a raise at
-    module or class level is reported under the enclosing scope."""
+def scoped_sites(source, hit):
+    """The qualified names of the functions in ``source`` that hold a node
+    for which ``hit`` is true; a node at module or class level is reported
+    under the enclosing scope."""
     found = []
 
     def visit(node, scope):
@@ -185,17 +188,37 @@ def raise_sites(source, name):
                                   ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc
-                if isinstance(exc, ast.Call):
-                    exc = exc.func
-                if name in (getattr(exc, "id", None),
-                            getattr(exc, "attr", None)):
-                    found.append(".".join(scope) or "<module>")
+            if hit(child):
+                found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def is_named(node, name):
+    """Whether ``node`` is ``name``, bare or as the last part of a dotted
+    name."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def raise_sites(source, name):
+    """The qualified names of the functions in ``source`` that raise the
+    exception ``name``, a bare or a dotted name, called or not."""
+    def hit(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return is_named(exc, name)
+
+    return scoped_sites(source, hit)
+
+
+def call_sites(source, name):
+    """The qualified names of the functions in ``source`` that call
+    ``name``, a bare or a dotted name."""
+    return scoped_sites(source, lambda node: isinstance(node, ast.Call)
+                        and is_named(node.func, name))
 
 
 def test_the_triangle_is_refused_only_at_registration():
@@ -221,6 +244,63 @@ def test_a_second_raise_site_is_caught():
               "raise Refused('at import')\n")
     assert raise_sites(source, "Refused") == [
         "Op.register", "Op.row.inner", "<module>"]
+
+
+PYTHON_FILES = sorted(SRC.glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+
+
+def test_only_the_line_reader_reads_fixture_lines():
+    sites = [f"{p.name}:{site}" for p in PYTHON_FILES
+             for site in call_sites(p.read_text(), "_iter_lines")]
+    assert sites == ["fixtures.py:_entries"]
+
+
+def test_a_second_line_reader_is_caught():
+    source = ("def load_a_table(path):\n"
+              "    for lineno, line in fixtures._iter_lines(path):\n"
+              "        yield line\n"
+              "class Reader:\n"
+              "    def lines(self, path):\n"
+              "        return list(_iter_lines(path, warn_empty=False))\n"
+              "reader = _iter_lines\n")
+    assert call_sites(source, "_iter_lines") == ["load_a_table",
+                                                  "Reader.lines"]
+
+
+def chi_line_builders(source):
+    """The line numbers of the string constants and f-strings in
+    ``source`` that begin a ``chi`` fixture line: ``chi``, a key, then
+    `` = ``, with each replacement field read as ``{}``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                           for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if re.match(r"chi \S+ = ", text):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+NOT_FIXTURES = [p for p in MODULES if p.name != "fixtures.py"]
+
+
+@pytest.mark.parametrize("path", NOT_FIXTURES, ids=lambda p: p.name)
+def test_only_fixtures_builds_a_chi_line(path):
+    assert chi_line_builders(path.read_text()) == []
+
+
+def test_a_chi_line_built_elsewhere_is_caught():
+    source = ('label = f"chi {format_weight(m)}"\n'
+              'line = f"chi {format_weight(m)} = {chi.to_text()}\\n"\n'
+              'FIXTURE = "chi 0000001 = 1*z7"\n'
+              'tag = "chi"\n')
+    assert chi_line_builders(source) == [2, 3]
+    assert len(chi_line_builders((SRC / "fixtures.py").read_text())) == 1
 
 
 def test_setup_and_solvers_do_not_import_numpy():

@@ -9,8 +9,9 @@ from charkit.lie_core import (
 )
 from charkit.polyring import MultiPoly
 from charkit.tensor import (
-    CGSeries, DecompositionError, _subtractive_decompose, cg_decompose,
-    monomial_decompose, series_family_z7, verify_quadratic_roundtrip,
+    _FAMILY_OFFSETS, CGSeries, DecompositionError, _family_terms,
+    _subtractive_decompose, cg_decompose, monomial_decompose,
+    series_family_z7, verify_quadratic_roundtrip,
 )
 
 L = FUNDAMENTAL_WEIGHTS
@@ -185,6 +186,18 @@ def test_family_k4(table):
     rep = series_family_z7(4, 2, table)
     assert rep.match
     assert len(rep.computed.terms) == 7
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_closed_form_rows_are_distinct_and_sum_to_the_dimension(k):
+    # No row of a family merges with another or leaves the dominant
+    # chamber, and 56 * dim(n lambda_k) is the dimension sum, up to n = 8.
+    for n in range(1, 9):
+        terms = _family_terms(k, n)
+        assert len(terms) == len(_FAMILY_OFFSETS[k].split())
+        assert all(x >= 0 for w in terms for x in w)
+        total = sum(weyl_dim(w) for w in terms)
+        assert total == 56 * weyl_dim(tuple(n * x for x in L[k - 1]))
 
 
 def test_family_argument_validation(table):
