@@ -35,7 +35,19 @@ other module sees a packed key: ``image_terms`` takes an exponent tuple,
 character solvers the operator on a downset as a ``Restriction``.  It
 holds the members' one index, by packed key, and their rows by position:
 each row is a list of target positions with the image's coefficient
-tuple, built once per restriction.
+tuple, built once per restriction.  ``Restriction.arrays`` gives the same
+rows, the diagonal left out, as numpy int64 arrays for a whole support
+at once (numpy is imported there, and only when first needed).
+
+The array form rests on the linearity of the packed keys.  Every
+off-diagonal image term of z^n is z^(n + d) for one of a fixed set of
+shifts d = e - u_j - u_k (307 for E7, the diagonal one among them), and
+its coefficient is sum over pairs of a_jk[d] * f_jk(n), with
+f_jk(n) = n_j (n_j - 1) when j = k and 2 n_j n_k otherwise.  So the
+images of a block of rows are one product of the (rows x 28) factors with
+the fixed (28 x shifts) coefficient table, exact in int64 and taken pair
+by pair (the table has 401 nonzero entries off the diagonal), and the
+target keys are the rows' own keys plus the shifts.
 
 The operator is triangular: an image term n - u_j - u_k + e, for e a term
 of a_jk, lies below n exactly when e lies below lambda_j + lambda_k.
@@ -74,6 +86,10 @@ class StructuralViolationError(AssertionError):
 
 # The largest exponent a packed key holds: one byte per variable.
 EXP_MAX = 255
+
+# Rows of a support's array form built at once (``Restriction.arrays``):
+# a chunk's (shifts x rows) block of image coefficients is 2.5 MB of int64.
+_CHUNK_ROWS = 1024
 
 
 def pack(e):
@@ -263,7 +279,9 @@ class Restriction:
     target positions and the tuple of their coefficients.  Each row is
     built once, however many members are solved on the restriction.  Every
     target is a member at or after position i: ``register_pair`` admits
-    only coefficient terms that keep the operator triangular.
+    only coefficient terms that keep the operator triangular.  ``arrays()``
+    holds every row at once, off the diagonal, for the level solve of a
+    large support.
     """
 
     def __init__(self, operator, weights):
@@ -271,6 +289,7 @@ class Restriction:
         self.weights = weights
         self._index = {pack(mu): i for i, mu in enumerate(weights)}
         self._rows = [None] * len(weights)
+        self._arrays = None
 
     def position(self, mu):
         """The position of the member mu."""
@@ -283,6 +302,94 @@ class Restriction:
             index = self._index
             r = self._rows[i] = [index[q] for q in keys], coeffs
         return r
+
+    def arrays(self):
+        """The operator's off-diagonal part on the support as numpy
+        arrays, built once: ``(weights, start, target, value)``.
+
+        ``weights`` is the (n, 7) int64 array of the members.  Row i holds
+        the off-diagonal terms of member i's image: positions
+        ``target[start[i]:start[i + 1]]``, all after i, with the nonzero
+        coefficients ``value[start[i]:start[i + 1]]``, int64 unless some
+        coefficient could leave it (then Python ints).  The rows are
+        built ``_CHUNK_ROWS`` at a time, and every target is looked up
+        among the members' sorted keys; one that is not a member raises
+        ``KeyError``, as ``row`` does.  A member outside the packed range
+        raises ``MonomialRangeError`` and one that needs an unbuilt pair
+        ``OperatorIncompleteError``, as its image would.
+        """
+        if self._arrays is None:
+            self._arrays = self._build_arrays()
+        return self._arrays
+
+    def _build_arrays(self):
+        import numpy as np
+
+        op = self.operator
+        w = np.array(self.weights, dtype=np.int64)
+        if w.max() > EXP_MAX - op._max_exp:
+            op.require_in_range(self.weights[int(w.max(axis=1).argmax())])
+        # The shift table: table[d, p] is the coefficient pair p's a_jk
+        # sends z^n to z^(n + shifts[d]) with, in units of f_jk(n).
+        pj, pk = np.triu_indices(RANK)
+        pairs = list(zip(pj.tolist(), pk.tolist()))
+        terms = {}
+        for p, (j, k) in enumerate(pairs):
+            for e, c in op._packed.get((j + 1, k + 1), ()):
+                d = e - _UNITS[j] - _UNITS[k]
+                if d:   # d = 0 is the diagonal
+                    terms[d, p] = c
+        shifts = sorted({d for d, _ in terms})
+        column = {d: i for i, d in enumerate(shifts)}
+        table = np.zeros((len(shifts), len(pairs)), dtype=object)
+        for (d, p), c in terms.items():
+            table[column[d], p] = c
+        # |f_jk(n)| <= 2 max(n)^2: the image coefficients are exact in
+        # int64 under this bound, and stay Python ints otherwise.
+        bound = 2 * int(w.max()) ** 2 * np.abs(table).sum(axis=1).max(
+            initial=0)
+        dtype = np.int64 if bound < 2 ** 63 else object
+        table = table.astype(dtype)
+        shifts = np.array(shifts, dtype=np.int64)
+        missing = [p for p, (j, k) in enumerate(pairs)
+                   if (j + 1, k + 1) not in op._packed]
+
+        keys = w @ np.array(_UNITS, dtype=np.int64)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        counts, targets, values = [], [], []
+        for a in range(0, len(w), _CHUNK_ROWS):
+            rows = w[a:a + _CHUNK_ROWS]
+            factors = (rows[:, pj] * (rows[:, pk] - (pj == pk))
+                       * (2 - (pj == pk))).T
+            for p in missing:
+                if factors[p].any():
+                    j, k = pairs[p]
+                    n = self.weights[a + int(np.flatnonzero(factors[p])[0])]
+                    raise OperatorIncompleteError(
+                        f"coefficient pair {(j + 1, k + 1)} needed for "
+                        f"monomial {n} is not built")
+            images = np.zeros((len(shifts), len(rows)), dtype=dtype)
+            for p, f in enumerate(factors):
+                ds = np.flatnonzero(table[:, p])
+                if ds.size:
+                    images[ds] += table[ds, p, None] * f
+            # by row, then by shift: row-major in the (rows x shifts) view
+            i, d = np.nonzero(images.T)
+            q = keys[a + i] + shifts[d]
+            at = np.minimum(np.searchsorted(sorted_keys, q), len(keys) - 1)
+            outside = np.flatnonzero(sorted_keys[at] != q)
+            if outside.size:
+                k = outside[0]
+                raise KeyError(
+                    f"image term z^{unpack(int(q[k]))} of "
+                    f"z^{self.weights[a + int(i[k])]} is not in the support")
+            counts.append(np.bincount(i, minlength=len(rows)))
+            targets.append(order[at])
+            values.append(images[d, i])
+        start = np.zeros(len(w) + 1, dtype=np.intp)
+        np.cumsum(np.concatenate(counts), out=start[1:])
+        return w, start, np.concatenate(targets), np.concatenate(values)
 
 
 def _pair_order():

@@ -79,8 +79,10 @@ def _entries(path, tag, parse_key, parse_value, warn_empty=True):
     """Yield (lineno, key, value) for each ``tag key = value`` line.
 
     ``parse_key`` takes the head's fields, the tag first, so that its
-    unpacking counts the tag.  A line's ``ValueError`` is re-raised as a
+    unpacking counts the tag.  A key already read is refused: a file names
+    each key once.  A line's ``ValueError`` is re-raised as a
     ``FixtureFormatError`` that names ``path:lineno``."""
+    seen = {}
     for lineno, line in _iter_lines(path, warn_empty):
         try:
             head, rhs = line.split("=", 1)
@@ -88,6 +90,10 @@ def _entries(path, tag, parse_key, parse_value, warn_empty=True):
             key = parse_key(fields)
             if fields[0] != tag:
                 raise ValueError(f"expected {tag!r}, got {fields[0]!r}")
+            if key in seen:
+                raise ValueError(f"repeated key {' '.join(fields)!r}, first "
+                                 f"on line {seen[key]}")
+            seen[key] = lineno
             value = parse_value(rhs)
         except ValueError as exc:
             raise FixtureFormatError(f"{path}:{lineno}: {exc}")
@@ -100,11 +106,13 @@ def _weight_key(fields):
 
 
 def _pair_key(fields):
+    """The unordered pair ``j k`` as (min, max): ``cg 1 3`` and ``cg 3 1``
+    name one key."""
     _, j, k = fields
     j, k = int(j), int(k)
     if not (1 <= j <= RANK and 1 <= k <= RANK):
         raise ValueError(f"bad pair {j} {k}")
-    return j, k
+    return min(j, k), max(j, k)
 
 
 def _parse_series_rhs(rhs):
@@ -138,7 +146,7 @@ def load_cg_file(path):
                                            _parse_series_rhs):
         _check_dim(path, lineno, f"series {j} {k}", series,
                    FUNDAMENTAL_DIMS[j - 1] * FUNDAMENTAL_DIMS[k - 1])
-        out[(min(j, k), max(j, k))] = series
+        out[(j, k)] = series
     return out
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from charkit import charsolve, fixtures
-from charkit.charsolve import CharacterTable
+from charkit.charsolve import CharacterTable, IntegralityError, ZeroGapError
 from charkit.csmodel import Delta1Operator, StructuralViolationError
 from charkit.lie_core import (
     FUNDAMENTAL_DIMS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
@@ -13,7 +13,7 @@ from charkit.lie_core import (
 )
 from charkit.polyring import MultiPoly
 
-from test_csmodel import apply
+from test_csmodel import apply, with_a_huge_coefficient
 
 
 def fresh_table(operator, cache_dir=None):
@@ -257,7 +257,9 @@ def test_disk_hit_leaves_the_cache_file_alone(operator, tmp_path):
     lambda good: good.rstrip("\n") + " 1*z7\n",     # dimension off by 56
     lambda good: good.rstrip("\n") + " 3/2*z1\n",   # not an integer
     lambda good: b"\xff\xfe\x00garbage",             # not UTF-8
-], ids=["garbage", "wrong-dimension", "fraction", "not-utf-8"])
+    lambda good: good + good,                       # the key twice
+], ids=["garbage", "wrong-dimension", "fraction", "not-utf-8",
+        "repeated-key"])
 def test_corrupt_cache_file_is_recomputed(operator, tmp_path, corrupt):
     m = (0, 0, 0, 0, 1, 0, 1)
     chi = fresh_table(operator).character(m)
@@ -331,3 +333,128 @@ def test_concurrent_character_computation(operator):
     for m, chi in zip(weights, results):
         assert chi == reference.character(m)
 
+
+# Both Method-1 paths, called directly: position by position on the rows,
+# and level by level on the arrays.
+
+def solved_both_ways(m, support):
+    """The coefficients of chi_m by each path, as lists of items, so that
+    equal lists mean equal values in the same order."""
+    p = support.position(m)
+    by_positions = charsolve._solve_positions(m, support, p)
+    by_levels = charsolve._solve_levels(m, support, p)
+    assert all(type(c) is int for c in by_levels.values())
+    return list(by_positions.items()), list(by_levels.items())
+
+
+@pytest.mark.parametrize("m", [
+    (0, 0, 0, 0, 0, 0, 6), (0, 1, 0, 0, 0, 1, 0), (2, 0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 2, 2, 2), (0, 0, 0, 3, 0, 0, 0)])
+def test_level_solve_matches_the_position_solve(operator, m):
+    by_positions, by_levels = solved_both_ways(
+        m, fresh_table(operator)._support(m))
+    assert by_levels == by_positions
+
+
+def test_level_solve_from_inside_a_shared_support(operator):
+    # As a decomposition solves its constituents: on the top weight's
+    # support, from each constituent's own position.
+    support = operator.restrict(dominant_weights_below((0, 0, 0, 0, 2, 2, 2)))
+    n = len(support.weights)
+    for p in list(range(1, n, 23)) + [n - 2, n - 1]:
+        by_positions, by_levels = solved_both_ways(support.weights[p],
+                                                   support)
+        assert by_levels == by_positions
+
+
+def test_a_support_above_the_threshold_is_solved_by_levels(operator,
+                                                          monkeypatch):
+    m = (0, 0, 0, 0, 0, 0, 18)
+    support = fresh_table(operator)._support(m)
+    assert 0 <= len(support.weights) - charsolve.LEVEL_SOLVE_MIN_SUPPORT < 200
+    want = list(charsolve._solve_positions(m, support, 0).items())
+
+    def refused(*args):
+        raise AssertionError("solved position by position")
+
+    monkeypatch.setattr(charsolve, "_solve_positions", refused)
+    chi = fresh_table(operator).character_m1(m, support)
+    assert list(chi.terms.items()) == want
+
+
+class RecordedAddAt:
+    """Stands in for ``numpy.add`` and records the dtype each
+    ``add.at`` scatters into."""
+
+    def __init__(self, add):
+        self.add = add
+        self.dtypes = []
+
+    def at(self, acc, index, values):
+        self.dtypes.append(acc.dtype)
+        self.add.at(acc, index, values)
+
+
+@pytest.mark.parametrize("bound, part_way", [(1, False), (2 ** 27, True)],
+                         ids=["from-the-top", "part-way"])
+def test_level_solve_falls_back_to_python_ints(operator, monkeypatch, bound,
+                                               part_way):
+    import numpy as np
+
+    m = (0, 0, 0, 0, 0, 0, 12)
+    support = fresh_table(operator)._support(m)
+    monkeypatch.setattr(charsolve, "_INT64_BOUND", bound)
+    recorded = RecordedAddAt(np.add)
+    monkeypatch.setattr(np, "add", recorded)
+    by_positions, by_levels = solved_both_ways(m, support)
+    monkeypatch.undo()
+    assert by_levels == by_positions
+    # int64 up to some level, Python ints from there on
+    kinds = [dt == object for dt in recorded.dtypes]
+    switch = kinds.index(True)
+    assert all(kinds[switch:])
+    assert (0 < switch < len(kinds) - 1) == part_way
+
+
+def test_level_solve_on_python_int_images(operator):
+    # Images beyond int64 make arrays of Python ints, and the level solve
+    # runs on them from the top: it refuses the operator where the
+    # position solve does.
+    op = with_a_huge_coefficient(operator)
+    support = op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 0, 6)))
+    assert support.arrays()[3].dtype == object
+    with pytest.raises(IntegralityError) as by_positions:
+        charsolve._solve_positions(support.weights[0], support, 0)
+    with pytest.raises(IntegralityError) as by_levels:
+        charsolve._solve_levels(support.weights[0], support, 0)
+    assert str(by_levels.value) == str(by_positions.value)
+
+
+def test_level_solve_refuses_a_corrupted_operator(operator):
+    # One coefficient of a_77 off by one, a term the triangle admits: the
+    # solve above the threshold refuses it as the position solve does.
+    a = operator.a
+    a[(7, 7)] = a[(7, 7)] + MultiPoly({(0, 0, 0, 0, 0, 1, 0): 1})
+    corrupted = Delta1Operator(a)
+    m = (0, 0, 0, 0, 0, 0, 18)
+    support = corrupted.restrict(dominant_weights_below(m))
+    assert len(support.weights) >= charsolve.LEVEL_SOLVE_MIN_SUPPORT
+    with pytest.raises(IntegralityError) as by_positions:
+        charsolve._solve_positions(m, support, 0)
+    with pytest.raises(IntegralityError) as by_levels:
+        fresh_table(corrupted).character_m1(m, support)
+    assert str(by_levels.value) == str(by_positions.value)
+
+
+def test_level_solve_refuses_a_vanishing_gap(operator, monkeypatch):
+    # An eigenvalue of m below one of its weights' breaks the gap check of
+    # both paths at the same weight.
+    m = (0, 0, 0, 0, 2, 2, 2)
+    support = fresh_table(operator)._support(m)
+    monkeypatch.setattr(charsolve, "eigenvalue",
+                        lambda mu: eigenvalue(mu) - 10 ** 4 * (mu == m))
+    with pytest.raises(ZeroGapError) as by_positions:
+        charsolve._solve_positions(m, support, 0)
+    with pytest.raises(ZeroGapError) as by_levels:
+        charsolve._solve_levels(m, support, 0)
+    assert str(by_levels.value) == str(by_positions.value)

@@ -3,10 +3,11 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charkit import fixtures
+from charkit import csmodel, fixtures
 from charkit.csmodel import (
     B_COEFFS, EXP_MAX, CorpusIncompleteError, Delta1Operator,
-    MonomialRangeError, QuadraticCorpus, build_a, unpack,
+    MonomialRangeError, OperatorIncompleteError, QuadraticCorpus, build_a,
+    unpack,
 )
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
@@ -24,9 +25,8 @@ PRINTED_A_TABLE = pathlib.Path(__file__).parent / "data" / "printed_a_table.txt"
 def load_a_table():
     """Parse the ``a j k = <poly>`` lines of the printed table into
     {(j, k): MultiPoly}."""
-    return {(min(j, k), max(j, k)): poly
-            for _, (j, k), poly in fixtures._entries(
-                PRINTED_A_TABLE, "a", fixtures._pair_key, MultiPoly.from_text)}
+    return {pair: poly for _, pair, poly in fixtures._entries(
+        PRINTED_A_TABLE, "a", fixtures._pair_key, MultiPoly.from_text)}
 
 
 def apply(op, p):
@@ -135,6 +135,63 @@ def test_restriction_rows_are_the_images_by_position(operator, top):
         assert support.row(i) is row
 
 
+def with_a_huge_coefficient(operator):
+    """The operator with 2**62 added to the z6 coefficient of a_77: its
+    images no longer fit int64."""
+    a = operator.a
+    a[(7, 7)] = a[(7, 7)] + MultiPoly({(0, 0, 0, 0, 0, 1, 0): 2 ** 62})
+    return Delta1Operator(a)
+
+
+@pytest.mark.parametrize("chunk_rows", [7, csmodel._CHUNK_ROWS])
+@pytest.mark.parametrize("top", [(0, 0, 0, 3, 0, 0, 0), (0, 0, 0, 0, 2, 2, 2)])
+@pytest.mark.parametrize("huge", [False, True], ids=["int64", "python-ints"])
+def test_restriction_arrays_are_the_rows_off_the_diagonal(
+        operator, monkeypatch, top, chunk_rows, huge):
+    monkeypatch.setattr(csmodel, "_CHUNK_ROWS", chunk_rows)
+    if huge:
+        operator = with_a_huge_coefficient(operator)
+    weights = dominant_weights_below(top)
+    support = operator.restrict(weights)
+    w, start, target, value = arrays = support.arrays()
+    assert support.arrays() is arrays
+    assert (value.dtype == object) == huge
+    assert w.tolist() == [list(mu) for mu in weights]
+    assert start[0] == 0 and start[-1] == len(target) == len(value)
+    for i in range(len(weights)):
+        targets, coeffs = support.row(i)
+        lo, hi = start[i], start[i + 1]
+        assert (target[lo:hi] > i).all() and value[lo:hi].all()
+        assert dict(zip(target[lo:hi].tolist(), value[lo:hi].tolist())) == \
+            {j: c for j, c in zip(targets, coeffs) if j != i}
+
+
+def test_restriction_arrays_refuse_a_target_outside_the_support(operator):
+    # Without the zero weight, the images that reach it have a target
+    # whose nearest key belongs to another member.
+    weights = dominant_weights_below((0, 0, 0, 0, 0, 0, 4))[:-1]
+    support = operator.restrict(weights)
+    with pytest.raises(KeyError, match=r"image term z\^\(0, 0, 0, 0, 0, 0, 0\)"
+                                       r" of z\^.* is not in the support"):
+        support.arrays()
+    with pytest.raises(KeyError):
+        [support.row(i) for i in range(len(weights))]
+
+
+def test_restriction_arrays_refuse_what_the_images_refuse(operator):
+    last = EXP_MAX - 4
+    beyond = operator.restrict([(0, 0, 0, 0, 0, 0, last + 1)])
+    with pytest.raises(MonomialRangeError, match=f"0..{last}"):
+        beyond.arrays()
+    op = Delta1Operator()
+    op.register_pair(7, 7, MultiPoly.from_text("3*z7^2 -4*z6 -24*z1 -60"))
+    assert op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 0, 2))).arrays()
+    with pytest.raises(OperatorIncompleteError,
+                       match=r"^coefficient pair \(\d, \d\) needed for "
+                             r"monomial \(\d(, \d){6}\) is not built$"):
+        op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 1, 1))).arrays()
+
+
 def by_definition(op, p):
     """D p = sum_{j<=k} (2 if j < k else 1) a_jk d_j d_k p
     + sum_j b_j d_j p."""
@@ -220,6 +277,5 @@ def test_incomplete_operator_raises():
     op = Delta1Operator()
     op.register_pair(7, 7, MultiPoly.from_text("3*z7^2 -4*z6 -24*z1 -60"))
     # z6*z7 needs the (6, 7) pair
-    from charkit.csmodel import OperatorIncompleteError
     with pytest.raises(OperatorIncompleteError):
         op.image_terms((0, 0, 0, 0, 0, 1, 1))

@@ -106,3 +106,30 @@ def test_repeated_weight_rejected(tmp_path):
     p.write_text("cg 7 7 = 0000002:1 0000002:1\n")
     with pytest.raises(FixtureFormatError, match="repeated"):
         load_cg_file(p)
+
+
+def _shipped_line(name, head):
+    (line,) = [ln for ln in fixtures.data_path(name).read_text().splitlines()
+               if ln.startswith(head + " = ")]
+    return line
+
+
+@pytest.mark.parametrize("loader, first, second", [
+    (load_chi_file, "chi 0000001 = 1*z7", "chi 0000001 = 1*z7"),
+    (load_chi_file, "chi 0000001 = 1*z7", "chi 0,0,0,0,0,0,1 = 1*z7"),
+    (load_cg_file, _shipped_line("quadratic_series.txt", "cg 1 3"),
+     _shipped_line("quadratic_series.txt", "cg 1 3")),
+    (load_cg_file, _shipped_line("quadratic_series.txt", "cg 1 3"),
+     _shipped_line("quadratic_series.txt", "cg 1 3").replace(
+         "cg 1 3", "cg 3 1")),
+    (load_mcg_file, _shipped_line("cubic_series.txt", "mcg 3000000"),
+     _shipped_line("cubic_series.txt", "mcg 3000000")),
+], ids=["chi", "chi-spelled-apart", "cg", "cg-reversed-pair", "mcg"])
+def test_repeated_key_is_refused(tmp_path, loader, first, second):
+    p = tmp_path / "repeated.txt"
+    p.write_text(f"{first}\n# between\n{second}\n")
+    head = second.split("=")[0].strip()
+    with pytest.raises(FixtureFormatError) as info:
+        loader(p)
+    assert str(info.value) == (f"{p}:3: repeated key {head!r}, first on "
+                               f"line 1")

@@ -20,8 +20,10 @@ only in ``Delta1Operator.register_pair``, where the coefficients enter.
 The fixture line format belongs to ``fixtures``: only its reader
 ``_entries`` calls ``_iter_lines``, in the library and the tests alike,
 and no other library module builds a ``chi`` line.
-The set-up path and both solvers also run without importing numpy, which
-only the torus oracle uses.
+The set-up path and both solvers also run without importing numpy on the
+supports set-up and small solves meet: numpy is imported by the torus
+oracle and by a Method-1 solve on a support of at least
+``charsolve.LEVEL_SOLVE_MIN_SUPPORT`` weights, and by nothing else.
 """
 
 import ast
@@ -304,8 +306,9 @@ def test_a_chi_line_built_elsewhere_is_caught():
 
 
 def test_setup_and_solvers_do_not_import_numpy():
-    # numpy is the torus oracle's alone; importing it costs about as much
-    # as the whole set-up path.
+    # numpy is imported only by the torus oracle and by Method-1 solves on
+    # large supports; importing it costs about as much as the whole set-up
+    # path, which stays without it, as do solves on small supports.
     script = (
         "import sys\n"
         "import charkit\n"
