@@ -5,7 +5,7 @@ the operator restricted to a downset (``Delta1Operator.restrict``): its
 rows by position, each term at or after its own weight's position, each
 row built at most once per restriction.  The operator's triangle is
 certified when its coefficients are registered, so neither solver checks
-it; a top weight outside the operator's packed range is refused before its
+it; a top weight outside the weight keys' range is refused before its
 downset is enumerated.
 
 Method 1 walks the dominant weights below m in order of increasing height
@@ -100,8 +100,8 @@ class CharacterTable:
 
     Results are cached in memory and, when ``cache_dir`` is set, persisted
     as canonical ``chi`` fixture lines (one file per weight), so repeated
-    CLI invocations and long corpus runs reuse earlier work.  Insertion is
-    guarded by a lock; lookups of already-cached weights are lock-free.
+    CLI invocations and long corpus runs reuse earlier work.  No lock
+    guards the memory cache: each insertion is one dict store.
     """
 
     def __init__(self, operator):
@@ -109,7 +109,6 @@ class CharacterTable:
         self.cache_dir = None
         self._cache = {}
         self._provenance = {}
-        self._lock = threading.Lock()
 
     # -------------------------------------------------------------- caching
     def seed(self, m, chi):
@@ -143,7 +142,7 @@ class CharacterTable:
         if not self.cache_dir:
             return
         path = self._disk_path(m)
-        # One name per writing thread, so concurrent writers never share it.
+        # One name per writing process and thread, so no two writers share it.
         tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as f:
@@ -180,9 +179,8 @@ class CharacterTable:
         prov = "disk"
         if chi is None:
             chi, prov = self.character_m1(m, support), "method-1"
-        with self._lock:
-            self._cache.setdefault(m, chi)
-            self._provenance.setdefault(m, prov)
+        self._cache[m] = chi
+        self._provenance[m] = prov
         if prov != "disk":
             self._store_disk(m, chi)
         return chi
@@ -254,7 +252,7 @@ class CharacterTable:
 
     def _support(self, m):
         """The operator restricted to the dominant weights below m, once m
-        is known to fit the operator's packed range."""
+        is known to fit the operator's range (``require_in_range``)."""
         self.operator.require_in_range(m)
         return self.operator.restrict(dominant_weights_below(m))
 

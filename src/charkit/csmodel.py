@@ -20,34 +20,35 @@ is computable from the pairs already built, because a character whose top
 monomial touches the pair (u, v) has height at least that of
 lambda_u + lambda_v.
 
-Inside the operator a monomial z^e is the packed integer pack(e): one byte
-per exponent, z1's most significant.  The pair (j, k) sends z^n to keys
-pack(n) - pack(u_j) - pack(u_k) + pack(e), one integer add per a_jk term.
-No byte borrows: the pair contributes only when its factor is nonzero,
-which needs n_j, n_k >= 1 (n_j >= 2 when j = k), and every a_jk exponent
-is non-negative.  No byte carries: images are built only for exponents up
-to EXP_MAX minus the largest registered a_jk exponent (4 for E7); other
-monomials raise ``MonomialRangeError`` (``require_in_range``, which the
-solvers apply to a top weight before enumerating its downset).  An image
-is memoized as two tuples, its packed keys and their coefficients.  No
-other module sees a packed key: ``image_terms`` takes an exponent tuple,
-``apply_terms`` maps tuple keys to tuple keys, and ``restrict`` gives both
-character solvers the operator on a downset as a ``Restriction``.  It
-holds the members' one index, by packed key, and their rows by position:
-each row is a list of target positions with the image's coefficient
-tuple, built once per restriction.  ``Restriction.arrays`` gives the same
+Inside the operator a monomial z^e is its weight key
+(``lie_core.weight_key``), which is linear: ``register_pair`` keeps each
+a_jk term z^e as its shift d = key(e) - key(u_j) - key(u_k), and the
+pair (j, k) sends z^n to key(n) + d, the key of n - u_j - u_k + e, with
+one integer add.  That exponent fits the key.  It is non-negative: the
+pair acts only when its factor is nonzero (n_j, n_k >= 1, n_j >= 2 when
+j = k), and every a_jk exponent is non-negative.  It is at most KEY_MAX:
+images are built only for exponents up to KEY_MAX minus the largest
+registered a_jk exponent (4 for E7); other monomials raise
+``MonomialRangeError`` (``require_in_range``, which the solvers apply to
+a top weight before enumerating its downset).  An image is memoized as
+two tuples, its keys and their coefficients.  No solver sees a key:
+``image_terms`` takes an exponent tuple, ``apply_terms`` maps tuple keys
+to tuple keys, and ``restrict`` gives both solvers the operator on a
+downset as a ``Restriction``: the members' one index, by key, and their
+rows by position, each a list of target positions with the image's
+coefficient tuple, built once.  ``Restriction.arrays`` gives the same
 rows, the diagonal left out, as numpy int64 arrays for a whole support
-at once (numpy is imported there, and only when first needed).
+(numpy is imported there, and only when first needed).
 
-The array form rests on the linearity of the packed keys.  Every
-off-diagonal image term of z^n is z^(n + d) for one of a fixed set of
-shifts d = e - u_j - u_k (307 for E7, the diagonal one among them), and
-its coefficient is sum over pairs of a_jk[d] * f_jk(n), with
-f_jk(n) = n_j (n_j - 1) when j = k and 2 n_j n_k otherwise.  So the
-images of a block of rows are one product of the (rows x 28) factors with
-the fixed (28 x shifts) coefficient table, exact in int64 and taken pair
-by pair (the table has 401 nonzero entries off the diagonal), and the
-target keys are the rows' own keys plus the shifts.
+The array form reads the same shifts.  Every off-diagonal image term of
+z^n is z^(n + d) for one of a fixed set of shifts d = e - u_j - u_k (307
+for E7, the diagonal one among them), and its coefficient is sum over
+pairs of a_jk[d] * f_jk(n), with f_jk(n) = n_j (n_j - 1) when j = k and
+2 n_j n_k otherwise.  So the images of a block of rows are one product of
+the (rows x 28) factors with the fixed (28 x shifts) coefficient table,
+exact in int64 and taken pair by pair (the table has 401 nonzero entries
+off the diagonal), and the target keys are the rows' own keys plus the
+shifts.
 
 The operator is triangular: an image term n - u_j - u_k + e, for e a term
 of a_jk, lies below n exactly when e lies below lambda_j + lambda_k.
@@ -60,8 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lie_core import (
-    RANK, TWO_RHO_ALPHA, ZERO_WEIGHT, FUNDAMENTAL_WEIGHTS, eigenvalue,
-    is_below,
+    KEY_MAX, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT, FUNDAMENTAL_WEIGHTS,
+    MonomialRangeError, eigenvalue, is_below, key_weight, weight_key,
 )
 from .polyring import MultiPoly
 from . import fixtures
@@ -75,35 +76,15 @@ class OperatorIncompleteError(RuntimeError):
     """A monomial image touched a coefficient pair that is not built yet."""
 
 
-class MonomialRangeError(ValueError):
-    """A monomial's exponents do not fit the packed keys of its image."""
-
-
 class StructuralViolationError(AssertionError):
     """A coefficient term of a_jk is not below lambda_j + lambda_k, which
     would break the operator's triangle."""
 
 
-# The largest exponent a packed key holds: one byte per variable.
-EXP_MAX = 255
-
 # Rows of a support's array form built at once (``Restriction.arrays``):
 # a chunk's (shifts x rows) block of image coefficients is 2.5 MB of int64.
 _CHUNK_ROWS = 1024
 
-
-def pack(e):
-    """The packed key of an exponent tuple with entries in 0..EXP_MAX."""
-    return int.from_bytes(bytes(e), "big")
-
-
-def unpack(q):
-    """The exponent tuple of a packed key."""
-    return tuple(q.to_bytes(RANK, "big"))
-
-
-# pack(u_i) for the unit exponent vectors u_1..u_7.
-_UNITS = tuple(pack(w) for w in FUNDAMENTAL_WEIGHTS)
 
 # b_j(z) = eps_j * z_j; the eigenvalue coefficients on z_1..z_7.
 B_COEFFS = tuple(eigenvalue(w) for w in FUNDAMENTAL_WEIGHTS)
@@ -162,13 +143,14 @@ class Delta1Operator:
     ``a`` maps unordered index pairs (j, k), 1-based and stored with
     j <= k, to integer-coefficient polynomials; entries may be registered
     incrementally during the bootstrap.  Each pair's terms are also kept
-    packed, as (pack(e), c) pairs.  Monomial images are memoized: the
-    recursion solvers revisit the same monomials across many characters.
+    as (d, c) pairs, d the term's key shift (module docstring).  Monomial
+    images are memoized: the recursion solvers revisit the same monomials
+    across many characters.
     """
 
     def __init__(self, a=None):
         self._a = {}
-        self._packed = {}
+        self._shifts = {}
         self._max_exp = 0
         self._image_cache = {}
         if a:
@@ -188,8 +170,8 @@ class Delta1Operator:
                     f"term z^{e} of a_{j}{k} is not below lambda_{j} + "
                     f"lambda_{k} = {top}")
         self._a[(j, k)] = poly
-        self._packed[(j, k)] = tuple(
-            (pack(e), c) for e, c in poly.terms.items())
+        self._shifts[(j, k)] = tuple((weight_key(e) - weight_key(top), c)
+                                     for e, c in poly.terms.items())
         self._max_exp = max(max(map(max, p.terms), default=0)
                             for p in self._a.values())
         self._image_cache.clear()
@@ -202,23 +184,23 @@ class Delta1Operator:
     # ----------------------------------------------------------- application
     def require_in_range(self, n):
         """Refuse, with ``MonomialRangeError``, a monomial whose image would
-        not fit the packed keys: seven exponents in 0..EXP_MAX - (largest
+        not fit the weight keys: seven exponents in 0..KEY_MAX - (largest
         a_jk exponent)."""
-        limit = EXP_MAX - self._max_exp
+        limit = KEY_MAX - self._max_exp
         if len(n) != RANK or min(n) < 0 or max(n) > limit:
             raise MonomialRangeError(
                 f"monomial {n} is outside the packed range: seven "
                 f"exponents in 0..{limit}")
 
     def image_terms(self, n):
-        """D applied to the monomial z^n, as two tuples: the packed keys q
+        """D applied to the monomial z^n, as two tuples: the weight keys q
         of its terms and their coefficients, in the same order.
 
-        The diagonal term (the input monomial itself, key pack(n)) carries
-        its eigenvalue when n is dominant; off-diagonal output always sits
+        The diagonal term (the input monomial itself, key weight_key(n))
+        carries its eigenvalue when n is dominant; off-diagonal output sits
         strictly lower in the root-lattice order.  n is an exponent tuple
-        with entries in 0..EXP_MAX - (largest a_jk exponent), which keeps
-        every output exponent inside its byte (module docstring); other
+        with entries in 0..KEY_MAX - (largest a_jk exponent), which keeps
+        every output exponent inside its field (module docstring); other
         monomials raise ``MonomialRangeError`` (``require_in_range``).
         """
         n = tuple(n)
@@ -226,7 +208,7 @@ class Delta1Operator:
         if cached is not None:
             return cached
         self.require_in_range(n)
-        key = pack(n)
+        key = weight_key(n)
         out = {}
         for j in range(RANK):
             nj = n[j]
@@ -237,14 +219,13 @@ class Delta1Operator:
                 factor = nj * (nk - 1) if j == k else 2 * nj * nk
                 if factor == 0:
                     continue
-                terms = self._packed.get((j + 1, k + 1))
+                terms = self._shifts.get((j + 1, k + 1))
                 if terms is None:
                     raise OperatorIncompleteError(
                         f"coefficient pair {(j + 1, k + 1)} needed for "
                         f"monomial {n} is not built")
-                base = key - _UNITS[j] - _UNITS[k]
-                for e, c in terms:
-                    q = base + e
+                for d, c in terms:
+                    q = key + d
                     out[q] = out.get(q, 0) + c * factor
         # first-derivative part: b_j d_j z^n = eps_j n_j z^n
         out[key] = out.get(key, 0) + sum(B_COEFFS[i] * n[i]
@@ -262,13 +243,13 @@ class Delta1Operator:
 
     def apply_terms(self, terms):
         """Apply the operator to a raw term dict {exps: coeff}, returning a
-        term dict of the same kind; the sum runs on packed keys."""
+        term dict of the same kind; the sum runs on weight keys."""
         out = {}
         for n, c in terms.items():
             keys, coeffs = self.image_terms(n)
             for q, s in zip(keys, coeffs):
                 out[q] = out.get(q, 0) + c * s
-        return {unpack(q): v for q, v in out.items() if v}
+        return {key_weight(q): v for q, v in out.items() if v}
 
 
 class Restriction:
@@ -287,13 +268,13 @@ class Restriction:
     def __init__(self, operator, weights):
         self.operator = operator
         self.weights = weights
-        self._index = {pack(mu): i for i, mu in enumerate(weights)}
+        self._index = {weight_key(mu): i for i, mu in enumerate(weights)}
         self._rows = [None] * len(weights)
         self._arrays = None
 
     def position(self, mu):
         """The position of the member mu."""
-        return self._index[pack(mu)]
+        return self._index[weight_key(mu)]
 
     def row(self, i):
         r = self._rows[i]
@@ -314,7 +295,7 @@ class Restriction:
         coefficient could leave it (then Python ints).  The rows are
         built ``_CHUNK_ROWS`` at a time, and every target is looked up
         among the members' sorted keys; one that is not a member raises
-        ``KeyError``, as ``row`` does.  A member outside the packed range
+        ``KeyError``, as ``row`` does.  A member outside the key range
         raises ``MonomialRangeError`` and one that needs an unbuilt pair
         ``OperatorIncompleteError``, as its image would.
         """
@@ -327,7 +308,7 @@ class Restriction:
 
         op = self.operator
         w = np.array(self.weights, dtype=np.int64)
-        if w.max() > EXP_MAX - op._max_exp:
+        if w.max() > KEY_MAX - op._max_exp:
             op.require_in_range(self.weights[int(w.max(axis=1).argmax())])
         # The shift table: table[d, p] is the coefficient pair p's a_jk
         # sends z^n to z^(n + shifts[d]) with, in units of f_jk(n).
@@ -335,8 +316,7 @@ class Restriction:
         pairs = list(zip(pj.tolist(), pk.tolist()))
         terms = {}
         for p, (j, k) in enumerate(pairs):
-            for e, c in op._packed.get((j + 1, k + 1), ()):
-                d = e - _UNITS[j] - _UNITS[k]
+            for d, c in op._shifts.get((j + 1, k + 1), ()):
                 if d:   # d = 0 is the diagonal
                     terms[d, p] = c
         shifts = sorted({d for d, _ in terms})
@@ -352,9 +332,9 @@ class Restriction:
         table = table.astype(dtype)
         shifts = np.array(shifts, dtype=np.int64)
         missing = [p for p, (j, k) in enumerate(pairs)
-                   if (j + 1, k + 1) not in op._packed]
+                   if (j + 1, k + 1) not in op._shifts]
 
-        keys = w @ np.array(_UNITS, dtype=np.int64)
+        keys = np.fromiter(self._index, dtype=np.int64, count=len(w))
         order = np.argsort(keys)
         sorted_keys = keys[order]
         counts, targets, values = [], [], []
@@ -382,7 +362,7 @@ class Restriction:
             if outside.size:
                 k = outside[0]
                 raise KeyError(
-                    f"image term z^{unpack(int(q[k]))} of "
+                    f"image term z^{key_weight(int(q[k]))} of "
                     f"z^{self.weights[a + int(i[k])]} is not in the support")
             counts.append(np.bincount(i, minlength=len(rows)))
             targets.append(order[at])

@@ -12,6 +12,9 @@ inverse ``CARTAN_AINV2``, the doubled Weyl vector ``TWO_RHO_ALPHA``, and
 the 63 positive roots ``POSITIVE_ROOTS`` (alpha-coordinates, by height) and
 ``POSITIVE_ROOTS_FUND`` (fundamental coordinates), computed at import and
 checked there against the identities of ``_check``.
+
+The downset closure and the operator (``csmodel``) both run on one integer
+key per weight, ``weight_key`` (inverse ``key_weight``).
 """
 
 from __future__ import annotations
@@ -58,6 +61,29 @@ FUNDAMENTAL_DIMS = (133, 912, 8645, 365750, 27664, 1539, 56)
 
 class NonDominantError(ValueError):
     """A weight required to be dominant has a negative coordinate."""
+
+
+class MonomialRangeError(ValueError):
+    """A weight or monomial does not fit the weight keys."""
+
+
+# A weight key has seven 9-bit fields, mu_1 most significant, each a
+# coordinate in 0..KEY_MAX under a guard bit that a key leaves clear: it is
+# linear, in lexicographic order and below 2**62, so int64 holds it.
+KEY_MAX = 255
+
+
+def weight_key(w):
+    """The key of a weight with coordinates in 0..KEY_MAX; linear in w."""
+    a, b, c, d, e, f, g = w
+    return ((a << 54) + (b << 45) + (c << 36) + (d << 27) + (e << 18)
+            + (f << 9) + g)
+
+
+def key_weight(q):
+    """The weight of a key, ignoring its guard bits and any bits above."""
+    return ((q >> 54) & 255, (q >> 45) & 255, (q >> 36) & 255,
+            (q >> 27) & 255, (q >> 18) & 255, (q >> 9) & 255, q & 255)
 
 
 def require_dominant(m):
@@ -196,6 +222,12 @@ def is_below(nu, mu):
     return True
 
 
+# The guard bits, and each positive root's key under 2(r, rho) from bit 63.
+_KEY_GUARD = weight_key((KEY_MAX + 1,) * RANK)
+_ROOT_STEPS = tuple((weight_height2(r) << 63) + weight_key(r)
+                    for r in POSITIVE_ROOTS_FUND)
+
+
 def dominant_weights_below(m):
     """All dominant mu with m - mu in the positive root lattice.
 
@@ -204,11 +236,12 @@ def dominant_weights_below(m):
     positive-root differences, so the closure is exhaustive.  Sorted by
     ascending height of m - mu, ties by descending lexicographic mu.
 
-    Each weight is packed into one integer: a field per coordinate, mu_1
-    most significant, each field offset by a guard bit, under a top field
-    holding 2(mu, rho).  A root subtraction is then one integer
-    subtraction, dominance is every guard bit surviving, and descending
-    integer order is the order above.
+    The closure runs on keys with every guard bit set and 2(mu, rho) from
+    bit 63 on: a root subtraction is one subtraction, dominance one AND,
+    and descending integer order the order above.  No field borrows or
+    carries: a member has mu_i <= 2(m, rho) // 27 (the least entry of
+    TWO_RHO_ALPHA), a root moves a coordinate by -2..1, and a top with
+    2(m, rho) // 27 >= KEY_MAX is refused with ``MonomialRangeError``.
 
     This is the one enumeration of a downset.  A constituent solved inside
     a decomposition is solved on the top weight's restriction of the
@@ -216,34 +249,22 @@ def dominant_weights_below(m):
     """
     require_dominant(m)
     hm = weight_height2(m)
-    # A dominant mu <= m has 27 mu_i <= 2(mu, rho) <= 2(m, rho), 27 being the
-    # least entry of TWO_RHO_ALPHA, and one root subtraction moves mu_i by
-    # -2..1.  A field of `width` bits then holds guard + mu_i for every value
-    # the closure meets without borrowing from its neighbour.
-    width = (hm // min(TWO_RHO_ALPHA) + 1).bit_length()
-    step = width + 1
-    offset = 1 << width
-    shifts = tuple(step * (RANK - 1 - i) for i in range(RANK))
-    height_shift = step * RANK
-    guard = sum(offset << s for s in shifts)
-
-    def encode(w):
-        return (weight_height2(w) << height_shift) + sum(
-            x << s for x, s in zip(w, shifts))
-
-    roots = [encode(r) for r in POSITIVE_ROOTS_FUND]
-    start = guard + encode(m)
+    least = min(TWO_RHO_ALPHA)
+    if hm // least >= KEY_MAX:
+        raise MonomialRangeError(
+            f"weight {m} is outside the key range: 2(m, rho) = {hm} must be "
+            f"below {KEY_MAX * least}")
+    guard = _KEY_GUARD
+    start = (hm << 63) + guard + weight_key(m)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for y in frontier:
-            for r in roots:
+            for r in _ROOT_STEPS:
                 z = y - r
                 if z & guard == guard and z not in seen:
                     seen.add(z)
                     nxt.append(z)
         frontier = nxt
-    mask = (1 << step) - 1
-    return [tuple(((y >> s) & mask) - offset for s in shifts)
-            for y in sorted(seen, reverse=True)]
+    return list(map(key_weight, sorted(seen, reverse=True)))

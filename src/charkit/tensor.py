@@ -12,8 +12,8 @@ the operator is restricted to it once: a constituent character that is not
 cached yet is solved by Method 1 on that ``Restriction``, from its own
 position, so its downset is never enumerated again and each row of the
 operator is read at most once per decomposition.  Each public entry refuses
-a top weight outside the operator's packed range before it solves or
-enumerates anything.
+a top weight outside the operator's range (``require_in_range``) before it
+solves or enumerates anything.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _subtractive_decompose(product_terms, top, table, expected_dim):
     The certificate: the residual ends at zero, ``top`` occurs exactly
     once, and the dimension sum equals ``expected_dim``, the dimension of
     the product as the caller computed it; otherwise ``DecompositionError``.
-    ``top`` must fit the operator's packed range, which the callers check
+    ``top`` must fit the operator's range, which the callers check
     before they solve anything.  The downset of ``top`` is enumerated once
     and the operator restricted to it once; every constituent that has to
     be solved is solved on that ``Restriction`` and shares its rows.

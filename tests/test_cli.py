@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from charkit import charsolve, cli, tensor
+from charkit import cli, lie_core
 from charkit.cli import main
 from charkit.polyring import MultiPoly
 
@@ -121,36 +121,45 @@ def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
                    "lambda_7 + lambda_7 = (0, 0, 0, 0, 0, 0, 2)\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["character", "0,0,0,0,0,0,252"],
-    ["character", "--method", "m2", "0,0,0,0,0,0,252"],
-    ["monomial-cg", "0,0,0,0,0,0,252"],
-    ["cg", "0,0,0,0,0,0,126", "0,0,0,0,0,0,126"],
-    ["series-family", "7", "251"],
-], ids=["m1", "m2", "monomial-cg", "cg", "series-family"])
+PACKED_RANGE = ("error: monomial (0, 0, 0, 0, 0, 0, 252) is outside the "
+                "packed range: seven exponents in 0..251\n")
+
+
+class Unreachable:
+    """Stands in for the closure's root steps: any downset enumeration
+    fails."""
+
+    def __iter__(self):
+        raise AssertionError("a downset was enumerated")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["character", "0,0,0,0,0,0,252"], PACKED_RANGE),
+    (["character", "--method", "m2", "0,0,0,0,0,0,252"], PACKED_RANGE),
+    (["monomial-cg", "0,0,0,0,0,0,252"], PACKED_RANGE),
+    (["cg", "0,0,0,0,0,0,126", "0,0,0,0,0,0,126"], PACKED_RANGE),
+    (["series-family", "7", "251"], PACKED_RANGE),
+    (["character", "0,0,0,0,0,3,251"],
+     "error: weight (0, 0, 0, 0, 0, 3, 251) is outside the key range: "
+     "2(m, rho) = 6933 must be below 6885\n"),
+], ids=["m1", "m2", "monomial-cg", "cg", "series-family", "key-range"])
 def test_out_of_range_weight_is_refused_before_its_downset(monkeypatch,
-                                                           capsys, argv):
-    # Exponents above 251 do not fit the operator's packed keys.  The
-    # refusal comes before the downset is enumerated, which for these
-    # weights would run for minutes; a product's top is refused before
-    # either factor is solved.
+                                                           capsys, argv, err):
+    # Exponents above 251 do not fit the operator's packed keys, and a top
+    # with 2(m, rho) // 27 >= 255 has members whose coordinates would not
+    # fit the closure's.  The refusal comes before the downset is
+    # enumerated, which for these weights would run for minutes or not
+    # finish; a product's top is refused before either factor is solved.
     build_a = cli.build_a
 
     def guarded(corpus):
         built = build_a(corpus)
-
-        def unreachable(m):
-            raise AssertionError(f"downset of {m} enumerated")
-
-        for module in (charsolve, tensor):
-            monkeypatch.setattr(module, "dominant_weights_below", unreachable)
+        monkeypatch.setattr(lie_core, "_ROOT_STEPS", Unreachable())
         return built
 
     monkeypatch.setattr(cli, "build_a", guarded)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == ("error: monomial (0, 0, 0, 0, 0, 0, 252) is outside the "
-                   "packed range: seven exponents in 0..251\n")
+    code, out, got = run(capsys, *argv)
+    assert (code, out, got) == (2, "", err)
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

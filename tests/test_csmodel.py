@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from charkit import csmodel, fixtures
 from charkit.csmodel import (
-    B_COEFFS, EXP_MAX, CorpusIncompleteError, Delta1Operator,
-    MonomialRangeError, OperatorIncompleteError, QuadraticCorpus, build_a,
-    unpack,
+    B_COEFFS, CorpusIncompleteError, Delta1Operator, MonomialRangeError,
+    OperatorIncompleteError, QuadraticCorpus, build_a,
 )
 from charkit.lie_core import (
-    FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, dominant_weights_below, eigenvalue,
-    is_below,
+    FUNDAMENTAL_WEIGHTS, KEY_MAX, ZERO_WEIGHT, dominant_weights_below,
+    eigenvalue, is_below, key_weight,
 )
 from charkit.polyring import MultiPoly
 
@@ -91,7 +90,7 @@ def image_of(op, n):
     keys, coeffs = op.image_terms(n)
     assert len(keys) == len(coeffs) == len(set(keys))
     assert 0 not in coeffs
-    return {unpack(q): c for q, c in zip(keys, coeffs)}
+    return {key_weight(q): c for q, c in zip(keys, coeffs)}
 
 
 def test_monomial_image_z7(operator):
@@ -179,7 +178,7 @@ def test_restriction_arrays_refuse_a_target_outside_the_support(operator):
 
 
 def test_restriction_arrays_refuse_what_the_images_refuse(operator):
-    last = EXP_MAX - 4
+    last = KEY_MAX - 4
     beyond = operator.restrict([(0, 0, 0, 0, 0, 0, last + 1)])
     with pytest.raises(MonomialRangeError, match=f"0..{last}"):
         beyond.arrays()
@@ -209,11 +208,11 @@ def test_packed_range_boundary(operator):
               for x in e)
     assert top == 4
     assert operator.a[(4, 4)].coefficient_of((4, 0, 0, 0, 0, 0, 0)) == -24
-    last = EXP_MAX - top
-    # z4^2 lets a_44 act, which puts z1^4 on z1^last: an exponent EXP_MAX.
+    last = KEY_MAX - top
+    # z4^2 lets a_44 act, which puts z1^4 on z1^last: an exponent KEY_MAX.
     n = (last, 0, 0, 2, 0, 0, 0)
     image = image_of(operator, n)
-    assert max(max(e) for e in image) == EXP_MAX
+    assert max(max(e) for e in image) == KEY_MAX
     assert MultiPoly(image) == by_definition(operator, MultiPoly({n: 1}))
     for i in range(7):
         operator.image_terms(tuple(last if j == i else 0 for j in range(7)))
@@ -228,7 +227,7 @@ def test_packed_range_boundary(operator):
 def test_packed_range_follows_the_registered_terms():
     op = Delta1Operator()
     op.register_pair(7, 7, MultiPoly.from_text("3*z7^2 -4*z6 -24*z1 -60"))
-    last = EXP_MAX - 2
+    last = KEY_MAX - 2
     n = (0, 0, 0, 0, 0, 0, last)
     want = by_definition(op, MultiPoly({n: 1}))
     assert MultiPoly(image_of(op, n)) == want

@@ -2,13 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from charkit import lie_core
 from charkit.lie_core import (
-    CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS,
+    CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, KEY_MAX,
     POSITIVE_ROOTS, POSITIVE_ROOTS_FUND, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT,
     dominant_weights_below, is_below,
-    eigenvalue, weight_height2, weyl_dim,
-    NonDominantError,
+    eigenvalue, key_weight, weight_height2, weight_key, weyl_dim,
+    MonomialRangeError, NonDominantError,
 )
 
 L = FUNDAMENTAL_WEIGHTS
@@ -212,3 +214,48 @@ def test_is_below_is_a_positive_root_lattice_difference():
 def test_dominant_weights_below_rejects_non_dominant():
     with pytest.raises(NonDominantError):
         dominant_weights_below((-1, 0, 0, 0, 0, 0, 0))
+
+
+def test_dominant_weights_below_refuses_a_top_beyond_the_keys(monkeypatch):
+    # A member of the downset of (0,0,0,0,0,3,251) can reach a coordinate
+    # of 2(m, rho) // 27 = 256, which no key field holds.  Without root
+    # steps a closure that failed to refuse would end at once.
+    monkeypatch.setattr(lie_core, "_ROOT_STEPS", ())
+    with pytest.raises(MonomialRangeError,
+                       match=r"^weight \(0, 0, 0, 0, 0, 3, 251\) is outside "
+                             r"the key range: 2\(m, rho\) = 6933 must be "
+                             r"below 6885$"):
+        dominant_weights_below((0, 0, 0, 0, 0, 3, 251))
+    with pytest.raises(MonomialRangeError, match="6885 must be below 6885"):
+        dominant_weights_below((0, 0, 0, 0, 0, 0, KEY_MAX))
+    assert issubclass(MonomialRangeError, ValueError)
+
+
+keyed = st.tuples(*[st.integers(0, KEY_MAX)] * RANK)
+
+
+@given(keyed)
+def test_weight_key_round_trip(w):
+    q = weight_key(w)
+    assert 0 <= q < 2 ** 62
+    assert key_weight(q) == w
+
+
+@given(keyed, keyed, keyed, st.sampled_from(POSITIVE_ROOTS_FUND))
+def test_weight_key_is_linear(a, b, c, root):
+    # Signed deltas too: a positive root in fundamental coordinates has
+    # negative entries, and the operator's shifts are signed.
+    def plus(x, y, sign=1):
+        return tuple(p + sign * q for p, q in zip(x, y))
+
+    assert weight_key(a) + weight_key(b) - weight_key(c) == \
+        weight_key(plus(plus(a, b), c, -1))
+    assert weight_key(a) - weight_key(root) == weight_key(plus(a, root, -1))
+    below = plus(a, root, -1)
+    if 0 <= min(below) and max(below) <= KEY_MAX:
+        assert key_weight(weight_key(a) - weight_key(root)) == below
+
+
+@given(keyed, keyed)
+def test_weight_key_order_is_lexicographic(a, b):
+    assert (weight_key(a) < weight_key(b)) == (a < b)

@@ -11,12 +11,14 @@ tracer names its targets by string), or the README's library session.
 The check is by name, so a name that some caller uses for anything else
 also counts; code that only the tests call belongs in ``tests/``.
 
-The packed monomial key format belongs to ``csmodel``: no other module
-names ``pack`` or ``unpack``.  The operator meets a support in one place:
-no module but ``csmodel`` names ``image_terms``, so the solvers read the
-operator's images only through ``Restriction.row``.  The operator's
-triangle is checked in one place: ``StructuralViolationError`` is raised
-only in ``Delta1Operator.register_pair``, where the coefficients enter.
+The weight key format belongs to ``lie_core``: no other module names its
+layout (``_KEY_GUARD``, ``_ROOT_STEPS``), and no module packs a key into
+bytes (``from_bytes``, ``to_bytes``).  The operator meets a support in one
+place: no module but ``csmodel`` names ``image_terms``, so the solvers
+read the operator's images only through ``Restriction.row``.  The
+operator's triangle is checked in one place: ``StructuralViolationError``
+is raised only in ``Delta1Operator.register_pair``, where the
+coefficients enter.
 The fixture line format belongs to ``fixtures``: only its reader
 ``_entries`` calls ``_iter_lines``, in the library and the tests alike,
 and no other library module builds a ``chi`` line.
@@ -151,19 +153,26 @@ def mentions(source, names):
     return sorted(n for n in found if n in names)
 
 
-NOT_CSMODEL = [p for p in MODULES if p.name != "csmodel.py"]
+KEY_LAYOUT = ("_KEY_GUARD", "_ROOT_STEPS")
+BYTE_KEYS = ("from_bytes", "to_bytes")
 
 
-@pytest.mark.parametrize("path", NOT_CSMODEL, ids=lambda p: p.name)
-def test_only_csmodel_knows_the_packed_key_format(path):
-    assert mentions(path.read_text(), ("pack", "unpack")) == []
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_lie_core_knows_the_weight_key_layout(path):
+    names = BYTE_KEYS if path.name == "lie_core.py" else KEY_LAYOUT + BYTE_KEYS
+    assert mentions(path.read_text(), names) == []
 
 
 def test_a_packed_key_mention_is_caught():
-    source = ("from .csmodel import pack\n"
-              "from . import csmodel\n"
-              "print(pack((1,)), csmodel.unpack(1))\n")
-    assert mentions(source, ("pack", "unpack")) == ["pack", "pack", "unpack"]
+    source = ("from .lie_core import _ROOT_STEPS\n"
+              "from . import lie_core\n"
+              "q = lie_core._KEY_GUARD + int.from_bytes(bytes(e), 'big')\n"
+              "e = tuple(q.to_bytes(7, 'big'))\n")
+    assert mentions(source, KEY_LAYOUT + BYTE_KEYS) == [
+        "_KEY_GUARD", "_ROOT_STEPS", "from_bytes", "to_bytes"]
+
+
+NOT_CSMODEL = [p for p in MODULES if p.name != "csmodel.py"]
 
 
 @pytest.mark.parametrize("path", NOT_CSMODEL, ids=lambda p: p.name)
