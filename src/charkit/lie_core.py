@@ -222,6 +222,18 @@ def is_below(nu, mu):
     return True
 
 
+def require_keyed_downset(m):
+    """Refuse, with ``MonomialRangeError``, a top weight whose downset the
+    keys cannot hold: one with 2(m, rho) // 27 >= KEY_MAX, 27 being the
+    least entry of TWO_RHO_ALPHA (see ``dominant_weights_below``)."""
+    hm = weight_height2(m)
+    least = min(TWO_RHO_ALPHA)
+    if hm // least >= KEY_MAX:
+        raise MonomialRangeError(
+            f"weight {m} is outside the key range: 2(m, rho) = {hm} must be "
+            f"below {KEY_MAX * least}")
+
+
 # The guard bits, and each positive root's key under 2(r, rho) from bit 63.
 _KEY_GUARD = weight_key((KEY_MAX + 1,) * RANK)
 _ROOT_STEPS = tuple((weight_height2(r) << 63) + weight_key(r)
@@ -240,22 +252,17 @@ def dominant_weights_below(m):
     bit 63 on: a root subtraction is one subtraction, dominance one AND,
     and descending integer order the order above.  No field borrows or
     carries: a member has mu_i <= 2(m, rho) // 27 (the least entry of
-    TWO_RHO_ALPHA), a root moves a coordinate by -2..1, and a top with
-    2(m, rho) // 27 >= KEY_MAX is refused with ``MonomialRangeError``.
+    TWO_RHO_ALPHA) and a root moves a coordinate by -2..1, so the top
+    must pass ``require_keyed_downset``.
 
     This is the one enumeration of a downset.  A constituent solved inside
     a decomposition is solved on the top weight's restriction of the
     operator (``Delta1Operator.restrict``) instead of enumerating again.
     """
     require_dominant(m)
-    hm = weight_height2(m)
-    least = min(TWO_RHO_ALPHA)
-    if hm // least >= KEY_MAX:
-        raise MonomialRangeError(
-            f"weight {m} is outside the key range: 2(m, rho) = {hm} must be "
-            f"below {KEY_MAX * least}")
+    require_keyed_downset(m)
     guard = _KEY_GUARD
-    start = (hm << 63) + guard + weight_key(m)
+    start = (weight_height2(m) << 63) + guard + weight_key(m)
     seen = {start}
     frontier = [start]
     while frontier:

@@ -2,26 +2,25 @@
 
 Nothing here reads the differential operator or the recursion internals:
 weight multiplicities come from the classical Freudenthal recursion over
-positive-root strings, and character identities are re-checked numerically
-on the torus, where the character of weight m is the Weyl-invariant
-exponential sum over the full weight system of its representation.
+positive-root strings, and character identities are re-checked exactly on
+the torus over the prime field F_P, P = 2^31 - 1, where the character of
+weight m is the sum of y^mu over the full weight system of its
+representation.
 
 On the torus side a weight system is expanded by one batched walk down
 the Weyl orbits of all its dominant weights (``_orbit_walk``, on int64
-rows, numpy imported only here and only when first needed), and the
-exponential sum keeps only its cosine half: -1 lies in the Weyl group of
-E7, so the sine half of every sum cancels exactly.
+rows, numpy imported only here and only when first needed), and summed
+mod P at one random point of (F_P^*)^7 at a time.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 
 from .lie_core import (
-    RANK, CARTAN_A, CARTAN_AINV2, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS_FUND,
+    RANK, CARTAN_A, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS_FUND,
     bilinear2, dominant_weights_below, require_dominant, weyl_dim,
 )
 
@@ -174,73 +173,68 @@ def _freudenthal(m):
 
 # --------------------------------------------------------------- torus side
 
-def _alcove_points(trials, seed):
-    """Random torus points, given by the inner products t_i = (lambda_i, q).
-
-    q is sampled through its pairings with the simple roots, each uniform
-    in (0, pi/20): positive roots have height at most 17, so every (alpha, q)
-    stays strictly inside (0, pi) and the point is well inside the alcove.
-    """
-    rng = random.Random(seed)
-    ainv = [[x / 2 for x in row] for row in CARTAN_AINV2]
-    points = []
-    for _ in range(trials):
-        g = [rng.uniform(0.0, math.pi / 20.0) for _ in range(RANK)]
-        points.append([sum(ainv[i][j] * g[j] for j in range(RANK))
-                       for i in range(RANK)])
-    return points
+P = 2**31 - 1  # prime, and a product of two residues fits in int64
 
 
 def _expand(system):
-    """The full weight system as float arrays (weights, multiplicities),
-    from one ``_orbit_walk`` over its dominant weights; the expansion can
-    run to hundreds of thousands of weights, so callers keep it only while
-    they use it."""
+    """The full weight system as int64 arrays (weights, multiplicities),
+    from one ``_orbit_walk`` over its dominant weights; callers keep it
+    only while they use it."""
     import numpy as np
 
     weights, owner = _orbit_walk(list(system.dominant_mults))
-    mults = np.array(list(system.dominant_mults.values()), dtype=float)
-    return weights.astype(float), mults[owner]
+    mults = np.array(list(system.dominant_mults.values()), dtype=np.int64)
+    return weights, mults[owner]
 
 
-def _character_sum(expanded, t):
-    """Direct evaluation sum(mult * e^{2i(mu, q)}) over an ``_expand``ed
-    system, with compensated summation.  Only the cosine half is summed:
-    -1 is in the Weyl group of E7, so every weight system is closed under
-    negation and its sine half cancels to exactly 0.0."""
+def _character_values(expanded, points):
+    """sum(mult * y^mu) mod P over an ``_expand``ed system at each point y
+    of (F_P^*)^7, one point at a time: y^mu is a product of seven lookups,
+    one in an int64 table of y_i^e per coordinate i."""
     import numpy as np
 
     weights, mults = expanded
-    phases = 2.0 * (weights @ np.asarray(t, dtype=float))
-    return complex(math.fsum((mults * np.cos(phases)).tolist()), 0.0)
+    lows, highs = weights.min(axis=0).tolist(), weights.max(axis=0).tolist()
+    values = []
+    for y in points:
+        value = mults
+        for column, yi, lo, hi in zip(weights.T, y, lows, highs):
+            powers = [pow(yi, e, P) for e in range(lo, hi + 1)]
+            value = value * np.array(powers, np.int64)[column - lo] % P
+        values.append(int(value.sum()) % P)
+    return values
 
 
 @functools.cache
 def _fundamental_values(trials, seed):
-    """(t, z) for each alcove point t of ``_alcove_points(trials, seed)``,
-    z the seven fundamental characters at t; computed once per process
+    """``trials`` random points of (F_P^*)^7 drawn from ``seed``, and the
+    seven fundamental characters mod P at each; computed once per process
     for each (trials, seed)."""
-    points = [tuple(t) for t in _alcove_points(trials, seed)]
-    columns = []
-    for lam in FUNDAMENTAL_WEIGHTS:
-        expanded = _expand(freudenthal(lam))
-        columns.append([_character_sum(expanded, t) for t in points])
-    return tuple(zip(points, zip(*columns)))
+    rng = random.Random(seed)
+    points = tuple(tuple(rng.randrange(1, P) for _ in range(RANK))
+                   for _ in range(trials))
+    columns = [_character_values(_expand(freudenthal(lam)), points)
+               for lam in FUNDAMENTAL_WEIGHTS]
+    return points, tuple(zip(*columns))
 
 
 def torus_check(m, chi, trials=20, seed=20240901):
-    """Maximum deviation |chi(z(q)) - direct sum| over random alcove points.
+    """The number of random points y of (F_P^*)^7 at which chi(z(y)) and
+    the direct sum over the weight system of m differ mod P.
 
-    ``chi`` is the candidate polynomial for the character of weight m; the
-    direct sum uses only Freudenthal data, so agreement within floating
-    error certifies the polynomial independently of how it was computed.
-    The values z_i(q) of the seven fundamental characters are direct sums
-    too, over the fundamental weight systems (the largest, of dimension
-    365750, has 24753 distinct weights); they do not depend on m and are
-    computed once per (trials, seed); ``trials`` must be at least 1.
+    y sends a weight mu to y^mu = prod y_i^mu_i, a character of the weight
+    lattice, so the identity chi_m = chi(z) holds mod P at every y.  The
+    direct sum uses only Freudenthal data, so 0 certifies the candidate
+    polynomial ``chi`` independently of how it was computed.  A wrong chi,
+    whose difference from chi_m is nonzero mod P and of degree deg with
+    its denominator cleared, agrees at a random point with probability at
+    most deg / (P - 1) (Schwartz-Zippel).  The z_i(y) are direct sums over
+    the fundamental systems (the largest has 24753 distinct weights), made
+    once per (trials, seed); ``trials`` must be at least 1.
     """
     if trials < 1:
         raise ValueError(f"torus check needs at least 1 trial, got {trials}")
-    expanded = _expand(freudenthal(m))
-    return max(abs(chi.eval_integer(z) - _character_sum(expanded, t))
-               for t, z in _fundamental_values(trials, seed))
+    points, fundamentals = _fundamental_values(trials, seed)
+    direct = _character_values(_expand(freudenthal(m)), points)
+    return sum(chi.eval_integer(z) % P != value
+               for z, value in zip(fundamentals, direct))

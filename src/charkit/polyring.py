@@ -112,9 +112,7 @@ class MultiPoly:
 
     # ------------------------------------------------------------ evaluation
     def eval_integer(self, point):
-        """Evaluation at a tuple of seven numbers, exact at integers.  The
-        factors x ** n multiply in variable order and the terms add in
-        storage order, also at the complex points of ``torus_check``."""
+        """Exact evaluation at a tuple of seven integers."""
         point = tuple(point)
         if len(point) != NVARS:
             raise ValueError("evaluation point must have 7 entries")

@@ -12,8 +12,8 @@ the operator is restricted to it once: a constituent character that is not
 cached yet is solved by Method 1 on that ``Restriction``, from its own
 position, so its downset is never enumerated again and each row of the
 operator is read at most once per decomposition.  Each public entry refuses
-a top weight outside the operator's range (``require_in_range``) before it
-solves or enumerates anything.
+a top weight outside the operator's range (``require_in_range``) or the
+keys' (``require_keyed_downset``) before it solves or enumerates anything.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .lie_core import (
     RANK, FUNDAMENTAL_WEIGHTS, dominant_weights_below, monomial_dim,
-    require_dominant, series_dim, weyl_dim,
+    require_dominant, require_keyed_downset, series_dim, weyl_dim,
 )
 
 
@@ -99,6 +99,7 @@ def cg_decompose(m, n, table):
     require_dominant(n)
     top = tuple(a + b for a, b in zip(m, n))
     table.operator.require_in_range(top)
+    require_keyed_downset(top)
     product = table.character(m) * table.character(n)
     return _subtractive_decompose(product.terms, top, table,
                                   weyl_dim(m) * weyl_dim(n))

@@ -124,6 +124,9 @@ def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
 PACKED_RANGE = ("error: monomial (0, 0, 0, 0, 0, 0, 252) is outside the "
                 "packed range: seven exponents in 0..251\n")
 
+KEY_RANGE = ("error: weight (0, 0, 0, 0, 0, 3, 251) is outside the key range: "
+             "2(m, rho) = 6933 must be below 6885\n")
+
 
 class Unreachable:
     """Stands in for the closure's root steps: any downset enumeration
@@ -139,10 +142,10 @@ class Unreachable:
     (["monomial-cg", "0,0,0,0,0,0,252"], PACKED_RANGE),
     (["cg", "0,0,0,0,0,0,126", "0,0,0,0,0,0,126"], PACKED_RANGE),
     (["series-family", "7", "251"], PACKED_RANGE),
-    (["character", "0,0,0,0,0,3,251"],
-     "error: weight (0, 0, 0, 0, 0, 3, 251) is outside the key range: "
-     "2(m, rho) = 6933 must be below 6885\n"),
-], ids=["m1", "m2", "monomial-cg", "cg", "series-family", "key-range"])
+    (["character", "0,0,0,0,0,3,251"], KEY_RANGE),
+    (["cg", "0,0,0,0,0,3,0", "0,0,0,0,0,0,251"], KEY_RANGE),
+], ids=["m1", "m2", "monomial-cg", "cg", "series-family", "key-range",
+        "cg-key-range"])
 def test_out_of_range_weight_is_refused_before_its_downset(monkeypatch,
                                                            capsys, argv, err):
     # Exponents above 251 do not fit the operator's packed keys, and a top

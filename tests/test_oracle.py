@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import itertools
-import math
 import pathlib
 from collections import Counter
 
@@ -104,12 +103,14 @@ def test_expand_rows_are_distinct_and_carry_the_dimension(w):
 @pytest.mark.parametrize("lam", L, ids=lambda w: "".join(map(str, w)))
 def test_sine_half_of_a_fundamental_sum_is_exactly_zero(lam):
     # -1 is in the Weyl group of E7, so every weight system is closed under
-    # negation: the sine terms cancel in pairs, which lets the torus sum
-    # keep only its cosine half.
-    weights, mults = oracle._expand(freudenthal(lam))
-    for t in oracle._alcove_points(20, 20240901):
-        phases = 2.0 * (weights @ np.asarray(t, dtype=float))
-        assert math.fsum((mults * np.sin(phases)).tolist()) == 0.0
+    # negation and the odd (sine) half of its sum, sum(mult * (y^mu -
+    # y^-mu)) / 2, vanishes: the sum takes one value at y and at 1/y.
+    # Over F_P this also checks the tables' negative powers.
+    expanded = oracle._expand(freudenthal(lam))
+    points, _ = oracle._fundamental_values(20, 20240901)
+    inverses = [tuple(pow(yi, -1, oracle.P) for yi in y) for y in points]
+    assert oracle._character_values(expanded, points) == \
+        oracle._character_values(expanded, inverses)
 
 
 def test_dominant_representative():
@@ -163,27 +164,41 @@ def test_multiplicity_lookup_off_cone():
 
 
 def test_torus_identity_l7(table):
-    dev = torus_check(L[6], table.character(L[6]), trials=3)
-    assert dev <= 1e-8
+    assert torus_check(L[6], table.character(L[6]), trials=3) == 0
 
 
 def test_torus_second_order(table):
-    dev = torus_check((0, 0, 0, 0, 0, 0, 2),
-                      table.character((0, 0, 0, 0, 0, 0, 2)), trials=3)
-    assert dev <= 1e-8
+    m = (0, 0, 0, 0, 0, 0, 2)
+    assert torus_check(m, table.character(m), trials=3) == 0
 
 
 def test_torus_l1_plus_l7(table):
     m = (1, 0, 0, 0, 0, 0, 1)
-    dev = torus_check(m, table.character(m), trials=3)
-    assert dev <= 1e-8
+    assert torus_check(m, table.character(m), trials=3) == 0
 
 
 def test_torus_detects_wrong_polynomial(table):
     from charkit.polyring import MultiPoly
     wrong = MultiPoly({(0, 0, 0, 0, 0, 0, 2): 1})
-    dev = torus_check((0, 0, 0, 0, 0, 0, 2), wrong, trials=3)
-    assert dev > 1e-3
+    assert torus_check((0, 0, 0, 0, 0, 0, 2), wrong, trials=3) == 3
+
+
+ORACLE_TARGETS = [*L, (0, 0, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, 0, 1),
+                  (0, 0, 0, 0, 0, 0, 3)]
+
+
+@pytest.mark.parametrize("m", ORACLE_TARGETS,
+                         ids=lambda w: "".join(map(str, w)))
+def test_torus_catches_an_off_by_one_coefficient_at_every_point(table, m):
+    # Each coefficient of each ``verify oracle`` target, in turn one too
+    # large and one too small: every one of the 20 points disagrees.
+    from charkit.polyring import MultiPoly
+    chi = table.character(m)
+    assert torus_check(m, chi) == 0
+    for e in chi.terms:
+        for step in (1, -1):
+            wrong = chi + MultiPoly({e: step})
+            assert torus_check(m, wrong) == 20, (e, step)
 
 
 def test_torus_fundamental_values_are_computed_once(table, monkeypatch):
@@ -198,13 +213,12 @@ def test_torus_fundamental_values_are_computed_once(table, monkeypatch):
 
     monkeypatch.setattr(oracle, "freudenthal", recorded)
     m = (0, 0, 0, 0, 0, 0, 2)
-    dev = torus_check(m, table.character(m), trials=3, seed=seed)
-    assert dev <= 1e-8
+    assert torus_check(m, table.character(m), trials=3, seed=seed) == 0
     assert calls == [m]
     # A new seed evaluates the fundamentals at its own points.
     from charkit.polyring import MultiPoly
     wrong = MultiPoly({m: 1})
-    assert torus_check(m, wrong, trials=3, seed=seed + 1) > 1e-3
+    assert torus_check(m, wrong, trials=3, seed=seed + 1) == 3
     assert sorted(calls[1:]) == sorted([m, *L])
 
 
@@ -235,9 +249,20 @@ def test_verify_oracle_computes_each_weight_system_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "dominant_weights_below", counted)
     assert cli.main(["--no-cache", "verify", "oracle", "--trials", "3"]) == 0
-    weights = [*L, (0, 0, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, 0, 1),
-               (0, 0, 0, 0, 0, 0, 3)]
-    assert counts == Counter(weights)
+    assert counts == Counter(ORACLE_TARGETS)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_oracle_output_is_fixed_by_its_seed(capsys, fmt):
+    argv = ["--no-cache", "--format", fmt, "verify", "oracle",
+            "--trials", "7", "--seed", "3"]
+    outputs = []
+    for _ in range(2):
+        oracle._fundamental_values.cache_clear()
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("exact at 7/7 points mod 2^31-1") == 10
 
 
 def test_freudenthal_results_are_shared_and_frozen():

@@ -22,6 +22,9 @@ coefficients enter.
 The fixture line format belongs to ``fixtures``: only its reader
 ``_entries`` calls ``_iter_lines``, in the library and the tests alike,
 and no other library module builds a ``chi`` line.
+No floating point enters the library: no module holds a float or complex
+constant, names ``float`` or ``complex`` (or a numpy ``float*``/``complex*``
+type), or imports ``math`` or ``cmath``.
 The set-up path and both solvers also run without importing numpy on the
 supports set-up and small solves meet: numpy is imported by the torus
 oracle and by a Method-1 solve on a support of at least
@@ -330,3 +333,43 @@ def test_setup_and_solvers_do_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def floating_point(source):
+    """Every float or complex constant, ``float``/``complex`` name (bare,
+    or an attribute such as ``np.float64``) and ``math``/``cmath`` import
+    in ``source``, as sorted ``lineno: what`` strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Constant)
+                and isinstance(node.value, (float, complex))):
+            found.append(f"{node.lineno}: {node.value!r}")
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name and re.fullmatch(r"(float|complex)\d*", name):
+            found.append(f"{node.lineno}: {name}")
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        found += [f"{node.lineno}: import {mod}" for mod in modules
+                  if mod.split(".")[0] in ("math", "cmath")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_src_has_no_floating_point(path):
+    assert floating_point(path.read_text()) == []
+
+
+def test_planted_floating_point_is_caught():
+    source = ("import math\n"
+              "from cmath import exp\n"
+              "from .lie_core import RANK\n"
+              "TOL = 1e-8\n"
+              "z = complex(0, 1) * 2j + np.zeros(RANK, dtype=np.float64)\n"
+              "ok = float(RANK) < TOL and RANK / 2 == 3.5\n")
+    assert floating_point(source) == [
+        "1: import math", "2: import cmath", "4: 1e-08", "5: 2j",
+        "5: complex", "5: float64", "6: 3.5", "6: float"]
