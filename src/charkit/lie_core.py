@@ -14,7 +14,11 @@ the 63 positive roots ``POSITIVE_ROOTS`` (alpha-coordinates, by height) and
 checked there against the identities of ``_check``.
 
 The downset closure and the operator (``csmodel``) both run on one integer
-key per weight, ``weight_key`` (inverse ``key_weight``).
+key per weight, ``weight_key`` (inverse ``key_weight``).  A positive root
+has fundamental coordinates in -1..2 (``_check``), so whether a root step
+keeps a weight dominant depends only on which of its coordinates are at
+least 1 and which at least 2, its class; the closure reads each class's
+admissible steps from one table, ``_CLASS_STEPS``.
 """
 
 from __future__ import annotations
@@ -136,6 +140,9 @@ POSITIVE_ROOTS_FUND = tuple(
 
 def _check():
     assert len(POSITIVE_ROOTS) == 63
+    # a root step lowers a coordinate by at most 2 and raises it by at most
+    # 1, which the closure's key classes and field bound rely on
+    assert {x for r in POSITIVE_ROOTS_FUND for x in r} == {-1, 0, 1, 2}
     # A symmetric with diagonal 2, CARTAN_AINV2 twice its exact inverse
     for i in range(RANK):
         assert CARTAN_A[i][i] == 2
@@ -234,10 +241,28 @@ def require_keyed_downset(m):
             f"below {KEY_MAX * least}")
 
 
-# The guard bits, and each positive root's key under 2(r, rho) from bit 63.
+# The guard bits, the ones of every field, and each positive root's key
+# under 2(r, rho) from bit 63.
 _KEY_GUARD = weight_key((KEY_MAX + 1,) * RANK)
+_KEY_ONES = weight_key((1,) * RANK)
 _ROOT_STEPS = tuple((weight_height2(r) << 63) + weight_key(r)
                     for r in POSITIVE_ROOTS_FUND)
+
+
+class _ClassSteps(dict):
+    """The root steps that keep a closure key dominant, by the key's class
+    (see ``dominant_weights_below``); an entry is made on first use."""
+
+    def __missing__(self, c):
+        # The class's least member: mu_i = [mu_i >= 1] + [mu_i >= 2].  A
+        # step's height bits, from 63 on, do not reach the guard bits.
+        g = _KEY_GUARD
+        y = g + ((c & g) >> 8) + ((c & (g >> 1)) >> 7)
+        steps = self[c] = tuple(r for r in _ROOT_STEPS if (y - r) & g == g)
+        return steps
+
+
+_CLASS_STEPS = _ClassSteps()
 
 
 def dominant_weights_below(m):
@@ -249,11 +274,21 @@ def dominant_weights_below(m):
     ascending height of m - mu, ties by descending lexicographic mu.
 
     The closure runs on keys with every guard bit set and 2(mu, rho) from
-    bit 63 on: a root subtraction is one subtraction, dominance one AND,
-    and descending integer order the order above.  No field borrows or
-    carries: a member has mu_i <= 2(m, rho) // 27 (the least entry of
-    TWO_RHO_ALPHA) and a root moves a coordinate by -2..1, so the top
-    must pass ``require_keyed_downset``.
+    bit 63 on: a root subtraction is one subtraction, and descending
+    integer order the order above.  No field borrows or carries: a member
+    has mu_i <= 2(m, rho) // 27 (the least entry of TWO_RHO_ALPHA) and a
+    root moves a coordinate by -2..1, so the top must pass
+    ``require_keyed_downset``.
+
+    mu - r is dominant exactly when mu_i >= r_i for every i, and r_i <= 2,
+    so the admissible steps depend only on the class of mu: which mu_i are
+    at least 1, and which at least 2.  Subtracting 1, or 2, from every
+    field of the key leaves field i's guard bit set exactly when mu_i is
+    at least 1, or 2, without a borrow out of any field; the two guard
+    masks, the second shifted one bit down, are the class.  Its steps come
+    from ``_CLASS_STEPS``, which tests them once on the class's least
+    member with the guard test, so the inner loop tests nothing but
+    membership.
 
     This is the one enumeration of a downset.  A constituent solved inside
     a decomposition is solved on the top weight's restriction of the
@@ -262,15 +297,18 @@ def dominant_weights_below(m):
     require_dominant(m)
     require_keyed_downset(m)
     guard = _KEY_GUARD
+    ones = _KEY_ONES
+    twos = 2 * ones
+    table = _CLASS_STEPS
     start = (weight_height2(m) << 63) + guard + weight_key(m)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for y in frontier:
-            for r in _ROOT_STEPS:
+            for r in table[((y - ones) & guard) | (((y - twos) & guard) >> 1)]:
                 z = y - r
-                if z & guard == guard and z not in seen:
+                if z not in seen:
                     seen.add(z)
                     nxt.append(z)
         frontier = nxt

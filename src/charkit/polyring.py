@@ -22,6 +22,21 @@ def monomial_key(exps):
     return (sum(exps), exps[::-1])
 
 
+# The text of z_i^x inside a term, by i and then x = 0..255: "" for x = 0,
+# "*z<i>" for x = 1, "*z<i>^<x>" above.
+_FACTORS = tuple(
+    {x: "" if x == 0 else f"*z{i}" if x == 1 else f"*z{i}^{x}"
+     for x in range(256)}
+    for i in range(1, NVARS + 1))
+
+
+def _term_text(c, e):
+    """One term of ``MultiPoly.to_text``, for any exponents."""
+    vars_ = "*".join(f"z{i + 1}^{x}" if x > 1 else f"z{i + 1}"
+                     for i, x in enumerate(e) if x)
+    return f"{c}*{vars_}" if vars_ else f"{c}"
+
+
 class MultiPoly:
     """Immutable sparse polynomial in z1..z7.
 
@@ -136,16 +151,17 @@ class MultiPoly:
         Terms in descending monomial order; zero exponents omitted;
         the constant term prints as a bare coefficient.
         """
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        bits = []
-        for e in sorted(self.terms, key=monomial_key, reverse=True):
-            c = self.terms[e]
-            vars_ = "*".join(
-                f"z{i + 1}^{e[i]}" if e[i] > 1 else f"z{i + 1}"
-                for i in range(NVARS) if e[i])
-            bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
-        return " ".join(bits)
+        order = sorted(terms, key=monomial_key, reverse=True)
+        f1, f2, f3, f4, f5, f6, f7 = _FACTORS
+        try:
+            return " ".join([
+                f"{terms[e]}{f1[e[0]]}{f2[e[1]]}{f3[e[2]]}{f4[e[3]]}"
+                f"{f5[e[4]]}{f6[e[5]]}{f7[e[6]]}" for e in order])
+        except KeyError:        # an exponent outside 0..255
+            return " ".join([_term_text(terms[e], e) for e in order])
 
     _TERM_RE = re.compile(
         r"^(?P<coeff>-?\d+)(?P<vars>(?:\*z[1-7](?:\^\d+)?)*)$")

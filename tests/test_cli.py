@@ -129,10 +129,11 @@ KEY_RANGE = ("error: weight (0, 0, 0, 0, 0, 3, 251) is outside the key range: "
 
 
 class Unreachable:
-    """Stands in for the closure's root steps: any downset enumeration
+    """Stands in for the closure's table of root steps by key class, which
+    every enumeration reads from its first key on: any downset enumeration
     fails."""
 
-    def __iter__(self):
+    def __getitem__(self, key):
         raise AssertionError("a downset was enumerated")
 
 
@@ -157,7 +158,7 @@ def test_out_of_range_weight_is_refused_before_its_downset(monkeypatch,
 
     def guarded(corpus):
         built = build_a(corpus)
-        monkeypatch.setattr(lie_core, "_ROOT_STEPS", Unreachable())
+        monkeypatch.setattr(lie_core, "_CLASS_STEPS", Unreachable())
         return built
 
     monkeypatch.setattr(cli, "build_a", guarded)

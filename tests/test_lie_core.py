@@ -1,8 +1,9 @@
+import collections
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from charkit import lie_core
 from charkit.lie_core import (
@@ -218,9 +219,11 @@ def test_dominant_weights_below_rejects_non_dominant():
 
 def test_dominant_weights_below_refuses_a_top_beyond_the_keys(monkeypatch):
     # A member of the downset of (0,0,0,0,0,3,251) can reach a coordinate
-    # of 2(m, rho) // 27 = 256, which no key field holds.  Without root
-    # steps a closure that failed to refuse would end at once.
-    monkeypatch.setattr(lie_core, "_ROOT_STEPS", ())
+    # of 2(m, rho) // 27 = 256, which no key field holds.  With no root
+    # step for any key class a closure that failed to refuse would end at
+    # once.
+    monkeypatch.setattr(lie_core, "_CLASS_STEPS",
+                        collections.defaultdict(tuple))
     with pytest.raises(MonomialRangeError,
                        match=r"^weight \(0, 0, 0, 0, 0, 3, 251\) is outside "
                              r"the key range: 2\(m, rho\) = 6933 must be "
@@ -229,6 +232,47 @@ def test_dominant_weights_below_refuses_a_top_beyond_the_keys(monkeypatch):
     with pytest.raises(MonomialRangeError, match="6885 must be below 6885"):
         dominant_weights_below((0, 0, 0, 0, 0, 0, KEY_MAX))
     assert issubclass(MonomialRangeError, ValueError)
+
+
+def closure_key(mu, h):
+    """The key of mu as the closure holds it: guard bits set, h from bit 63."""
+    return (h << 63) + lie_core._KEY_GUARD + weight_key(mu)
+
+
+def key_class(y):
+    """The class of a closure key, as ``dominant_weights_below`` reads it."""
+    g, ones = lie_core._KEY_GUARD, lie_core._KEY_ONES
+    return ((y - ones) & g) | (((y - 2 * ones) & g) >> 1)
+
+
+def guard_test_steps(y):
+    g = lie_core._KEY_GUARD
+    return [r for r in lie_core._ROOT_STEPS if (y - r) & g == g]
+
+
+# A closure member has coordinates below KEY_MAX (require_keyed_downset).
+member_coordinate = st.one_of(st.sampled_from((0, 1, 2, KEY_MAX - 1)),
+                              st.integers(0, KEY_MAX - 1))
+
+
+@given(st.tuples(*[member_coordinate] * RANK), st.integers(0, 6884))
+@settings(max_examples=300)
+def test_class_steps_are_the_guard_test(mu, h):
+    y = closure_key(mu, h)
+    assert list(lie_core._CLASS_STEPS[key_class(y)]) == guard_test_steps(y)
+
+
+@given(st.tuples(*[st.sampled_from((0, 1, 2, KEY_MAX - 1, KEY_MAX))] * RANK))
+def test_class_steps_at_key_max(mu):
+    # At KEY_MAX the guard test also refuses each step that raises that
+    # coordinate, whose field would carry; the class cannot see it, which
+    # is why a closure refuses any top whose members could get there.
+    y = closure_key(mu, 0)
+    steps = lie_core._CLASS_STEPS[key_class(y)]
+    fund = dict(zip(lie_core._ROOT_STEPS, POSITIVE_ROOTS_FUND))
+    assert guard_test_steps(y) == [
+        r for r in steps
+        if not any(x == KEY_MAX and f < 0 for x, f in zip(mu, fund[r]))]
 
 
 keyed = st.tuples(*[st.integers(0, KEY_MAX)] * RANK)

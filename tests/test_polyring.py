@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charkit.lie_core import FUNDAMENTAL_DIMS
-from charkit.polyring import MultiPoly
+from charkit.polyring import NVARS, MultiPoly, monomial_key
 
 z = [None] + [MultiPoly.variable(i) for i in range(1, 8)]
 CHI_2L7 = z[7] * z[7] - z[6] - z[1] - MultiPoly.one()
@@ -72,6 +72,53 @@ def test_canonical_text():
     assert MultiPoly.from_text("1*z7^2 -1*z6 -1*z1 -1") == CHI_2L7
     assert MultiPoly.zero().to_text() == "0"
     assert MultiPoly.from_text("0") == MultiPoly.zero()
+
+
+def reference_text(p):
+    """The canonical text form built term by term, without a table: the
+    reference that ``to_text`` matches byte for byte."""
+    if not p.terms:
+        return "0"
+    bits = []
+    for e in sorted(p.terms, key=monomial_key, reverse=True):
+        c = p.terms[e]
+        vars_ = "*".join(
+            f"z{i + 1}^{e[i]}" if e[i] > 1 else f"z{i + 1}"
+            for i in range(NVARS) if e[i])
+        bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
+    return " ".join(bits)
+
+
+@pytest.mark.parametrize("terms, text", [
+    ({}, "0"),
+    ({(0,) * 7: 1}, "1"),
+    ({(0,) * 7: -7}, "-7"),
+    ({(0,) * 7: 10 ** 30}, "1" + "0" * 30),
+    ({(0, 0, 0, 0, 0, 0, 1): -12, (1, 0, 0, 0, 0, 0, 0): 345},
+     "-12*z7 345*z1"),
+    ({(255, 0, 0, 0, 0, 0, 1): 2}, "2*z1^255*z7"),
+    ({(256, 0, 0, 0, 0, 0, 1): 2, (0, 0, 0, 0, 0, 0, 0): -1},
+     "2*z1^256*z7 -1"),
+    ({(0, 300, 0, 0, 0, 0, 0): -3, (1, 1, 1, 1, 1, 1, 1): 1},
+     "-3*z2^300 1*z1*z2*z3*z4*z5*z6*z7"),
+], ids=["zero", "one", "constant", "long-constant", "negative",
+        "last-in-table", "first-above", "mixed-above"])
+def test_canonical_text_examples(terms, text):
+    p = MultiPoly(terms)
+    assert p.to_text() == reference_text(p) == text
+    assert MultiPoly.from_text(text) == p
+
+
+def test_canonical_text_covers_every_exponent_to_300():
+    # 0..255 come from the writer's factor table, 256..300 from the
+    # formula it falls back to; each variable, alone and beside others.
+    for i in range(NVARS):
+        for x in range(301):
+            e = tuple(x if j == i else (j + x) % 3 for j in range(NVARS))
+            p = MultiPoly({e: x - 150, (0,) * 7: 3,
+                           tuple(x if j == i else 0 for j in range(NVARS)): 1})
+            assert p.to_text() == reference_text(p)
+            assert MultiPoly.from_text(p.to_text()) == p
 
 
 def test_immutability():

@@ -12,10 +12,12 @@ The check is by name, so a name that some caller uses for anything else
 also counts; code that only the tests call belongs in ``tests/``.
 
 The weight key format belongs to ``lie_core``: no other module names its
-layout (``_KEY_GUARD``, ``_ROOT_STEPS``), and no module packs a key into
-bytes (``from_bytes``, ``to_bytes``).  The operator meets a support in one
-place: no module but ``csmodel`` names ``image_terms``, so the solvers
-read the operator's images only through ``Restriction.row``.  The
+layout (``_KEY_GUARD``, ``_KEY_ONES``, ``_ROOT_STEPS``, or the closure's
+table of steps by key class, ``_ClassSteps`` and ``_CLASS_STEPS``), and no
+module packs a key into bytes (``from_bytes``, ``to_bytes``).  The
+operator meets a support in one place: no module but ``csmodel`` names
+``image_terms``, so the solvers read the operator's images only through
+``Restriction.row``.  The
 operator's triangle is checked in one place: ``StructuralViolationError``
 is raised only in ``Delta1Operator.register_pair``, where the
 coefficients enter.
@@ -156,7 +158,8 @@ def mentions(source, names):
     return sorted(n for n in found if n in names)
 
 
-KEY_LAYOUT = ("_KEY_GUARD", "_ROOT_STEPS")
+KEY_LAYOUT = ("_KEY_GUARD", "_KEY_ONES", "_ROOT_STEPS", "_ClassSteps",
+              "_CLASS_STEPS")
 BYTE_KEYS = ("from_bytes", "to_bytes")
 
 
