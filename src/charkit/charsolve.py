@@ -126,13 +126,11 @@ class CharacterTable:
     def _load_disk(self, m):
         if not self.cache_dir:
             return None
-        path = self._disk_path(m)
-        if not os.path.exists(path):
-            return None
         try:
-            loaded = fixtures.load_chi_file(path)
-        except (fixtures.FixtureFormatError, fixtures.FixtureCorruptError):
-            return None     # a miss: the solve overwrites the bad file
+            loaded = fixtures.load_chi_file(self._disk_path(m))
+        except (FileNotFoundError, fixtures.FixtureFormatError,
+                fixtures.FixtureCorruptError):
+            return None     # a miss: the solve (re)writes the file
         return loaded.get(m)
 
     def _store_disk(self, m, chi):

@@ -121,7 +121,7 @@ def _poly_json(w, poly):
 def _series_json(factors, series):
     return {"factors": [list(f) for f in factors],
             "series": [{"weight": list(w), "mult": n}
-                       for w, n in fixtures.series_items(series.terms)],
+                       for w, n in series.terms.items()],
             "dim_check": True}
 
 
@@ -132,7 +132,7 @@ def _emit_series(args, factors, series, label):
     else:
         print(f"# {label}, dimension {series.total_dimension()}, "
               f"dim_check ok")
-        for w, n in fixtures.series_items(series.terms):
+        for w, n in series.terms.items():
             print(f"{fixtures.format_weight(w)}:{n}")
     return 0
 

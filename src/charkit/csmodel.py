@@ -64,6 +64,7 @@ from .lie_core import (
     KEY_MAX, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT, FUNDAMENTAL_WEIGHTS,
     MonomialRangeError, eigenvalue, is_below, key_weight, weight_key,
 )
+from .charsolve import CharacterTable
 from .polyring import MultiPoly
 from . import fixtures
 
@@ -314,23 +315,19 @@ class Restriction:
         # sends z^n to z^(n + shifts[d]) with, in units of f_jk(n).
         pj, pk = np.triu_indices(RANK)
         pairs = list(zip(pj.tolist(), pk.tolist()))
-        terms = {}
+        shifts = np.array(sorted({d for terms in op._shifts.values()
+                                  for d, _ in terms} - {0}), dtype=np.int64)
+        table = np.zeros((len(shifts), len(pairs)), dtype=object)
         for p, (j, k) in enumerate(pairs):
             for d, c in op._shifts.get((j + 1, k + 1), ()):
                 if d:   # d = 0 is the diagonal
-                    terms[d, p] = c
-        shifts = sorted({d for d, _ in terms})
-        column = {d: i for i, d in enumerate(shifts)}
-        table = np.zeros((len(shifts), len(pairs)), dtype=object)
-        for (d, p), c in terms.items():
-            table[column[d], p] = c
+                    table[np.searchsorted(shifts, d), p] = c
         # |f_jk(n)| <= 2 max(n)^2: the image coefficients are exact in
         # int64 under this bound, and stay Python ints otherwise.
         bound = 2 * int(w.max()) ** 2 * np.abs(table).sum(axis=1).max(
             initial=0)
         dtype = np.int64 if bound < 2 ** 63 else object
         table = table.astype(dtype)
-        shifts = np.array(shifts, dtype=np.int64)
         missing = [p for p, (j, k) in enumerate(pairs)
                    if (j + 1, k + 1) not in op._shifts]
 
@@ -390,8 +387,6 @@ def build_a(corpus):
     fully assembled operator, and the character table populated with every
     character computed along the way.
     """
-    from .charsolve import CharacterTable
-
     corpus.validate()
     op = Delta1Operator()
     table = CharacterTable(op)
@@ -410,8 +405,8 @@ def build_a(corpus):
                     f"series {j} {k}: no character available for weight "
                     f"{fixtures.format_weight(mu)}")
             total = total + (n * eigenvalue(mu)) * chi
-        total = total - B_COEFFS[j - 1] * (zvars[j - 1] * zvars[k - 1])
-        total = total - B_COEFFS[k - 1] * (zvars[k - 1] * zvars[j - 1])
+        total = total - ((B_COEFFS[j - 1] + B_COEFFS[k - 1])
+                         * (zvars[j - 1] * zvars[k - 1]))
         halved = {}
         for e, c in total.terms.items():
             q, r = divmod(c, 2)

@@ -17,7 +17,7 @@ import importlib.resources
 import warnings
 
 from .lie_core import (
-    RANK, FUNDAMENTAL_DIMS, monomial_dim, series_dim, weight_height2, weyl_dim,
+    RANK, FUNDAMENTAL_DIMS, monomial_dim, series_dim, weyl_dim,
 )
 from .polyring import MultiPoly
 
@@ -191,14 +191,8 @@ def format_chi_line(w, chi):
     return f"chi {format_weight(w)} = {chi.to_text()}"
 
 
-def series_items(series):
-    """Items of a {weight: mult} series in print order, highest first."""
-    return sorted(series.items(),
-                  key=lambda it: (-weight_height2(it[0]),
-                                  tuple(-x for x in it[0])))
-
-
 def format_series_line(tag, key_text, series):
-    """Render a cg/mcg line with weights in ``series_items`` order."""
-    rhs = " ".join(f"{format_weight(w)}:{n}" for w, n in series_items(series))
+    """Render a cg/mcg line with weights in the series' order (a
+    decomposition's: height descending, then lexicographically descending)."""
+    rhs = " ".join(f"{format_weight(w)}:{n}" for w, n in series.items())
     return f"{tag} {key_text} = {rhs}"

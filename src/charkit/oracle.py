@@ -158,8 +158,6 @@ def _freudenthal(m):
                 if mult == 0:
                     break
                 total += mult * bilinear2(nu, alpha)
-        if total == 0:
-            continue
         q, rem = divmod(2 * total, denom)
         assert rem == 0 and q > 0, (m, mu, total, denom)
         mults[mu] = q

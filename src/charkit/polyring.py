@@ -32,7 +32,7 @@ _FACTORS = tuple(
 
 def _term_text(c, e):
     """One term of ``MultiPoly.to_text``, for any exponents."""
-    vars_ = "*".join(f"z{i + 1}^{x}" if x > 1 else f"z{i + 1}"
+    vars_ = "*".join(f"z{i + 1}^{x}" if x != 1 else f"z{i + 1}"
                      for i, x in enumerate(e) if x)
     return f"{c}*{vars_}" if vars_ else f"{c}"
 
@@ -46,9 +46,7 @@ class MultiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, _clean_input=True):
-        if terms is None:
-            terms = {}
+    def __init__(self, terms, _clean_input=True):
         if _clean_input:
             terms = {e: c for e, c in dict(terms).items() if c}
         object.__setattr__(self, "terms", terms)

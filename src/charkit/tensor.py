@@ -12,8 +12,9 @@ the operator is restricted to it once: a constituent character that is not
 cached yet is solved by Method 1 on that ``Restriction``, from its own
 position, so its downset is never enumerated again and each row of the
 operator is read at most once per decomposition.  Each public entry refuses
-a top weight outside the operator's range (``require_in_range``) or the
-keys' (``require_keyed_downset``) before it solves or enumerates anything.
+a top weight outside the operator's range (``require_in_range``), then
+enumerates its downset, whose closure refuses a top outside the keys' range
+(``require_keyed_downset``), before either factor is solved.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .lie_core import (
     RANK, FUNDAMENTAL_WEIGHTS, dominant_weights_below, monomial_dim,
-    require_dominant, require_keyed_downset, series_dim, weyl_dim,
+    require_dominant, series_dim, weyl_dim,
 )
 
 
@@ -33,7 +34,8 @@ class DecompositionError(ArithmeticError):
 
 @dataclass
 class CGSeries:
-    """A tensor-product decomposition: weight -> positive multiplicity."""
+    """A tensor-product decomposition: weight -> positive multiplicity, in
+    downset order (height descending, then lexicographically descending)."""
 
     terms: dict
 
@@ -48,21 +50,20 @@ class CGSeries:
         return len(self.terms)
 
 
-def _subtractive_decompose(product_terms, top, table, expected_dim):
+def _subtractive_decompose(product_terms, support, table, expected_dim):
     """The certified series of a character-positive polynomial whose
-    constituents all lie below ``top``.
+    constituents all lie below ``top = support.weights[0]``.
 
     The certificate: the residual ends at zero, ``top`` occurs exactly
     once, and the dimension sum equals ``expected_dim``, the dimension of
     the product as the caller computed it; otherwise ``DecompositionError``.
-    ``top`` must fit the operator's range, which the callers check
-    before they solve anything.  The downset of ``top`` is enumerated once
-    and the operator restricted to it once; every constituent that has to
-    be solved is solved on that ``Restriction`` and shares its rows.
+    ``support`` is the operator restricted to the downset of ``top``;
+    every constituent that has to be solved is solved on it and shares
+    its rows.
     """
+    top = support.weights[0]
     residual = dict(product_terms)
     series = {}
-    support = table.operator.restrict(dominant_weights_below(top))
     for mu in support.weights:
         c = residual.get(mu, 0)
         if c == 0:
@@ -99,9 +100,9 @@ def cg_decompose(m, n, table):
     require_dominant(n)
     top = tuple(a + b for a, b in zip(m, n))
     table.operator.require_in_range(top)
-    require_keyed_downset(top)
+    support = table.operator.restrict(dominant_weights_below(top))
     product = table.character(m) * table.character(n)
-    return _subtractive_decompose(product.terms, top, table,
+    return _subtractive_decompose(product.terms, support, table,
                                   weyl_dim(m) * weyl_dim(n))
 
 
@@ -111,7 +112,9 @@ def monomial_decompose(exps, table):
     exps = tuple(exps)
     require_dominant(exps)      # the top weight of z^exps is exps
     table.operator.require_in_range(exps)
-    return _subtractive_decompose({exps: 1}, exps, table, monomial_dim(exps))
+    support = table.operator.restrict(dominant_weights_below(exps))
+    return _subtractive_decompose({exps: 1}, support, table,
+                                  monomial_dim(exps))
 
 
 # ------------------------------------------------------------ z7 families

@@ -121,6 +121,15 @@ def test_canonical_text_covers_every_exponent_to_300():
             assert MultiPoly.from_text(p.to_text()) == p
 
 
+def test_a_negative_exponent_prints_and_is_refused_on_reading():
+    # A negative exponent is written out, so its text cannot read back as
+    # a different polynomial: a cache file holding it is a miss.
+    p = MultiPoly({(-1, 0, 0, 0, 0, 0, 2): 3, (0, -2, 0, 0, 0, 0, 0): -1})
+    assert p.to_text() == "3*z1^-1*z7^2 -1*z2^-2"
+    with pytest.raises(ValueError, match="bad polynomial term"):
+        MultiPoly.from_text(p.to_text())
+
+
 def test_immutability():
     with pytest.raises(AttributeError):
         CHI_2L7.terms = {}

@@ -27,6 +27,9 @@ and no other library module builds a ``chi`` line.
 No floating point enters the library: no module holds a float or complex
 constant, names ``float`` or ``complex`` (or a numpy ``float*``/``complex*``
 type), or imports ``math`` or ``cmath``.
+No library function imports a library module in its body: the modules
+import each other at module level, where a cycle shows at once.  Only
+numpy is imported lazily.
 The set-up path and both solvers also run without importing numpy on the
 supports set-up and small solves meet: numpy is imported by the torus
 oracle and by a Method-1 solve on a support of at least
@@ -318,6 +321,40 @@ def test_a_chi_line_built_elsewhere_is_caught():
               'tag = "chi"\n')
     assert chi_line_builders(source) == [2, 3]
     assert len(chi_line_builders((SRC / "fixtures.py").read_text())) == 1
+
+
+def local_library_imports(source):
+    """The qualified names of the functions in ``source`` whose body
+    imports a library module: a relative import or one of ``charkit``."""
+    def hit(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or node.module.split(".")[0] == "charkit"
+        return isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "charkit" for alias in node.names)
+
+    return [site for site in scoped_sites(source, hit) if site != "<module>"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports_a_library_module(path):
+    assert local_library_imports(path.read_text()) == []
+
+
+def test_a_function_level_library_import_is_caught():
+    source = ("from .lie_core import RANK\n"
+              "import charkit.polyring\n"
+              "def build(corpus):\n"
+              "    from .charsolve import CharacterTable\n"
+              "    import numpy as np\n"
+              "class Table:\n"
+              "    def load(self):\n"
+              "        from . import fixtures\n"
+              "        import charkit.oracle as oracle\n"
+              "    def solve(self):\n"
+              "        import numpy\n"
+              "        from numpy import add\n")
+    assert local_library_imports(source) == ["build", "Table.load",
+                                             "Table.load"]
 
 
 def test_setup_and_solvers_do_not_import_numpy():

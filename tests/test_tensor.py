@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from charkit import fixtures
@@ -220,9 +222,32 @@ def test_quadratic_roundtrip(corpus, table):
 
 
 def test_decomposition_certifies_its_dimension_sum(table):
-    m = (0, 0, 0, 0, 0, 0, 2)
+    support = table.operator.restrict(
+        dominant_weights_below((0, 0, 0, 0, 0, 0, 2)))
     product = table.character(L[6]) * table.character(L[6])
-    got = _subtractive_decompose(product.terms, m, table, 56 * 56)
+    got = _subtractive_decompose(product.terms, support, table, 56 * 56)
     assert got.terms == cg_decompose(L[6], L[6], table).terms
     with pytest.raises(DecompositionError, match="dimension sum"):
-        _subtractive_decompose(product.terms, m, table, 56 * 56 + 1)
+        _subtractive_decompose(product.terms, support, table, 56 * 56 + 1)
+
+
+def test_a_series_comes_out_in_its_top_downset_order(table):
+    # The printed order of a series is the order its terms come in: the
+    # downset's of the top weight, which the subtraction walks.
+    cubics = [e for e in itertools.product(range(4), repeat=7) if sum(e) == 3]
+    assert len(cubics) == 84
+    cases = [(e, monomial_decompose(e, table)) for e in cubics]
+    for j in range(7):
+        for k in range(j, 7):
+            cases.append((tuple(a + b for a, b in zip(L[j], L[k])),
+                          cg_decompose(L[j], L[k], table)))
+    m, n = (0, 0, 0, 0, 0, 1, 2), (0, 0, 1, 0, 0, 0, 1)
+    cases.append(((0, 0, 1, 0, 0, 1, 3), cg_decompose(m, n, table)))
+    for k in range(1, 8):
+        for n in range(1, 4):
+            top = tuple(a + n * b for a, b in zip(L[6], L[k - 1]))
+            cases.append((top, series_family_z7(k, n, table).computed))
+    assert len(cases) == 84 + 28 + 1 + 21
+    for top, series in cases:
+        assert list(series.terms) == [
+            w for w in dominant_weights_below(top) if w in series.terms]
