@@ -26,19 +26,30 @@ Every off-diagonal term of a row lies strictly lower in height, so the
 numerators of one height level are complete once every higher level is
 solved: a large support is solved one level at a time (level scheduling
 for sparse triangular solves, Anderson & Saad 1989), on the operator's
-array form (``Restriction.arrays``).  Each level divides its nonzero
-numerators by their gaps at once, refusing a gap <= 0 or a remainder at
-the same weight and with the same error as the walk by positions, then
-scatters its rows into the numerators below with one ``np.add.at``.  The
-arrays are int64 while
+rows one block of whole levels at a time (``Restriction.levels``).  A
+block is built when the solve first reaches it; a solve on its own
+support drops it after the block's last level, and a decomposition keeps
+it for its next constituent.  Each level divides its nonzero numerators by
+their gaps at once, refusing a gap <= 0 or a remainder at the same weight
+and with the same error as the walk by positions, then scatters the rows
+whose coefficient is nonzero into the numerators below with ``np.add.at``.
 
-    max |C| of the level * max |S| * most rows reaching one position
-        + max |numerator| still to be read  <  2**62,
+The scatter runs on int64 limbs.  Each coefficient is split into signed
+limbs of L bits, C = sum over t of C_t * 2**(t L) with |C_t| < 2**L, and
+limb t of every numerator is summed in its own int64 array.  A position q
+receives at most one term per shift over the whole solve, because its
+source for shift d is q - d; so with s shifts (306) and every |S| at most
+S_max, each limb sum stays below s * 2**L * S_max, which is below 2**62 for
 
-checked before each scatter, so no int64 product or sum can overflow (the
-middle factors bound the sum of |S| into any one position); past it the
-solve goes on in Python ints (``dtype=object``), exact either way.
-Coefficients of the supports solved in practice stay near 20 bits.
+    L = 62 - bitlen(s * S_max)
+
+(``Levels.limb_bits``; at least 28 for any support the weight keys hold,
+35 at 24 lambda_7), and no int64 product or sum can overflow.  A level's
+numerators are recombined from their limbs in int64 where their limbs'
+largest magnitudes allow it, and as Python ints otherwise.  Coefficients
+stay near 20 bits at 24 lambda_7, one limb, and reach 44 bits at 48
+lambda_7, two.  An operator whose images might not fit int64 (L < 1) is
+solved position by position instead.
 
 The level solve runs for supports of at least ``LEVEL_SOLVE_MIN_SUPPORT``
 weights.  Below that the walk by positions is cheaper, counting numpy's
@@ -65,13 +76,13 @@ exact integer arithmetic over a coefficient list indexed by the support.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import os
 import threading
 
 from .lie_core import (
-    CARTAN_AINV2, TWO_RHO_ALPHA, dominant_weights_below, eigenvalue,
-    require_dominant,
+    dominant_weights_below, eigenvalue, require_dominant,
     weyl_dim,  # noqa: F401 -- a binding the benchmark tracer wraps
 )
 from .polyring import MultiPoly
@@ -81,9 +92,6 @@ from . import fixtures
 # Method 1 runs level by level on numpy arrays (``_solve_levels``) for
 # supports of at least this many weights, and position by position below.
 LEVEL_SOLVE_MIN_SUPPORT = 3000
-
-# The level solve stays on int64 while no numerator can reach this bound.
-_INT64_BOUND = 2 ** 62
 
 
 class IntegralityError(ArithmeticError):
@@ -199,11 +207,13 @@ class CharacterTable:
         """
         m = tuple(m)
         require_dominant(m)
-        if support is None:
+        # a solve on its own support drops each block of rows once past it
+        keep = support is not None
+        if not keep:
             support = self._support(m)
         p = support.position(m)
         if len(support.weights) >= LEVEL_SOLVE_MIN_SUPPORT:
-            coeffs = _solve_levels(m, support, p)
+            coeffs = _solve_levels(m, support, p, keep)
         else:
             coeffs = _solve_positions(m, support, p)
         return MultiPoly(coeffs, _clean_input=False)
@@ -290,53 +300,110 @@ def _solve_positions(m, support, p):
     return coeffs
 
 
-def _solve_levels(m, support, p):
-    """Method 1 one height level at a time, on ``support.arrays()``; the
+def _solve_levels(m, support, p, keep=True):
+    """Method 1 one height level at a time, on ``support.levels()``; the
     same coefficients as ``_solve_positions``, in the same order, and the
-    same refusal at the same weight."""
+    same refusal at the same weight.  Each level's rows come from the
+    block of levels that holds it, built when the solve first reaches the
+    block, and kept on the support for later solves when ``keep`` is set.
+    """
     import numpy as np
 
-    w, start, target, value = support.arrays()
-    height = w @ np.array(TWO_RHO_ALPHA)
-    # eps(mu) = 2(mu, mu + 2 rho), as ``eigenvalue`` computes it
-    eps = np.einsum("ij,jk,ik->i", w, np.array(CARTAN_AINV2), w) + 2 * height
+    levels = support.levels()
+    bits = levels.limb_bits
+    if bits < 1:    # images past int64
+        return _solve_positions(m, support, p)
+    weights = support.weights
+    eps = levels.eps
+    blocks = levels.blocks
     eps_m = eigenvalue(m)
-    # A bound on the sum of |S| into any one position: the largest |S|
-    # times the most rows that reach one position.
-    into = int(np.abs(value).max(initial=0)) * int(
-        np.bincount(target).max(initial=0))
-    n = len(w)
-    acc = np.zeros(n, dtype=value.dtype)
-    coeff = np.zeros(n, dtype=value.dtype)
-    coeff[p] = 1
+    # acc[t] holds limb t of the numerators, in units of 2**(t * bits)
+    acc = [np.zeros(len(weights), dtype=np.int64)]
+    k = -1      # the block in hand: none yet
     # p's level holds no other weight below m, so its numerators stay 0
-    cuts = (p + 1 + np.flatnonzero(np.diff(height[p:]))).tolist()
-    for a, b in zip([p] + cuts, cuts + [n]):
+    cuts = [p] + levels.cuts[bisect.bisect_right(levels.cuts, p):]
+    i, c = np.array([p]), np.ones(1, dtype=np.int64)
+    coeffs = {m: 1}
+    for a, b in zip(cuts, cuts[1:]):
         if a > p:
-            num = acc[a:b]
-            i = np.flatnonzero(num)
+            i, num = _numerators(acc, a, b, bits)
             if not i.size:
                 continue
-            num = num[i]
             i += a
             gap = eps_m - eps[i]
-            safe = np.where(gap > 0, gap, 1)
-            c = num // safe
-            bad = np.flatnonzero((gap <= 0) | (num % safe != 0))
-            if bad.size:    # refused by the same check, at the same weight
-                k = bad[0]
-                _divide(m, support.weights[i[k]], int(num[k]), int(gap[k]))
-            coeff[i] = c
-        if acc.dtype != object and (
-                int(np.abs(coeff[a:b]).max()) * into
-                + int(np.abs(acc[b:]).max(initial=0)) >= _INT64_BOUND):
-            acc, coeff = acc.astype(object), coeff.astype(object)
-        lo, hi = start[a], start[b]
-        np.add.at(acc, target[lo:hi],
-                  value[lo:hi] * np.repeat(coeff[a:b], np.diff(start[a:b + 1])))
-    nonzero = np.flatnonzero(coeff).tolist()
-    return dict(zip([support.weights[i] for i in nonzero],
-                    coeff[nonzero].tolist()))
+            if isinstance(num, list):   # past int64: on Python ints
+                c = values = [_divide(m, weights[j], x, g) for j, x, g
+                              in zip(i.tolist(), num, gap.tolist())]
+            else:
+                c, rem = np.divmod(num, np.maximum(gap, 1))
+                if rem.any() or gap.min() <= 0:
+                    # refused by the same check, at the same weight
+                    j = ((gap <= 0) | (rem != 0)).argmax()
+                    _divide(m, weights[i[j]], int(num[j]), int(gap[j]))
+                values = c.tolist()
+            coeffs.update(zip(map(weights.__getitem__, i.tolist()), values))
+        if blocks[k + 1] <= a:
+            rows = None     # let the last block go before the next is built
+            k = bisect.bisect_right(blocks, a) - 1
+            rows = levels.block(k, keep)
+        start, target, value = rows
+        r = i - blocks[k]
+        lo = start[r]
+        counts = start[r + 1] - lo
+        # the entries of the rows r, one run per row
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        at += np.arange(len(at))
+        target, value = target[at], value[at]
+        limbs = _limbs(c, bits)
+        acc += [np.zeros_like(acc[0]) for _ in limbs[len(acc):]]
+        for x, limb in zip(acc, limbs):
+            np.add.at(x, target, value * np.repeat(limb, counts))
+    return coeffs
+
+
+def _numerators(acc, a, b, bits):
+    """The nonzero numerators of positions a..b, from their limbs in
+    ``acc``: their offsets from a, and their values as an int64 array, or
+    as a list of ints where int64 cannot hold them."""
+    import numpy as np
+
+    if len(acc) == 1:
+        num = acc[0][a:b]
+        i = num.nonzero()[0]
+        return i, num[i]
+    parts = [x[a:b] for x in acc]
+    i = np.any(parts, axis=0).nonzero()[0]
+    parts = [x[i] for x in parts]
+    if sum(int(np.abs(x).max(initial=0)) << (t * bits)
+           for t, x in enumerate(parts)) < 2 ** 63:
+        num = parts[0]
+        for t, x in enumerate(parts[1:], 1):
+            num = num + (x << (t * bits))
+        nz = num.nonzero()[0]   # limbs can cancel
+        return i[nz], num[nz]
+    num = [sum(x << (t * bits) for t, x in enumerate(column))
+           for column in zip(*(x.tolist() for x in parts))]
+    nz = [j for j, x in enumerate(num) if x]
+    return i[nz], [num[j] for j in nz]
+
+
+def _limbs(c, bits):
+    """The int64 array or list of ints c as signed int64 limbs of ``bits``
+    bits, least significant first: c = sum over t of limb t << (t * bits),
+    each |limb| below 2**bits."""
+    import numpy as np
+
+    top = max(map(abs, c)) if isinstance(c, list) else int(np.abs(c).max())
+    count = max(1, -(-top.bit_length() // bits))
+    if count == 1:
+        return [np.asarray(c, dtype=np.int64)]
+    mask = (1 << bits) - 1
+    if isinstance(c, list):
+        sign = np.array([(x > 0) - (x < 0) for x in c], dtype=np.int64)
+        return [sign * np.array([(abs(x) >> (t * bits)) & mask for x in c],
+                                dtype=np.int64) for t in range(count)]
+    sign, mag = np.sign(c), np.abs(c)
+    return [sign * ((mag >> (t * bits)) & mask) for t in range(count)]
 
 
 def _apply_factor(rows, poly, e):

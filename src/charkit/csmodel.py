@@ -36,19 +36,21 @@ two tuples, its keys and their coefficients.  No solver sees a key:
 to tuple keys, and ``restrict`` gives both solvers the operator on a
 downset as a ``Restriction``: the members' one index, by key, and their
 rows by position, each a list of target positions with the image's
-coefficient tuple, built once.  ``Restriction.arrays`` gives the same
-rows, the diagonal left out, as numpy int64 arrays for a whole support
-(numpy is imported there, and only when first needed).
+coefficient tuple, built once.  ``Restriction.levels`` gives the same
+rows, the diagonal left out, as numpy int64 arrays one block of whole
+height levels at a time, each block built when a level solve first reaches
+it (numpy is imported there, and only when first needed).
 
-The array form reads the same shifts.  Every off-diagonal image term of
-z^n is z^(n + d) for one of a fixed set of shifts d = e - u_j - u_k (307
-for E7, the diagonal one among them), and its coefficient is sum over
-pairs of a_jk[d] * f_jk(n), with f_jk(n) = n_j (n_j - 1) when j = k and
-2 n_j n_k otherwise.  So the images of a block of rows are one product of
-the (rows x 28) factors with the fixed (28 x shifts) coefficient table,
-exact in int64 and taken pair by pair (the table has 401 nonzero entries
-off the diagonal), and the target keys are the rows' own keys plus the
-shifts.
+The blocks read the same shifts.  Every off-diagonal image term of z^n is
+z^(n + d) for one of a fixed set of shifts d = e - u_j - u_k (306 for E7,
+the diagonal one aside), and its coefficient is sum over pairs of
+a_jk[d] * f_jk(n), with f_jk(n) = n_j (n_j - 1) when j = k and 2 n_j n_k
+otherwise.  So the images of a block of rows are one product of the
+(rows x 28) factors with the fixed (28 x shifts) coefficient table, taken
+pair by pair (the table has 401 nonzero entries off the diagonal), and the
+target keys are the rows' own keys plus the shifts.  The product is exact
+in int64 whenever the level solve's limb width is at least 1 (``Levels``);
+no block is built otherwise.
 
 The operator is triangular: an image term n - u_j - u_k + e, for e a term
 of a_jk, lies below n exactly when e lies below lambda_j + lambda_k.
@@ -61,8 +63,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lie_core import (
-    KEY_MAX, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT, FUNDAMENTAL_WEIGHTS,
-    MonomialRangeError, eigenvalue, is_below, key_weight, weight_key,
+    CARTAN_AINV2, KEY_MAX, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT,
+    FUNDAMENTAL_WEIGHTS, MonomialRangeError, eigenvalue, is_below,
+    key_weight, weight_key,
 )
 from .charsolve import CharacterTable
 from .polyring import MultiPoly
@@ -82,8 +85,8 @@ class StructuralViolationError(AssertionError):
     would break the operator's triangle."""
 
 
-# Rows of a support's array form built at once (``Restriction.arrays``):
-# a chunk's (shifts x rows) block of image coefficients is 2.5 MB of int64.
+# Rows the level solve builds at once (``Levels.block``), at the least: a
+# block's (shifts x rows) table of image coefficients is 2.5 MB of int64.
 _CHUNK_ROWS = 1024
 
 
@@ -261,9 +264,9 @@ class Restriction:
     target positions and the tuple of their coefficients.  Each row is
     built once, however many members are solved on the restriction.  Every
     target is a member at or after position i: ``register_pair`` admits
-    only coefficient terms that keep the operator triangular.  ``arrays()``
-    holds every row at once, off the diagonal, for the level solve of a
-    large support.
+    only coefficient terms that keep the operator triangular.
+    ``levels()`` gives the level solve of a large support the same rows,
+    off the diagonal, one block of height levels at a time.
     """
 
     def __init__(self, operator, weights):
@@ -271,7 +274,7 @@ class Restriction:
         self.weights = weights
         self._index = {weight_key(mu): i for i, mu in enumerate(weights)}
         self._rows = [None] * len(weights)
-        self._arrays = None
+        self._levels = None
 
     def position(self, mu):
         """The position of the member mu."""
@@ -285,88 +288,131 @@ class Restriction:
             r = self._rows[i] = [index[q] for q in keys], coeffs
         return r
 
-    def arrays(self):
-        """The operator's off-diagonal part on the support as numpy
-        arrays, built once: ``(weights, start, target, value)``.
+    def levels(self):
+        """The operator on the support as the level solve reads it
+        (``Levels``), worked out once per restriction."""
+        if self._levels is None:
+            self._levels = Levels(self)
+        return self._levels
 
-        ``weights`` is the (n, 7) int64 array of the members.  Row i holds
-        the off-diagonal terms of member i's image: positions
-        ``target[start[i]:start[i + 1]]``, all after i, with the nonzero
-        coefficients ``value[start[i]:start[i + 1]]``, int64 unless some
-        coefficient could leave it (then Python ints).  The rows are
-        built ``_CHUNK_ROWS`` at a time, and every target is looked up
-        among the members' sorted keys; one that is not a member raises
-        ``KeyError``, as ``row`` does.  A member outside the key range
-        raises ``MonomialRangeError`` and one that needs an unbuilt pair
-        ``OperatorIncompleteError``, as its image would.
-        """
-        if self._arrays is None:
-            self._arrays = self._build_arrays()
-        return self._arrays
 
-    def _build_arrays(self):
+class Levels:
+    """The level solve's view of a ``Restriction`` (numpy is imported
+    here, and only when first needed).
+
+    ``eps`` holds the members' eigenvalues, ``cuts`` the positions where
+    their height levels start and ``blocks`` where their blocks start,
+    each list ending with the support's size; a block is a run of whole
+    levels of at least ``_CHUNK_ROWS`` rows, the last one aside.
+    ``block(k)`` is block k's rows off the diagonal.  ``limb_bits`` is
+    the width L of the int64 limbs the solve carries its coefficients on:
+    L = 62 - bitlen(shifts * max |S|), max |S| bounded by
+    2 max(n)^2 * max_d sum over pairs of |a_jk[d]|; below 1, the images
+    may not fit int64, and no block is built.
+
+    A member outside the key range raises ``MonomialRangeError`` here,
+    as its image would.
+    """
+
+    def __init__(self, support):
         import numpy as np
 
-        op = self.operator
-        w = np.array(self.weights, dtype=np.int64)
+        op = support.operator
+        weights = support.weights
+        n = len(weights)
+        w = np.array(weights, dtype=np.int64)
         if w.max() > KEY_MAX - op._max_exp:
-            op.require_in_range(self.weights[int(w.max(axis=1).argmax())])
-        # The shift table: table[d, p] is the coefficient pair p's a_jk
-        # sends z^n to z^(n + shifts[d]) with, in units of f_jk(n).
-        pj, pk = np.triu_indices(RANK)
-        pairs = list(zip(pj.tolist(), pk.tolist()))
-        shifts = np.array(sorted({d for terms in op._shifts.values()
-                                  for d, _ in terms} - {0}), dtype=np.int64)
-        table = np.zeros((len(shifts), len(pairs)), dtype=object)
-        for p, (j, k) in enumerate(pairs):
-            for d, c in op._shifts.get((j + 1, k + 1), ()):
-                if d:   # d = 0 is the diagonal
-                    table[np.searchsorted(shifts, d), p] = c
-        # |f_jk(n)| <= 2 max(n)^2: the image coefficients are exact in
-        # int64 under this bound, and stay Python ints otherwise.
-        bound = 2 * int(w.max()) ** 2 * np.abs(table).sum(axis=1).max(
-            initial=0)
-        dtype = np.int64 if bound < 2 ** 63 else object
-        table = table.astype(dtype)
-        missing = [p for p, (j, k) in enumerate(pairs)
-                   if (j + 1, k + 1) not in op._shifts]
+            op.require_in_range(weights[int(w.max(axis=1).argmax())])
+        height = w @ np.array(TWO_RHO_ALPHA)
+        # eps(mu) = 2(mu, mu + 2 rho), as ``eigenvalue`` computes it
+        self.eps = np.einsum("ij,jk,ik->i", w, np.array(CARTAN_AINV2),
+                             w) + 2 * height
+        self._w = w.astype(np.uint8)
+        self.cuts = [0] + (1 + np.flatnonzero(np.diff(height))).tolist() + [n]
+        self.blocks = [0]
+        for c in self.cuts[1:]:
+            if c - self.blocks[-1] >= _CHUNK_ROWS or c == n:
+                self.blocks.append(c)
+        self._memo = {}
 
-        keys = np.fromiter(self._index, dtype=np.int64, count=len(w))
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        counts, targets, values = [], [], []
-        for a in range(0, len(w), _CHUNK_ROWS):
-            rows = w[a:a + _CHUNK_ROWS]
-            factors = (rows[:, pj] * (rows[:, pk] - (pj == pk))
-                       * (2 - (pj == pk))).T
-            for p in missing:
-                if factors[p].any():
-                    j, k = pairs[p]
-                    n = self.weights[a + int(np.flatnonzero(factors[p])[0])]
-                    raise OperatorIncompleteError(
-                        f"coefficient pair {(j + 1, k + 1)} needed for "
-                        f"monomial {n} is not built")
-            images = np.zeros((len(shifts), len(rows)), dtype=dtype)
-            for p, f in enumerate(factors):
-                ds = np.flatnonzero(table[:, p])
-                if ds.size:
-                    images[ds] += table[ds, p, None] * f
-            # by row, then by shift: row-major in the (rows x shifts) view
-            i, d = np.nonzero(images.T)
-            q = keys[a + i] + shifts[d]
-            at = np.minimum(np.searchsorted(sorted_keys, q), len(keys) - 1)
-            outside = np.flatnonzero(sorted_keys[at] != q)
-            if outside.size:
-                k = outside[0]
-                raise KeyError(
-                    f"image term z^{key_weight(int(q[k]))} of "
-                    f"z^{self.weights[a + int(i[k])]} is not in the support")
-            counts.append(np.bincount(i, minlength=len(rows)))
-            targets.append(order[at])
-            values.append(images[d, i])
-        start = np.zeros(len(w) + 1, dtype=np.intp)
-        np.cumsum(np.concatenate(counts), out=start[1:])
-        return w, start, np.concatenate(targets), np.concatenate(values)
+        # The shift table: table[d][p] is the coefficient pair p's a_jk
+        # sends z^n to z^(n + shifts[d]) with, in units of f_jk(n).
+        self._pj, self._pk = np.triu_indices(RANK)
+        self._pairs = list(zip(self._pj.tolist(), self._pk.tolist()))
+        shifts = sorted({d for terms in op._shifts.values()
+                         for d, _ in terms} - {0})     # d = 0 is the diagonal
+        column = {d: s for s, d in enumerate(shifts)}
+        table = [[0] * len(self._pairs) for _ in shifts]
+        for p, (j, k) in enumerate(self._pairs):
+            for d, c in op._shifts.get((j + 1, k + 1), ()):
+                if d:
+                    table[column[d]][p] = c
+        most = 2 * int(self._w.max(initial=0)) ** 2 * max(
+            (sum(map(abs, r)) for r in table), default=0)
+        self.limb_bits = 62 - (len(shifts) * most).bit_length()
+        if self.limb_bits < 1:
+            return
+        self._shifts = np.array(shifts, dtype=np.int64)
+        self._table = np.array(table, dtype=np.int64).reshape(
+            len(shifts), len(self._pairs))
+        self._columns = [np.flatnonzero(t) for t in self._table.T]
+        self._missing = [p for p, (j, k) in enumerate(self._pairs)
+                         if (j + 1, k + 1) not in op._shifts]
+        self._keys = np.fromiter(support._index, dtype=np.int64, count=n)
+        self._order = np.argsort(self._keys)
+        self._sorted_keys = self._keys[self._order]
+        self._weights = weights
+
+    def block(self, k, keep=True):
+        """Block k's rows off the diagonal, as int64 arrays ``(start,
+        target, value)``: the row of the member at position
+        ``blocks[k] + r`` holds positions ``target[start[r]:start[r + 1]]``,
+        all after its own, with the nonzero coefficients
+        ``value[start[r]:start[r + 1]]``.  Kept for the next call when
+        ``keep`` is set.
+
+        Every target is looked up among the members' sorted keys; one that
+        is not a member raises ``KeyError``, as ``Restriction.row`` does,
+        and a member that needs an unbuilt pair raises
+        ``OperatorIncompleteError``, as its image would.
+        """
+        import numpy as np
+
+        rows = self._memo.get(k)
+        if rows is not None:
+            return rows
+        a, b = self.blocks[k], self.blocks[k + 1]
+        w = self._w[a:b].astype(np.int64)
+        pj, pk = self._pj, self._pk
+        factors = (w[:, pj] * (w[:, pk] - (pj == pk)) * (2 - (pj == pk))).T
+        for p in self._missing:
+            if factors[p].any():
+                pair = tuple(x + 1 for x in self._pairs[p])
+                n = self._weights[a + int(np.flatnonzero(factors[p])[0])]
+                raise OperatorIncompleteError(
+                    f"coefficient pair {pair} needed for monomial {n} is "
+                    f"not built")
+        images = np.zeros((len(self._shifts), b - a), dtype=np.int64)
+        for p, (f, ds) in enumerate(zip(factors, self._columns)):
+            if ds.size:
+                images[ds] += self._table[ds, p, None] * f
+        # by row, then by shift: row-major in the (rows x shifts) view
+        i, d = np.nonzero(images.T)
+        q = self._keys[a + i] + self._shifts[d]
+        keys = self._sorted_keys
+        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        outside = np.flatnonzero(keys[at] != q)
+        if outside.size:
+            x = outside[0]
+            raise KeyError(
+                f"image term z^{key_weight(int(q[x]))} of "
+                f"z^{self._weights[a + int(i[x])]} is not in the support")
+        start = np.zeros(b - a + 1, dtype=np.intp)
+        np.cumsum(np.bincount(i, minlength=b - a), out=start[1:])
+        rows = start, self._order[at], images[d, i]
+        if keep:
+            self._memo[k] = rows
+        return rows
 
 
 def _pair_order():

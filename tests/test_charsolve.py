@@ -335,7 +335,7 @@ def test_concurrent_character_computation(operator):
 
 
 # Both Method-1 paths, called directly: position by position on the rows,
-# and level by level on the arrays.
+# and level by level on blocks of rows.
 
 def solved_both_ways(m, support):
     """The coefficients of chi_m by each path, as lists of items, so that
@@ -382,52 +382,68 @@ def test_a_support_above_the_threshold_is_solved_by_levels(operator,
     assert list(chi.terms.items()) == want
 
 
-class RecordedAddAt:
-    """Stands in for ``numpy.add`` and records the dtype each
-    ``add.at`` scatters into."""
-
-    def __init__(self, add):
-        self.add = add
-        self.dtypes = []
-
-    def at(self, acc, index, values):
-        self.dtypes.append(acc.dtype)
-        self.add.at(acc, index, values)
-
-
-@pytest.mark.parametrize("bound, part_way", [(1, False), (2 ** 27, True)],
-                         ids=["from-the-top", "part-way"])
-def test_level_solve_falls_back_to_python_ints(operator, monkeypatch, bound,
-                                               part_way):
-    import numpy as np
-
+@pytest.mark.parametrize("bits", [1, 3])
+def test_level_solve_on_several_limbs(operator, bits):
+    # Any limb width of at least 1 is exact; a narrow one splits the
+    # coefficients of 12 lambda_7 (up to 8 bits) over three limbs or more.
     m = (0, 0, 0, 0, 0, 0, 12)
     support = fresh_table(operator)._support(m)
-    monkeypatch.setattr(charsolve, "_INT64_BOUND", bound)
-    recorded = RecordedAddAt(np.add)
-    monkeypatch.setattr(np, "add", recorded)
+    assert support.levels().limb_bits > 8
+    support.levels().limb_bits = bits
     by_positions, by_levels = solved_both_ways(m, support)
-    monkeypatch.undo()
     assert by_levels == by_positions
-    # int64 up to some level, Python ints from there on
-    kinds = [dt == object for dt in recorded.dtypes]
-    switch = kinds.index(True)
-    assert all(kinds[switch:])
-    assert (0 < switch < len(kinds) - 1) == part_way
+    assert max(c for _, c in by_levels).bit_length() > 2 * bits
+
+
+def test_numerators_past_int64_are_python_ints():
+    import numpy as np
+
+    bits = 30
+    want = [5, -(2 ** 70) + 3, 0, 2 ** 64, 7 << 30]
+    limbs = charsolve._limbs([x for x in want if x], bits)
+    assert len(limbs) == 3 and all(x.dtype == np.int64 for x in limbs)
+    assert all(int(np.abs(x).max()) < 2 ** bits for x in limbs)
+    acc = [np.zeros(len(want) + 2, dtype=np.int64) for _ in limbs]
+    for x, limb in zip(acc, limbs):
+        x[[2, 3, 5, 6]] = limb
+    i, num = charsolve._numerators(acc, 1, len(want) + 2, bits)
+    assert i.tolist() == [1, 2, 4, 5] and num == [x for x in want if x]
+    # within int64, the numerators stay an int64 array, with limbs that
+    # cancel left out
+    acc = [np.array([3, 2 ** bits, 0]), np.array([0, -1, 2])]
+    i, num = charsolve._numerators(acc, 0, 3, bits)
+    assert i.tolist() == [0, 2] and num.tolist() == [3, 2 << bits]
 
 
 def test_level_solve_on_python_int_images(operator):
-    # Images beyond int64 make arrays of Python ints, and the level solve
-    # runs on them from the top: it refuses the operator where the
-    # position solve does.
+    # Images beyond int64 leave no limb width: the level solve hands the
+    # support to the position solve, which refuses the operator.
     op = with_a_huge_coefficient(operator)
     support = op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 0, 6)))
-    assert support.arrays()[3].dtype == object
+    assert support.levels().limb_bits < 1
     with pytest.raises(IntegralityError) as by_positions:
         charsolve._solve_positions(support.weights[0], support, 0)
     with pytest.raises(IntegralityError) as by_levels:
         charsolve._solve_levels(support.weights[0], support, 0)
     assert str(by_levels.value) == str(by_positions.value)
+
+
+def test_a_standalone_level_solve_drops_its_blocks(operator):
+    # 18 lambda_7 (3 102 weights, three blocks) holds one block of rows at
+    # a time: its peak is about 7 MB, and 10 MB with every row at once.
+    import tracemalloc
+
+    import numpy  # noqa: F401 -- imported before the trace starts
+
+    m = (0, 0, 0, 0, 0, 0, 18)
+    fresh_table(operator).character_m1(m)
+    tracemalloc.start()
+    try:
+        fresh_table(operator).character_m1(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2 ** 20
 
 
 def test_level_solve_refuses_a_corrupted_operator(operator):

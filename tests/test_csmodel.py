@@ -10,7 +10,7 @@ from charkit.csmodel import (
 )
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, KEY_MAX, ZERO_WEIGHT, dominant_weights_below,
-    eigenvalue, is_below, key_weight,
+    eigenvalue, is_below, key_weight, weight_height2,
 )
 from charkit.polyring import MultiPoly
 
@@ -147,32 +147,64 @@ def with_a_huge_coefficient(operator):
 @pytest.mark.parametrize("huge", [False, True], ids=["int64", "python-ints"])
 def test_restriction_arrays_are_the_rows_off_the_diagonal(
         operator, monkeypatch, top, chunk_rows, huge):
+    import numpy as np
+
     monkeypatch.setattr(csmodel, "_CHUNK_ROWS", chunk_rows)
     if huge:
         operator = with_a_huge_coefficient(operator)
     weights = dominant_weights_below(top)
+    n = len(weights)
     support = operator.restrict(weights)
-    w, start, target, value = arrays = support.arrays()
-    assert support.arrays() is arrays
-    assert (value.dtype == object) == huge
-    assert w.tolist() == [list(mu) for mu in weights]
-    assert start[0] == 0 and start[-1] == len(target) == len(value)
-    for i in range(len(weights)):
-        targets, coeffs = support.row(i)
-        lo, hi = start[i], start[i + 1]
-        assert (target[lo:hi] > i).all() and value[lo:hi].all()
-        assert dict(zip(target[lo:hi].tolist(), value[lo:hi].tolist())) == \
-            {j: c for j, c in zip(targets, coeffs) if j != i}
+    levels = support.levels()
+    assert support.levels() is levels
+    assert levels.eps.tolist() == [eigenvalue(mu) for mu in weights]
+    heights = [weight_height2(mu) for mu in weights]
+    assert levels.cuts == [0] + [i for i in range(1, n)
+                                 if heights[i] != heights[i - 1]] + [n]
+    # blocks of whole levels, each of at least chunk_rows rows but the last
+    blocks = levels.blocks
+    assert blocks[0] == 0 and blocks[-1] == n and set(blocks) <= set(levels.cuts)
+    assert all(b - a >= chunk_rows for a, b in zip(blocks, blocks[1:-1]))
+    assert len(blocks) > 2 or n < 2 * chunk_rows
+    # Images that may leave int64 leave no limb width: the level solve
+    # hands such an operator to the position solve and builds no block.
+    assert (levels.limb_bits < 1) == huge
+    if huge:
+        return
+    for k, (a, b) in enumerate(zip(blocks, blocks[1:])):
+        start, target, value = rows = levels.block(k)
+        assert levels.block(k) is rows
+        assert value.dtype == np.int64
+        assert start[0] == 0 and start[-1] == len(target) == len(value)
+        assert len(start) == b - a + 1
+        for i in range(a, b):
+            targets, coeffs = support.row(i)
+            lo, hi = start[i - a], start[i - a + 1]
+            assert (target[lo:hi] > i).all() and value[lo:hi].all()
+            assert dict(zip(target[lo:hi].tolist(), value[lo:hi].tolist())) == \
+                {j: c for j, c in zip(targets, coeffs) if j != i}
+
+
+def test_a_block_not_kept_is_built_afresh(operator):
+    levels = operator.restrict(
+        dominant_weights_below((0, 0, 0, 0, 2, 2, 2))).levels()
+    first = levels.block(0, keep=False)
+    again = levels.block(0, keep=False)
+    assert again is not first
+    assert all((x == y).all() for x, y in zip(first, again))
+    assert levels.block(0) is levels.block(0) is not again
 
 
 def test_restriction_arrays_refuse_a_target_outside_the_support(operator):
     # Without the zero weight, the images that reach it have a target
     # whose nearest key belongs to another member.
     weights = dominant_weights_below((0, 0, 0, 0, 0, 0, 4))[:-1]
-    support = operator.restrict(weights)
+    levels = operator.restrict(weights).levels()
+    assert levels.blocks == [0, len(weights)]
     with pytest.raises(KeyError, match=r"image term z\^\(0, 0, 0, 0, 0, 0, 0\)"
                                        r" of z\^.* is not in the support"):
-        support.arrays()
+        levels.block(0)
+    support = operator.restrict(weights)
     with pytest.raises(KeyError):
         [support.row(i) for i in range(len(weights))]
 
@@ -181,14 +213,16 @@ def test_restriction_arrays_refuse_what_the_images_refuse(operator):
     last = KEY_MAX - 4
     beyond = operator.restrict([(0, 0, 0, 0, 0, 0, last + 1)])
     with pytest.raises(MonomialRangeError, match=f"0..{last}"):
-        beyond.arrays()
+        beyond.levels()
     op = Delta1Operator()
     op.register_pair(7, 7, MultiPoly.from_text("3*z7^2 -4*z6 -24*z1 -60"))
-    assert op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 0, 2))).arrays()
+    assert op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 0, 2))
+                       ).levels().block(0)
     with pytest.raises(OperatorIncompleteError,
                        match=r"^coefficient pair \(\d, \d\) needed for "
                              r"monomial \(\d(, \d){6}\) is not built$"):
-        op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 1, 1))).arrays()
+        op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 1, 1))
+                    ).levels().block(0)
 
 
 def by_definition(op, p):
