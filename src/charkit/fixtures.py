@@ -30,6 +30,15 @@ class FixtureCorruptError(ValueError):
     """A fixture parses but fails its validation identity."""
 
 
+def _integer(text):
+    """``int(text)`` for an optional ``-`` and decimal digits, the spelling
+    of a polynomial's coefficient; ``int`` alone would also take ``+``,
+    ``_`` between digits and surrounding whitespace."""
+    if not (text[1:] if text[:1] == "-" else text).isdecimal():
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_weight(text):
     """Parse ``0000002`` or ``0,0,0,0,0,0,2`` into a 7-tuple of ints."""
     text = text.strip()
@@ -40,7 +49,7 @@ def parse_weight(text):
     if len(parts) != RANK:
         raise FixtureFormatError(f"weight {text!r} does not have 7 entries")
     try:
-        w = tuple(int(p) for p in parts)
+        w = tuple(map(_integer, parts))
     except ValueError:
         raise FixtureFormatError(f"weight {text!r} has non-integer entries")
     if any(x < 0 for x in w):
@@ -109,7 +118,7 @@ def _pair_key(fields):
     """The unordered pair ``j k`` as (min, max): ``cg 1 3`` and ``cg 3 1``
     name one key."""
     _, j, k = fields
-    j, k = int(j), int(k)
+    j, k = _integer(j), _integer(k)
     if not (1 <= j <= RANK and 1 <= k <= RANK):
         raise ValueError(f"bad pair {j} {k}")
     return min(j, k), max(j, k)
@@ -121,7 +130,7 @@ def _parse_series_rhs(rhs):
         try:
             wtext, ntext = item.rsplit(":", 1)
             w = parse_weight(wtext)
-            n = int(ntext)
+            n = _integer(ntext)
         except ValueError as exc:
             raise FixtureFormatError(f"bad series item {item!r}: {exc}")
         if n <= 0:

@@ -29,6 +29,27 @@ _FACTORS = tuple(
      for x in range(256)}
     for i in range(1, NVARS + 1))
 
+# The same factors read back: "z<i>" and "z<i>^<x>", x = 1..255, each to
+# (i - 1, x).
+_READ_FACTORS = {f[x][1:]: (i, x) for i, f in enumerate(_FACTORS)
+                 for x in range(1, 256)}
+
+# Any spelling of a term: a coefficient, then factors in any order and
+# repetition, each exponent in any decimal digits.
+_TERM_RE = re.compile(r"^(?P<coeff>-?\d+)(?P<vars>(?:\*z[1-7](?:\^\d+)?)*)$")
+
+
+def _read_term(tok):
+    """(coefficient, exponents) of one term of any spelling, or
+    ``ValueError``."""
+    m = _TERM_RE.match(tok)
+    if not m:
+        raise ValueError(f"bad polynomial term {tok!r}")
+    exps = [0] * NVARS
+    for var, ex in re.findall(r"z([1-7])(?:\^(\d+))?", m.group("vars")):
+        exps[int(var) - 1] += int(ex) if ex else 1
+    return int(m.group("coeff")), tuple(exps)
+
 
 def _term_text(c, e):
     """One term of ``MultiPoly.to_text``, for any exponents."""
@@ -129,14 +150,17 @@ class MultiPoly:
         point = tuple(point)
         if len(point) != NVARS:
             raise ValueError("evaluation point must have 7 entries")
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, n in zip(point, e):
-                if n:
-                    v *= x ** n
-            total += v
-        return total
+        terms = self.terms
+        if not terms:
+            return 0
+        columns = list(zip(*terms))
+        if min(map(min, columns)) < 0:
+            raise ValueError("cannot evaluate a negative exponent exactly")
+        p1, p2, p3, p4, p5, p6, p7 = (
+            [x ** n for n in range(max(column) + 1)]
+            for x, column in zip(point, columns))
+        return sum(c * p1[a] * p2[b] * p3[d] * p4[e] * p5[f] * p6[g] * p7[h]
+                   for (a, b, d, e, f, g, h), c in terms.items())
 
     def coefficient_of(self, exps):
         """Stored coefficient of the monomial with the given exponents, or 0."""
@@ -161,25 +185,39 @@ class MultiPoly:
         except KeyError:        # an exponent outside 0..255
             return " ".join([_term_text(terms[e], e) for e in order])
 
-    _TERM_RE = re.compile(
-        r"^(?P<coeff>-?\d+)(?P<vars>(?:\*z[1-7](?:\^\d+)?)*)$")
-
     @classmethod
     def from_text(cls, text):
-        """Parse the canonical text form (inverse of ``to_text``)."""
+        """Parse the text form (inverse of ``to_text``).
+
+        Whitespace separates terms.  A term is a coefficient ``-?\\d+``
+        (any Unicode decimal digits), then factors ``*z<i>`` or
+        ``*z<i>^<x>``, i in 1..7 and x decimal digits; a repeated factor
+        adds its exponent and a repeated monomial its coefficient.  A term
+        whose factors are all spelt as ``to_text`` writes them (x = 1..255,
+        no leading zero) is read through ``_READ_FACTORS``, the inverse of
+        ``to_text``'s table; any other spelling goes through ``_TERM_RE``,
+        so the accepted language, the values and the ``bad polynomial
+        term`` message are the regex's.
+        """
         text = text.strip()
         if not text or text == "0":
             return cls.zero()
         out = {}
+        read = _READ_FACTORS.get
         for tok in text.split():
-            m = cls._TERM_RE.match(tok)
-            if not m:
-                raise ValueError(f"bad polynomial term {tok!r}")
-            coeff = int(m.group("coeff"))
-            exps = [0] * NVARS
-            for var, ex in re.findall(r"z([1-7])(?:\^(\d+))?", m.group("vars")):
-                exps[int(var) - 1] += int(ex) if ex else 1
-            e = tuple(exps)
+            head, *parts = tok.split("*")
+            if (head[1:] if head[:1] == "-" else head).isdecimal():
+                exps = [0] * NVARS
+                for part in parts:
+                    ix = read(part)
+                    if ix is None:
+                        break
+                    exps[ix[0]] += ix[1]
+                else:
+                    e = tuple(exps)
+                    out[e] = out.get(e, 0) + int(head)
+                    continue
+            coeff, e = _read_term(tok)
             out[e] = out.get(e, 0) + coeff
         return cls(out)
 

@@ -207,6 +207,26 @@ def test_unusable_cache_dir_is_a_one_line_error(tmp_path, capsys, under):
     assert str(blocker) in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "0,0,0,0,0,0,1_0"],
+    ["dim", "+0,0,0,0,0,0,1"],
+    ["dim", "0, 0,0,0,0,0,1"],
+    ["character", "0,0,0,0,0,+1,0"],
+    ["cg", "0000001", "0,0,0,0,0,0,0_1"],
+], ids=["dim-underscore", "dim-plus", "dim-space", "character-plus",
+        "cg-underscore"])
+def test_weight_spelling_outside_digits_is_a_usage_error(capsys, argv):
+    # int() reads "1_0" as 10, so `dim 0,0,0,0,0,0,1_0` printed the
+    # dimension of 10 lambda_7.
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", *argv])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert errors == [f"charkit {argv[0]}: error: argument weights: "
+                      f"weight {argv[-1]!r} has non-integer entries"]
+
+
 def test_weight_comma_form(capsys):
     code, out, _ = run(capsys, "dim", "0,0,0,0,0,0,1")
     assert code == 0

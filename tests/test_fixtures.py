@@ -19,6 +19,28 @@ def test_parse_weight_errors():
             parse_weight(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "0,0,0,0,0,0,1_0", "+0,0,0,0,0,0,1", "0,0,0,0,0,0,+1", "0, 0,0,0,0,0,1",
+    "0,0,0,0,0,0,\t1", "0,0,0,0,0,-0_1,1", "000000+",
+], ids=["underscore", "plus-first", "plus-last", "inner-space", "inner-tab",
+        "minus-underscore", "compact-plus"])
+def test_parse_weight_takes_only_digits(text):
+    # int() reads all of these ("1_0" as 10, " 0" as 0); a weight entry is
+    # an optional "-" and decimal digits, as a polynomial's coefficient is.
+    with pytest.raises(FixtureFormatError) as info:
+        parse_weight(text)
+    assert str(info.value) == (f"weight {text.strip()!r} has non-integer "
+                               f"entries")
+
+
+def test_parse_weight_reads_unicode_decimal_digits_and_refuses_a_sign():
+    # U+0663 is a decimal digit, read as 3 here as in a coefficient.
+    assert parse_weight("000000\u0663") == (0, 0, 0, 0, 0, 0, 3)
+    assert parse_weight("0,0,0,0,0,0,\u0661\u0660") == (0, 0, 0, 0, 0, 0, 10)
+    with pytest.raises(FixtureFormatError, match="has negative entries"):
+        parse_weight("0,0,0,0,0,0,-1")
+
+
 def test_format_weight_roundtrip():
     for w in [(0, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, 0, 12),
               (1, 1, 1, 1, 1, 1, 1)]:
@@ -45,6 +67,10 @@ MALFORMED = {
          "not enough values to unpack (expected 3, got 2)"),
         ("value", "cg 1 1 = what", "bad series item 'what': not enough "
          "values to unpack (expected 2, got 1)"),
+        ("multiplicity", "cg 1 1 = 0000000:+1", "bad series item "
+         "'0000000:+1': invalid literal for int() with base 10: '+1'"),
+        ("pair", "cg 1 1_0 = 0000000:1",
+         "invalid literal for int() with base 10: '1_0'"),
     ]),
     "mcg": (load_mcg_file, [
         ("tag", "cg 0000002 = 0000002:1", "expected 'mcg', got 'cg'"),
@@ -54,6 +80,8 @@ MALFORMED = {
          "not enough values to unpack (expected 2, got 1)"),
         ("value", "mcg 0000002 = 0000002:0",
          "non-positive multiplicity in '0000002:0'"),
+        ("multiplicity", "mcg 0000002 = 0000002:1_0", "bad series item "
+         "'0000002:1_0': invalid literal for int() with base 10: '1_0'"),
     ]),
     "chi": (load_chi_file, [
         ("tag", "chy 0000001 = 1*z7", "expected 'chi', got 'chy'"),

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +61,18 @@ def test_eval_integer():
     p = 5 * z[3] - 2 * z[1] + MultiPoly({(0,) * 7: 9})
     assert p.eval_integer((0,) * 7) == 9
     assert z[1].eval_integer(FUNDAMENTAL_DIMS) == 133
+
+
+def test_eval_integer_edges():
+    zero = MultiPoly.zero().eval_integer(FUNDAMENTAL_DIMS)
+    assert zero == 0 and type(zero) is int
+    with pytest.raises(ValueError, match="must have 7 entries"):
+        CHI_2L7.eval_integer(FUNDAMENTAL_DIMS[:6])
+    # A negative exponent has no exact integer value; it is refused rather
+    # than read from the wrong end of a power table.
+    laurent = MultiPoly({(-1, 0, 0, 0, 0, 0, 2): 3, (1,) * 7: 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        laurent.eval_integer(FUNDAMENTAL_DIMS)
 
 
 def test_coefficient_of():
@@ -130,6 +145,108 @@ def test_a_negative_exponent_prints_and_is_refused_on_reading():
         MultiPoly.from_text(p.to_text())
 
 
+def reference_from_text(text):
+    """The text form read term by term with one regular expression: the
+    reference that ``from_text`` matches value for value and message for
+    message."""
+    text = text.strip()
+    if not text or text == "0":
+        return MultiPoly.zero()
+    out = {}
+    for tok in text.split():
+        m = re.match(r"^(?P<coeff>-?\d+)(?P<vars>(?:\*z[1-7](?:\^\d+)?)*)$",
+                     tok)
+        if not m:
+            raise ValueError(f"bad polynomial term {tok!r}")
+        exps = [0] * NVARS
+        for var, ex in re.findall(r"z([1-7])(?:\^(\d+))?", m.group("vars")):
+            exps[int(var) - 1] += int(ex) if ex else 1
+        e = tuple(exps)
+        out[e] = out.get(e, 0) + int(m.group("coeff"))
+    return MultiPoly(out)
+
+
+def read_both(text):
+    """``from_text`` and ``reference_from_text`` of ``text``, each as the
+    polynomial or as the message of its ``ValueError``."""
+    got = []
+    for read in (MultiPoly.from_text, reference_from_text):
+        try:
+            got.append(read(text))
+        except ValueError as exc:
+            got.append(f"ValueError: {exc}")
+    return got
+
+
+def z1_times(c, x=1):
+    return MultiPoly({(x, 0, 0, 0, 0, 0, 0): c})
+
+
+REFUSED = None
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3*", REFUSED),
+    ("*z1", REFUSED),
+    ("3**z1", REFUSED),
+    ("-", REFUSED),
+    ("--5", REFUSED),
+    ("+5", REFUSED),
+    ("5_0", REFUSED),
+    ("z1", REFUSED),
+    ("3*z0", REFUSED),
+    ("3*z8", REFUSED),
+    ("3*z1^", REFUSED),
+    ("3*z1^-1", REFUSED),
+    ("3*z1^0", MultiPoly.one() * 3),
+    ("3*z1^1", z1_times(3)),
+    ("3*z1^007", z1_times(3, 7)),
+    ("3*z1^255", z1_times(3, 255)),
+    ("3*z1^256", z1_times(3, 256)),
+    ("3*z1*z1", z1_times(3, 2)),
+    ("\u0663*z1", z1_times(3)),
+    ("\u00b2", REFUSED),
+    ("3*z1^\u00b2", REFUSED),
+    ("-0*z2 2*z1 -2*z1^1", MultiPoly.zero()),
+], ids=["3*", "*z1", "3**z1", "-", "--5", "+5", "5_0", "z1", "3*z0", "3*z8",
+        "3*z1^", "3*z1^-1", "3*z1^0", "3*z1^1", "3*z1^007", "3*z1^255",
+        "3*z1^256", "3*z1*z1", "arabic-indic-3", "superscript-2",
+        "3*z1^superscript-2", "cancelling-terms"])
+def test_reader_matches_the_regex_reader(text, want):
+    # Unicode decimal digits (U+0663) are \d and int() reads them; a
+    # superscript two (U+00B2) is a digit to str.isdigit and int(), but not
+    # a decimal digit, so both readers refuse it with the same message.
+    got, ref = read_both(text)
+    assert got == ref
+    if want is REFUSED:
+        assert got == f"ValueError: bad polynomial term {text!r}"
+    else:
+        assert got == want
+
+
+TOKEN_PIECES = ["0", "1", "3", "9", "00", "*", "z", "^", "-", "+", "_", " ",
+                "\t", "\u0663", "\u00b2", "z1", "z7", "z8", "*z3", "^0",
+                "^00", "^1", "^255", "^256", "*z2^", "-1"]
+
+
+loose_text = st.lists(st.sampled_from(TOKEN_PIECES), max_size=12).map("".join)
+factor_text = st.tuples(
+    st.sampled_from(["", "z0", "z1", "z4", "z7", "z8"]),
+    st.sampled_from(["", "^0", "^1", "^2", "^007", "^255", "^256", "^-1",
+                     "^\u00b2", "^\u0663"])).map("".join)
+term_text = st.tuples(
+    st.sampled_from(["0", "3", "-12", "-", "+4", "\u0663", "\u00b2", "1_0"]),
+    st.lists(factor_text, max_size=4)).map(lambda t: "*".join([t[0], *t[1]]))
+near_canonical_text = st.lists(term_text, max_size=4).map(" ".join)
+
+
+@given(st.one_of(loose_text, near_canonical_text))
+@settings(max_examples=600, deadline=None)
+def test_reader_matches_the_regex_reader_on_any_text(text):
+    got, ref = read_both(text)
+    assert got == ref
+
+
 def test_immutability():
     with pytest.raises(AttributeError):
         CHI_2L7.terms = {}
@@ -162,6 +279,16 @@ def test_leibniz_rule(p, q, i):
 @settings(max_examples=60, deadline=None)
 def test_additive_inverse_is_canonical_zero(p):
     assert not (p + (-p)).terms
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 40)] * 7),
+                       st.integers(-10 ** 20, 10 ** 20), max_size=8),
+       st.tuples(*[st.integers(-60, 60)] * 7))
+@settings(max_examples=200, deadline=None)
+def test_eval_integer_matches_term_by_term(terms, point):
+    want = sum(c * math.prod(x ** n for x, n in zip(point, e))
+               for e, c in terms.items())
+    assert MultiPoly(terms).eval_integer(point) == want
 
 
 @given(polys)

@@ -21,6 +21,10 @@ operator meets a support in one place: no module but ``csmodel`` names
 operator's triangle is checked in one place: ``StructuralViolationError``
 is raised only in ``Delta1Operator.register_pair``, where the
 coefficients enter.
+The polynomial text form belongs to ``polyring``: no other module names
+its factor table ``_FACTORS``, the read table ``_READ_FACTORS`` or the
+term pattern ``_TERM_RE``, or imports ``re``; and the read table is
+``_FACTORS`` inverted, built from it rather than written out again.
 The fixture line format belongs to ``fixtures``: only its reader
 ``_entries`` calls ``_iter_lines``, in the library and the tests alike,
 and no other library module builds a ``chi`` line.
@@ -44,6 +48,8 @@ import subprocess
 import sys
 
 import pytest
+
+from charkit import polyring
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src" / "charkit"
@@ -179,6 +185,56 @@ def test_a_packed_key_mention_is_caught():
               "e = tuple(q.to_bytes(7, 'big'))\n")
     assert mentions(source, KEY_LAYOUT + BYTE_KEYS) == [
         "_KEY_GUARD", "_ROOT_STEPS", "from_bytes", "to_bytes"]
+
+
+TEXT_FORMAT = ("_FACTORS", "_READ_FACTORS", "_TERM_RE", "re")
+
+
+def text_format_mentions(source):
+    """Every mention in ``source`` of the polynomial text form's tables
+    and pattern, or of the ``re`` module, imported whole or from."""
+    found = mentions(source, TEXT_FORMAT)
+    found += ["re" for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ImportFrom) and node.module == "re"]
+    return sorted(found)
+
+
+NOT_POLYRING = [p for p in MODULES if p.name != "polyring.py"]
+
+
+@pytest.mark.parametrize("path", NOT_POLYRING, ids=lambda p: p.name)
+def test_only_polyring_knows_the_text_form(path):
+    assert text_format_mentions(path.read_text()) == []
+
+
+def test_a_text_form_mention_is_caught():
+    source = ("import re as regex\n"
+              "from re import fullmatch\n"
+              "from .polyring import _FACTORS\n"
+              "from . import polyring\n"
+              "m = polyring._TERM_RE.match(t) or polyring._READ_FACTORS[t]\n")
+    assert text_format_mentions(source) == [
+        "_FACTORS", "_READ_FACTORS", "_TERM_RE", "re", "re"]
+    assert text_format_mentions((SRC / "polyring.py").read_text())
+
+
+def test_the_read_table_is_the_factor_table_inverted():
+    inverted = {text[1:]: (i, x) for i, table in enumerate(polyring._FACTORS)
+                for x, text in table.items() if x}
+    assert polyring._READ_FACTORS == inverted
+    assert len(inverted) == 7 * 255
+    assert inverted["z1"] == (0, 1) and inverted["z7^255"] == (6, 255)
+    assert not {"z1^0", "z1^1", "z1^007", "z1^256", "z0", "z8"} & set(inverted)
+    # Built from _FACTORS, so the text form is stated once.
+    tree = ast.parse((SRC / "polyring.py").read_text())
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["_READ_FACTORS"]]
+    assert isinstance(value, ast.DictComp)
+    assert "_FACTORS" in {node.id for node in ast.walk(value)
+                          if isinstance(node, ast.Name)}
+    assert not [node for node in ast.walk(value)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
 
 
 NOT_CSMODEL = [p for p in MODULES if p.name != "csmodel.py"]
