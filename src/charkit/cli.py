@@ -48,6 +48,13 @@ def _weight(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _integer(text):
+    try:
+        return fixtures._integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="charkit",
@@ -79,17 +86,17 @@ def build_parser():
 
     f = sub.add_parser("series-family",
                        help="z7 * chi_{n lambda_k} against its closed form")
-    f.add_argument("k", type=int)
-    f.add_argument("n", type=int)
+    f.add_argument("k", type=_integer)
+    f.add_argument("n", type=_integer)
     f.set_defaults(run=cmd_series_family)
 
     v = sub.add_parser("verify", help="re-derive a fixture corpus")
     v.add_argument("corpus",
                    choices=("quadratic", "appendix-a", "appendix-b",
                             "oracle", "all"))
-    v.add_argument("--trials", type=int, default=20,
+    v.add_argument("--trials", type=_integer, default=20,
                    help="torus points for the oracle corpus")
-    v.add_argument("--seed", type=int, default=20240901)
+    v.add_argument("--seed", type=_integer, default=20240901)
     v.set_defaults(run=cmd_verify)
     return p
 

@@ -1,15 +1,13 @@
 """Sparse exact polynomial arithmetic in the seven character variables z1..z7.
 
 Terms are kept in a dict keyed by exponent tuples with arbitrary-precision
-integer coefficients.  Zero coefficients are never stored, so equality of the term maps is equality of
-polynomials.  The canonical term order is graded, with ties broken by
-comparing exponent tuples from z7 down to z1 (higher variables first), which
-fixes serialization and iteration order.
-"""
+integer coefficients; zero coefficients are never stored, so equal term maps
+are equal polynomials.  Terms are ordered by degree, ties broken by comparing
+exponent tuples from z7 down to z1, which fixes the one text form: a table of
+factor strings for exponents 0..255 that ``to_text`` writes and ``from_text``
+reads inverted."""
 
 from __future__ import annotations
-
-import re
 
 NVARS = 7
 
@@ -29,33 +27,9 @@ _FACTORS = tuple(
      for x in range(256)}
     for i in range(1, NVARS + 1))
 
-# The same factors read back: "z<i>" and "z<i>^<x>", x = 1..255, each to
-# (i - 1, x).
+# The same factors read back: "z<i>" -> (i - 1, 1), "z<i>^<x>" -> (i - 1, x).
 _READ_FACTORS = {f[x][1:]: (i, x) for i, f in enumerate(_FACTORS)
                  for x in range(1, 256)}
-
-# Any spelling of a term: a coefficient, then factors in any order and
-# repetition, each exponent in any decimal digits.
-_TERM_RE = re.compile(r"^(?P<coeff>-?\d+)(?P<vars>(?:\*z[1-7](?:\^\d+)?)*)$")
-
-
-def _read_term(tok):
-    """(coefficient, exponents) of one term of any spelling, or
-    ``ValueError``."""
-    m = _TERM_RE.match(tok)
-    if not m:
-        raise ValueError(f"bad polynomial term {tok!r}")
-    exps = [0] * NVARS
-    for var, ex in re.findall(r"z([1-7])(?:\^(\d+))?", m.group("vars")):
-        exps[int(var) - 1] += int(ex) if ex else 1
-    return int(m.group("coeff")), tuple(exps)
-
-
-def _term_text(c, e):
-    """One term of ``MultiPoly.to_text``, for any exponents."""
-    vars_ = "*".join(f"z{i + 1}^{x}" if x != 1 else f"z{i + 1}"
-                     for i, x in enumerate(e) if x)
-    return f"{c}*{vars_}" if vars_ else f"{c}"
 
 
 class MultiPoly:
@@ -171,7 +145,8 @@ class MultiPoly:
         """Canonical text form, e.g. ``1*z7^2 -1*z6 -1*z1 -1``.
 
         Terms in descending monomial order; zero exponents omitted;
-        the constant term prints as a bare coefficient.
+        the constant term prints as a bare coefficient.  An exponent
+        outside 0..255 is refused with ``ValueError``.
         """
         terms = self.terms
         if not terms:
@@ -182,44 +157,36 @@ class MultiPoly:
             return " ".join([
                 f"{terms[e]}{f1[e[0]]}{f2[e[1]]}{f3[e[2]]}{f4[e[3]]}"
                 f"{f5[e[4]]}{f6[e[5]]}{f7[e[6]]}" for e in order])
-        except KeyError:        # an exponent outside 0..255
-            return " ".join([_term_text(terms[e], e) for e in order])
+        except KeyError as exc:
+            raise ValueError(f"exponent {exc} outside 0..255") from None
 
     @classmethod
     def from_text(cls, text):
         """Parse the text form (inverse of ``to_text``).
 
-        Whitespace separates terms.  A term is a coefficient ``-?\\d+``
-        (any Unicode decimal digits), then factors ``*z<i>`` or
-        ``*z<i>^<x>``, i in 1..7 and x decimal digits; a repeated factor
-        adds its exponent and a repeated monomial its coefficient.  A term
-        whose factors are all spelt as ``to_text`` writes them (x = 1..255,
-        no leading zero) is read through ``_READ_FACTORS``, the inverse of
-        ``to_text``'s table; any other spelling goes through ``_TERM_RE``,
-        so the accepted language, the values and the ``bad polynomial
-        term`` message are the regex's.
+        Whitespace separates terms.  A term is an optional ``-`` and decimal
+        digits, then factors ``*z<i>`` or ``*z<i>^<x>`` as ``to_text`` writes
+        them (i in 1..7, x in 2..255 in ASCII digits, no leading zero), each
+        read through ``_READ_FACTORS``; a repeated factor adds its exponent,
+        a repeated monomial its coefficient.  Any other term is refused.
         """
-        text = text.strip()
-        if not text or text == "0":
-            return cls.zero()
         out = {}
         read = _READ_FACTORS.get
         for tok in text.split():
             head, *parts = tok.split("*")
-            if (head[1:] if head[:1] == "-" else head).isdecimal():
-                exps = [0] * NVARS
-                for part in parts:
-                    ix = read(part)
-                    if ix is None:
-                        break
-                    exps[ix[0]] += ix[1]
-                else:
-                    e = tuple(exps)
-                    out[e] = out.get(e, 0) + int(head)
-                    continue
-            coeff, e = _read_term(tok)
-            out[e] = out.get(e, 0) + coeff
-        return cls(out)
+            if not (head[1:] if head[:1] == "-" else head).isdecimal():
+                raise ValueError(f"bad polynomial term {tok!r}")
+            exps = [0] * NVARS
+            for part in parts:
+                ix = read(part)
+                if ix is None:
+                    raise ValueError(f"bad polynomial term {tok!r}")
+                exps[ix[0]] += ix[1]
+            e = tuple(exps)
+            out[e] = out.get(e, 0) + int(head)
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return cls(out, _clean_input=False)
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"

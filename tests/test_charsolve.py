@@ -258,8 +258,15 @@ def test_disk_hit_leaves_the_cache_file_alone(operator, tmp_path):
     lambda good: good.rstrip("\n") + " 3/2*z1\n",   # not an integer
     lambda good: b"\xff\xfe\x00garbage",             # not UTF-8
     lambda good: good + good,                       # the key twice
+    # The same value in spellings that to_text never writes:
+    lambda good: good.replace("*z7 ", "*z7^1 ", 1),
+    lambda good: good.replace("*z7 ", "*z7^001 ", 1),
+    lambda good: good.rstrip("\n") + " 3*z1^0 -3\n",
+    lambda good: good.rstrip("\n") + " 1*z1^256 -1*z1^256\n",
+    lambda good: good.rstrip("\n") + " 1*z1^\u0663 -1*z1^3\n",
 ], ids=["garbage", "wrong-dimension", "fraction", "not-utf-8",
-        "repeated-key"])
+        "repeated-key", "exponent-1", "leading-zeros", "exponent-0",
+        "exponent-256", "arabic-indic-exponent"])
 def test_corrupt_cache_file_is_recomputed(operator, tmp_path, corrupt):
     m = (0, 0, 0, 0, 1, 0, 1)
     chi = fresh_table(operator).character(m)
@@ -270,6 +277,7 @@ def test_corrupt_cache_file_is_recomputed(operator, tmp_path, corrupt):
     assert t.character(m) == chi
     assert t.provenance(m) == "method-1"
     assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == fixtures.format_chi_line(m, chi) + "\n"
     assert fixtures.load_chi_file(path) == {m: chi}
 
 

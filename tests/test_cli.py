@@ -227,6 +227,28 @@ def test_weight_spelling_outside_digits_is_a_usage_error(capsys, argv):
                       f"weight {argv[-1]!r} has non-integer entries"]
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["series-family", "7", "+1"], "n: '+1'"),
+    (["series-family", "7", "1_0"], "n: '1_0'"),
+    (["series-family", "+7", "1"], "k: '+7'"),
+    (["verify", "oracle", "--trials", "1_0", "--seed", "1_0"],
+     "--trials: '1_0'"),
+    (["verify", "oracle", "--seed", " 1"], "--seed: ' 1'"),
+], ids=["series-family-plus", "series-family-underscore", "k-plus",
+        "trials-underscore", "seed-space"])
+def test_integer_spelling_outside_digits_is_a_usage_error(capsys, argv, text):
+    # int() reads "1_0" as 10, so `series-family 7 1_0` ran n = 10.
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", *argv])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith(f"usage: charkit {argv[0]} ")
+    arg, spelt = text.split(": ")
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert errors == [f"charkit {argv[0]}: error: argument {arg}: invalid "
+                      f"literal for int() with base 10: {spelt}"]
+
+
 def test_weight_comma_form(capsys):
     code, out, _ = run(capsys, "dim", "0,0,0,0,0,0,1")
     assert code == 0

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from charkit import fixtures
@@ -5,6 +7,7 @@ from charkit.fixtures import (
     FixtureCorruptError, FixtureFormatError, format_weight, parse_weight,
     load_cg_file, load_chi_file, load_mcg_file,
 )
+from charkit.polyring import MultiPoly
 
 
 def test_parse_weight_forms():
@@ -56,6 +59,21 @@ def test_packaged_fixtures_load():
     assert len(third) == 84
     cubic = load_mcg_file(fixtures.data_path("cubic_series.txt"))
     assert len(cubic) == 84
+
+
+@pytest.mark.parametrize("path, tag, parse_key", [
+    (fixtures.data_path("second_order_chars.txt"), "chi", fixtures._weight_key),
+    (fixtures.data_path("third_order_chars.txt"), "chi", fixtures._weight_key),
+    (pathlib.Path(__file__).parent / "data" / "printed_a_table.txt", "a",
+     fixtures._pair_key),
+], ids=["second-order", "third-order", "printed-a-table"])
+def test_shipped_polynomials_are_in_the_writers_spelling(path, tag, parse_key):
+    # from_text reads only what to_text writes, so every shipped polynomial
+    # must be spelt exactly as to_text spells its value.
+    entries = list(fixtures._entries(path, tag, parse_key, str.strip))
+    assert entries
+    for _, _, text in entries:
+        assert MultiPoly.from_text(text).to_text() == text
 
 
 MALFORMED = {
