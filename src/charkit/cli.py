@@ -28,7 +28,7 @@ from .charsolve import IntegralityError, ZeroGapError
 from .csmodel import QuadraticCorpus, StructuralViolationError, build_a
 from .lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, weyl_dim
 from .oracle import OracleRefusal, freudenthal, torus_check
-from .polyring import monomial_key
+from .polyring import descending_monomials
 from .tensor import (
     DecompositionError, cg_decompose, monomial_decompose, series_family_z7,
     verify_quadratic_roundtrip,
@@ -120,7 +120,7 @@ def _make_table(args):
 
 
 def _poly_json(w, poly):
-    exps = sorted(poly.terms, key=monomial_key, reverse=True)
+    exps = descending_monomials(poly.terms)
     return {"weight": list(w),
             "polynomial": [[str(poly.terms[e]), list(e)] for e in exps]}
 

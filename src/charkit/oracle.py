@@ -7,10 +7,15 @@ the torus over the prime field F_P, P = 2^31 - 1, where the character of
 weight m is the sum of y^mu over the full weight system of its
 representation.
 
-On the torus side a weight system is expanded by one batched walk down
-the Weyl orbits of all its dominant weights (``_orbit_walk``, on int64
-rows, numpy imported only here and only when first needed), and summed
-mod P at one random point of (F_P^*)^7 at a time.
+A weight system is a sum over the Weyl orbits of its dominant weights.
+Orbit sizes come in closed form from Macdonald's product over the
+positive roots (``_orbit_size``), so ``freudenthal`` walks no orbit and
+imports no numpy.  On the torus side each random point set of (F_P^*)^7
+keeps a memo of orbit sums: a dominant weight's orbit is walked
+(``_orbit_walk``, on int64 rows) and summed mod P at every point once,
+the first time any system needs it, and a system's direct sum is then
+mult times orbit sum over its dominant weights.  numpy is imported only
+by that walk and sum, when first needed.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .lie_core import (
-    RANK, CARTAN_A, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS_FUND,
+    RANK, CARTAN_A, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS, POSITIVE_ROOTS_FUND,
     bilinear2, dominant_weights_below, require_dominant, weyl_dim,
 )
 
@@ -95,10 +100,23 @@ def weyl_orbit(w):
 @functools.cache
 def _orbit_size(zero_pattern):
     """Size of the Weyl orbit of any dominant weight with this pattern of
-    nonzero (1) and zero (0) coordinates: its stabilizer is generated by
-    the simple reflections at the zero coordinates, so the nonzero values
-    do not matter."""
-    return len(_orbit_walk([zero_pattern])[0])
+    nonzero (1) and zero (0) coordinates, |W| / |W_J|.
+
+    The stabilizer W_J is generated by the simple reflections at the zero
+    coordinates J.  By Macdonald's identity the order of a Weyl group is
+    the product of (ht + 1) / ht over its positive roots, and those of W_J
+    are the positive roots supported on J, so the orbit size is that
+    product over the positive roots not supported on J.
+    """
+    num = den = 1
+    for root in POSITIVE_ROOTS:
+        if any(x and nonzero for x, nonzero in zip(root, zero_pattern)):
+            height = sum(root)
+            num *= height + 1
+            den *= height
+    size, rem = divmod(num, den)
+    assert rem == 0, (zero_pattern, num, den)
+    return size
 
 
 @dataclass(frozen=True)
@@ -174,46 +192,72 @@ def _freudenthal(m):
 P = 2**31 - 1  # prime, and a product of two residues fits in int64
 
 
-def _expand(system):
-    """The full weight system as int64 arrays (weights, multiplicities),
-    from one ``_orbit_walk`` over its dominant weights; callers keep it
-    only while they use it."""
-    import numpy as np
-
-    weights, owner = _orbit_walk(list(system.dominant_mults))
-    mults = np.array(list(system.dominant_mults.values()), dtype=np.int64)
-    return weights, mults[owner]
+# Point sets kept per process, each with its memo of orbit sums; a caller
+# that loops over seeds keeps the most recent ones.
+POINT_SETS = 8
 
 
-def _character_values(expanded, points):
-    """sum(mult * y^mu) mod P over an ``_expand``ed system at each point y
-    of (F_P^*)^7, one point at a time: y^mu is a product of seven lookups,
-    one in an int64 table of y_i^e per coordinate i."""
-    import numpy as np
-
-    weights, mults = expanded
-    lows, highs = weights.min(axis=0).tolist(), weights.max(axis=0).tolist()
-    values = []
-    for y in points:
-        value = mults
-        for column, yi, lo, hi in zip(weights.T, y, lows, highs):
-            powers = [pow(yi, e, P) for e in range(lo, hi + 1)]
-            value = value * np.array(powers, np.int64)[column - lo] % P
-        values.append(int(value.sum()) % P)
-    return values
-
-
-@functools.cache
-def _fundamental_values(trials, seed):
+@functools.lru_cache(maxsize=POINT_SETS)
+def _point_set(trials, seed):
     """``trials`` random points of (F_P^*)^7 drawn from ``seed``, and the
-    seven fundamental characters mod P at each; computed once per process
-    for each (trials, seed)."""
+    memo of orbit sums at them: each dominant weight walked so far maps
+    to the sum of y^mu mod P over its Weyl orbit at every point y."""
     rng = random.Random(seed)
     points = tuple(tuple(rng.randrange(1, P) for _ in range(RANK))
                    for _ in range(trials))
-    columns = [_character_values(_expand(freudenthal(lam)), points)
+    return points, {}
+
+
+def _orbit_sums(dominant, points):
+    """For each of a list of dominant weights, the sum of y^mu mod P over
+    its Weyl orbit at each point y, from one ``_orbit_walk`` of them all.
+
+    At each point y^mu is a product of seven lookups, one in an int64
+    table of y_i^e per coordinate i; the residues are then put in owner
+    order (one stable argsort, made once) and each orbit's are added in
+    int64 by ``np.add.reduceat`` (an orbit has at most |W| < 2^22
+    elements, each below 2^31).
+    """
+    import numpy as np
+
+    weights, owner = _orbit_walk(dominant)
+    order = np.argsort(owner, kind="stable")
+    starts = np.searchsorted(owner[order], np.arange(len(dominant)))
+    lows = weights.min(axis=0)
+    weights -= lows  # each column now indexes its table of powers
+    exponents = [range(lo, lo + top + 1) for lo, top in
+                 zip(lows.tolist(), weights.max(axis=0).tolist())]
+    sums = []
+    for y in points:
+        value = 1
+        for column, yi, exps in zip(weights.T, y, exponents):
+            powers = [pow(yi, e, P) for e in exps]
+            value = value * np.array(powers, np.int64)[column] % P
+        sums.append((np.add.reduceat(value[order], starts) % P).tolist())
+    return list(zip(*sums))
+
+
+def _direct_values(system, trials, seed):
+    """sum(mult * y^mu) mod P over a weight system at each point of the
+    set (trials, seed): mult times orbit sum over its dominant weights.
+    The dominant weights not yet in the set's memo are walked together
+    first, so a weight is walked at most once per point set."""
+    points, memo = _point_set(trials, seed)
+    mults = system.dominant_mults
+    missing = [w for w in mults if w not in memo]
+    if missing:
+        memo.update(zip(missing, _orbit_sums(missing, points)))
+    return [sum(n * memo[w][k] for w, n in mults.items()) % P
+            for k in range(trials)]
+
+
+@functools.lru_cache(maxsize=POINT_SETS)
+def _fundamental_values(trials, seed):
+    """The seven fundamental characters mod P at each point of the set
+    (trials, seed); computed once per point set."""
+    columns = [_direct_values(freudenthal(lam), trials, seed)
                for lam in FUNDAMENTAL_WEIGHTS]
-    return points, tuple(zip(*columns))
+    return tuple(zip(*columns))
 
 
 def torus_check(m, chi, trials=20, seed=20240901):
@@ -232,7 +276,7 @@ def torus_check(m, chi, trials=20, seed=20240901):
     """
     if trials < 1:
         raise ValueError(f"torus check needs at least 1 trial, got {trials}")
-    points, fundamentals = _fundamental_values(trials, seed)
-    direct = _character_values(_expand(freudenthal(m)), points)
+    fundamentals = _fundamental_values(trials, seed)
+    direct = _direct_values(freudenthal(m), trials, seed)
     return sum(chi.eval_integer(z) % P != value
                for z, value in zip(fundamentals, direct))

@@ -9,15 +9,22 @@ reads inverted."""
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 NVARS = 7
 
 ZERO_EXPS = (0,) * NVARS
 
+_FROM_Z7 = itemgetter(6, 5, 4, 3, 2, 1, 0)
 
-def monomial_key(exps):
-    """Sort key for the fixed monomial order (ascending); ``exps`` is an
-    exponent tuple."""
-    return (sum(exps), exps[::-1])
+
+def descending_monomials(monomials):
+    """Exponent tuples in descending monomial order, as a new list: by
+    degree, ties by the tuples compared from z7 down to z1.  Two stable
+    sorts with C key functions, the tie-break first."""
+    order = sorted(monomials, key=_FROM_Z7, reverse=True)
+    order.sort(key=sum, reverse=True)
+    return order
 
 
 # The text of z_i^x inside a term, by i and then x = 0..255: "" for x = 0,
@@ -151,7 +158,7 @@ class MultiPoly:
         terms = self.terms
         if not terms:
             return "0"
-        order = sorted(terms, key=monomial_key, reverse=True)
+        order = descending_monomials(terms)
         f1, f2, f3, f4, f5, f6, f7 = _FACTORS
         try:
             return " ".join([

@@ -72,14 +72,44 @@ def test_weyl_orbit_of_a_non_dominant_weight():
     assert orbit[0] == dominant_representative(w)
 
 
+def test_orbit_size_is_the_walked_orbit_size(monkeypatch):
+    # Macdonald's product over the positive roots not supported on the
+    # zero coordinates, against the walk for every zero pattern whose
+    # orbit has at most 10**5 elements (50 of the 128).
+    patterns = list(itertools.product((0, 1), repeat=RANK))
+    small = [p for p in patterns if oracle._orbit_size(p) <= 10**5]
+    assert len(small) == 50
+    for p in small:
+        assert oracle._orbit_size(p) == len(oracle._orbit_walk([p])[0]), p
+    assert oracle._orbit_size((1,) * RANK) == 2903040  # |W(E7)|
+    assert oracle._orbit_size((0,) * RANK) == 1
+    # The closed form walks nothing.
+    oracle._orbit_size.cache_clear()
+
+    def walked(dominant):
+        raise AssertionError(f"orbit walk of {dominant}")
+
+    monkeypatch.setattr(oracle, "_orbit_walk", walked)
+    assert all(2903040 % oracle._orbit_size(p) == 0 for p in patterns)
+
+
+# The expansion of a weight system is the orbit walk of its dominant
+# weights, each orbit element carrying its owner's multiplicity.
+
 @pytest.mark.parametrize("w", [L[2], (0, 0, 0, 0, 0, 0, 3)],
                          ids=lambda w: "".join(map(str, w)))
 def test_expand_lists_every_orbit_with_its_multiplicity(w):
     system = freudenthal(w)
-    weights, mults = oracle._expand(system)
+    dominant = list(system.dominant_mults)
+    weights, owner = oracle._orbit_walk(dominant)
+    rows = list(zip(*weights.T.tolist()))
+    owners = owner.tolist()
+    for i, mu in enumerate(dominant):
+        orbit = [row for row, o in zip(rows, owners) if o == i]
+        assert set(orbit) == closure_weyl_orbit(mu)
     got = Counter()
-    for row, mult in zip(zip(*weights.T.tolist()), mults.tolist()):
-        got[row] += mult
+    for row, o in zip(rows, owners):
+        got[row] += system.dominant_mults[dominant[o]]
     want = Counter()
     for mu, mult in system.dominant_mults.items():
         for v in closure_weyl_orbit(mu):
@@ -91,26 +121,32 @@ def test_expand_lists_every_orbit_with_its_multiplicity(w):
 @pytest.mark.parametrize("w", [*L, (0, 0, 0, 0, 0, 0, 3)],
                          ids=lambda w: "".join(map(str, w)))
 def test_expand_rows_are_distinct_and_carry_the_dimension(w):
-    # Orbit sizes come from _orbit_size, which is checked against the
-    # closure above; the rows are distinct and carry the whole dimension.
+    # Each orbit has the closed-form size, and mult times orbit size over
+    # the dominant weights is the dimension.
     system = freudenthal(w)
-    weights, mults = oracle._expand(system)
+    dominant = list(system.dominant_mults)
+    weights, owner = oracle._orbit_walk(dominant)
     assert len(weights) == len(np.unique(weights, axis=0))
-    assert len(weights) == sum(system.orbit_sizes.values())
-    assert int(mults.sum()) == weyl_dim(w)
+    sizes = np.bincount(owner, minlength=len(dominant)).tolist()
+    assert sizes == [system.orbit_sizes[mu] for mu in dominant]
+    assert sum(system.dominant_mults[mu] * n
+               for mu, n in zip(dominant, sizes)) == weyl_dim(w)
 
 
 @pytest.mark.parametrize("lam", L, ids=lambda w: "".join(map(str, w)))
 def test_sine_half_of_a_fundamental_sum_is_exactly_zero(lam):
-    # -1 is in the Weyl group of E7, so every weight system is closed under
-    # negation and the odd (sine) half of its sum, sum(mult * (y^mu -
-    # y^-mu)) / 2, vanishes: the sum takes one value at y and at 1/y.
-    # Over F_P this also checks the tables' negative powers.
-    expanded = oracle._expand(freudenthal(lam))
-    points, _ = oracle._fundamental_values(20, 20240901)
+    # -1 is in the Weyl group of E7, so every orbit is closed under
+    # negation and the odd (sine) half of its sum, sum(y^mu - y^-mu) / 2,
+    # vanishes: each orbit sum, and so each weight system's sum, takes
+    # one value at y and at 1/y.  Over F_P this also checks the tables'
+    # negative powers.
+    dominant = list(freudenthal(lam).dominant_mults)
+    points, _ = oracle._point_set(20, 20240901)
     inverses = [tuple(pow(yi, -1, oracle.P) for yi in y) for y in points]
-    assert oracle._character_values(expanded, points) == \
-        oracle._character_values(expanded, inverses)
+    sums = oracle._orbit_sums(dominant, points)
+    assert sums == oracle._orbit_sums(dominant, inverses)
+    assert len(sums) == len(dominant)
+    assert all(len(at) == len(points) for at in sums)
 
 
 def test_dominant_representative():
@@ -201,6 +237,31 @@ def test_torus_catches_an_off_by_one_coefficient_at_every_point(table, m):
             assert torus_check(m, wrong) == 20, (e, step)
 
 
+def reference_orbit_sum(mu, y):
+    """sum(y^v) mod P over the closure orbit of mu, power by power."""
+    total = 0
+    for v in closure_weyl_orbit(mu):
+        term = 1
+        for yi, vi in zip(y, v):
+            term = term * pow(yi, vi, oracle.P) % oracle.P
+        total += term
+    return total % oracle.P
+
+
+@pytest.mark.parametrize("m", ORACLE_TARGETS,
+                         ids=lambda w: "".join(map(str, w)))
+def test_orbit_sums_match_the_closure_at_the_points(m):
+    system = freudenthal(m)
+    trials, seed = 2, 11
+    direct = oracle._direct_values(system, trials, seed)
+    points, memo = oracle._point_set(trials, seed)
+    for mu in system.dominant_mults:
+        assert memo[mu] == tuple(reference_orbit_sum(mu, y) for y in points)
+    assert direct == [sum(n * memo[mu][k]
+                          for mu, n in system.dominant_mults.items())
+                      % oracle.P for k in range(trials)]
+
+
 def test_torus_fundamental_values_are_computed_once(table, monkeypatch):
     seed = 7
     torus_check(L[6], table.character(L[6]), trials=3, seed=seed)
@@ -252,12 +313,49 @@ def test_verify_oracle_computes_each_weight_system_once(monkeypatch):
     assert counts == Counter(ORACLE_TARGETS)
 
 
+def test_verify_oracle_walks_each_dominant_weight_once(monkeypatch):
+    oracle._point_set.cache_clear()
+    oracle._fundamental_values.cache_clear()
+    walked = Counter()
+    real = oracle._orbit_walk
+
+    def counted(dominant):
+        walked.update(map(tuple, dominant))
+        return real(dominant)
+
+    monkeypatch.setattr(oracle, "_orbit_walk", counted)
+    assert cli.main(["--no-cache", "verify", "oracle", "--trials", "3"]) == 0
+    assert max(walked.values()) == 1
+    assert set(walked) == {mu for m in ORACLE_TARGETS
+                           for mu in freudenthal(m).dominant_mults}
+    assert len(walked) == 15
+    # Another point set walks them again, once.
+    assert cli.main(["--no-cache", "verify", "oracle", "--trials", "2"]) == 0
+    assert set(walked.values()) == {2}
+
+
+def test_point_sets_are_bounded(table):
+    # A caller looping over seeds keeps at most POINT_SETS point sets,
+    # each with its orbit-sum memo, and their fundamental values.
+    oracle._point_set.cache_clear()
+    oracle._fundamental_values.cache_clear()
+    chi = table.character(L[6])
+    for seed in range(2 * oracle.POINT_SETS):
+        assert torus_check(L[6], chi, trials=1, seed=seed) == 0
+    for cached in (oracle._point_set, oracle._fundamental_values):
+        info = cached.cache_info()
+        assert info.maxsize == oracle.POINT_SETS
+        assert info.currsize == oracle.POINT_SETS
+        assert info.misses == 2 * oracle.POINT_SETS
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_oracle_output_is_fixed_by_its_seed(capsys, fmt):
     argv = ["--no-cache", "--format", fmt, "verify", "oracle",
             "--trials", "7", "--seed", "3"]
     outputs = []
     for _ in range(2):
+        oracle._point_set.cache_clear()
         oracle._fundamental_values.cache_clear()
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charkit.lie_core import FUNDAMENTAL_DIMS
-from charkit.polyring import NVARS, MultiPoly, monomial_key
+from charkit.polyring import NVARS, MultiPoly, descending_monomials
 
 z = [None] + [MultiPoly.variable(i) for i in range(1, 8)]
 CHI_2L7 = z[7] * z[7] - z[6] - z[1] - MultiPoly.one()
@@ -87,6 +87,12 @@ def test_canonical_text():
     assert MultiPoly.from_text("1*z7^2 -1*z6 -1*z1 -1") == CHI_2L7
     assert MultiPoly.zero().to_text() == "0"
     assert MultiPoly.from_text("0") == MultiPoly.zero()
+
+
+def monomial_key(exps):
+    """Reference sort key for the fixed monomial order (ascending): the
+    degree, then the exponent tuple read from z7 down to z1."""
+    return (sum(exps), exps[::-1])
 
 
 def reference_text(p):
@@ -310,6 +316,18 @@ def test_eval_integer_matches_term_by_term(terms, point):
     want = sum(c * math.prod(x ** n for x, n in zip(point, e))
                for e, c in terms.items())
     assert MultiPoly(terms).eval_integer(point) == want
+
+
+@given(st.lists(st.tuples(*[st.integers(-3, 300)] * 7), max_size=40)
+       | st.sets(st.tuples(*[st.integers(0, 2)] * 7), max_size=40).map(list))
+@settings(max_examples=300, deadline=None)
+def test_descending_monomials_is_the_monomial_key_order(monomials):
+    # Repeats and ties of degree included; the two stable sorts agree with
+    # the one sort by the reference key, also on equal tuples.
+    want = sorted(monomials, key=monomial_key, reverse=True)
+    got = descending_monomials(monomials)
+    assert got == want
+    assert got is not monomials
 
 
 @given(polys)

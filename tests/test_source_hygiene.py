@@ -35,10 +35,11 @@ type), or imports ``math`` or ``cmath``.
 No library function imports a library module in its body: the modules
 import each other at module level, where a cycle shows at once.  Only
 numpy is imported lazily.
-The set-up path and both solvers also run without importing numpy on the
-supports set-up and small solves meet: numpy is imported by the torus
-oracle and by a Method-1 solve on a support of at least
-``charsolve.LEVEL_SOLVE_MIN_SUPPORT`` weights, and by nothing else.
+The set-up path, both solvers and the Freudenthal recursion also run
+without importing numpy on the supports set-up and small solves meet, and
+on the seven fundamental weight systems: numpy is imported by the torus
+check (its orbit walk and sum) and by a Method-1 solve on a support of at
+least ``charsolve.LEVEL_SOLVE_MIN_SUPPORT`` weights, and by nothing else.
 """
 
 import ast
@@ -415,15 +416,20 @@ def test_a_function_level_library_import_is_caught():
 
 
 def test_setup_and_solvers_do_not_import_numpy():
-    # numpy is imported only by the torus oracle and by Method-1 solves on
+    # numpy is imported only by the torus check and by Method-1 solves on
     # large supports; importing it costs about as much as the whole set-up
-    # path, which stays without it, as do solves on small supports.
+    # path, which stays without it, as do solves on small supports and
+    # Freudenthal, whose orbit sizes are closed-form.
     script = (
         "import sys\n"
         "import charkit\n"
+        "from charkit.lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS\n"
+        "from charkit.oracle import freudenthal\n"
         "_, _, table = charkit.build_a(charkit.QuadraticCorpus.load_default())\n"
         "m = (0, 0, 0, 0, 0, 1, 1)\n"
         "assert table.character(m) == table.character_m2(m)\n"
+        "totals = [freudenthal(lam).total() for lam in FUNDAMENTAL_WEIGHTS]\n"
+        "assert totals == list(FUNDAMENTAL_DIMS), totals\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
