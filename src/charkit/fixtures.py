@@ -8,13 +8,13 @@ Line formats (``#`` starts a comment, blank lines are ignored):
 
 Weights are written either as a compact digit string (``0000002``) or as
 seven comma-separated integers (``0,0,0,0,0,0,12``).  Series fixtures are
-validated against the exact dimension-sum identity at load time.
+validated against the exact dimension-sum identity at load time.  A file
+with no entries is refused (``FixtureFormatError``), as is a bad line.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import warnings
 
 from .lie_core import (
     RANK, FUNDAMENTAL_DIMS, monomial_dim, series_dim, weyl_dim,
@@ -69,7 +69,7 @@ def data_path(name):
     return importlib.resources.files("charkit.data") / name
 
 
-def _iter_lines(path, warn_empty=True):
+def _iter_lines(path):
     count = 0
     with open(path, encoding="utf-8") as f:
         try:
@@ -80,11 +80,11 @@ def _iter_lines(path, warn_empty=True):
                     yield lineno, line
         except UnicodeDecodeError as exc:
             raise FixtureFormatError(f"{path}: not UTF-8 text: {exc}")
-    if count == 0 and warn_empty:
-        warnings.warn(f"fixture file {path} contains no entries")
+    if count == 0:
+        raise FixtureFormatError(f"{path}: no entries")
 
 
-def _entries(path, tag, parse_key, parse_value, warn_empty=True):
+def _entries(path, tag, parse_key, parse_value):
     """Yield (lineno, key, value) for each ``tag key = value`` line.
 
     ``parse_key`` takes the head's fields, the tag first, so that its
@@ -92,7 +92,7 @@ def _entries(path, tag, parse_key, parse_value, warn_empty=True):
     each key once.  A line's ``ValueError`` is re-raised as a
     ``FixtureFormatError`` that names ``path:lineno``."""
     seen = {}
-    for lineno, line in _iter_lines(path, warn_empty):
+    for lineno, line in _iter_lines(path):
         try:
             head, rhs = line.split("=", 1)
             fields = head.split()
@@ -174,13 +174,11 @@ def load_chi_file(path):
     """Parse ``chi m = <poly>`` lines into {weight: MultiPoly}.
 
     Each character is checked for the two cheap character invariants: unit
-    coefficient on z^m and the dimension evaluation.  A file with no
-    entries gives an empty mapping without a warning: the character cache
-    reads one such file per weight, and an empty one is a cache miss.
+    coefficient on z^m and the dimension evaluation.
     """
     out = {}
     for lineno, w, poly in _entries(path, "chi", _weight_key,
-                                    MultiPoly.from_text, warn_empty=False):
+                                    MultiPoly.from_text):
         if poly.coefficient_of(w) != 1:
             raise FixtureCorruptError(
                 f"{path}:{lineno}: character {format_weight(w)} lacks "

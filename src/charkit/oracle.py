@@ -11,9 +11,10 @@ A weight system is a sum over the Weyl orbits of its dominant weights.
 Orbit sizes come in closed form from Macdonald's product over the
 positive roots (``_orbit_size``), so ``freudenthal`` walks no orbit and
 imports no numpy.  On the torus side each random point set of (F_P^*)^7
-keeps a memo of orbit sums: a dominant weight's orbit is walked
-(``_orbit_walk``, on int64 rows) and summed mod P at every point once,
-the first time any system needs it, and a system's direct sum is then
+is one cached entry (``_point_set``): the points, a memo of orbit sums
+and the fundamental characters there.  A dominant weight's orbit is
+walked (``weyl_orbit``, on int64 rows) and summed mod P at every point
+once, the first time any system needs it; a system's direct sum is then
 mult times orbit sum over its dominant weights.  numpy is imported only
 by that walk and sum, when first needed.
 """
@@ -52,12 +53,13 @@ def dominant_representative(w):
             return tuple(w)
 
 
-def _orbit_walk(dominant):
-    """The Weyl orbits of a list of dominant weights, walked together.
+def weyl_orbit(weights):
+    """The Weyl orbits of a list of weights, walked together.
 
-    Returns (weights, owner): an int64 array with one row per orbit
-    element, each element exactly once, and for each row the index in
-    ``dominant`` of its dominant representative.
+    Returns (rows, owner): an int64 array with one row per orbit element,
+    each exactly once, its dominant representatives first in input order,
+    and for each row the index in ``weights`` of the weight whose orbit
+    holds it; a non-dominant weight gives its orbit too.
 
     Every non-dominant weight u of an orbit has one parent s_i u, where i
     is the first index with u_i < 0; the parent is higher, so following
@@ -71,7 +73,8 @@ def _orbit_walk(dominant):
     import numpy as np
 
     cartan = np.array(CARTAN_A, dtype=np.int64)
-    level = np.array(dominant, dtype=np.int64).reshape(-1, RANK)
+    level = np.array([dominant_representative(w) for w in weights],
+                     dtype=np.int64).reshape(-1, RANK)
     owner = np.arange(len(level))
     levels, owners = [level], [owner]
     while len(level):
@@ -88,13 +91,6 @@ def _orbit_walk(dominant):
         levels.append(level)
         owners.append(owner)
     return np.concatenate(levels), np.concatenate(owners)
-
-
-def weyl_orbit(w):
-    """The Weyl orbit of a weight as a list, each element exactly once,
-    its dominant representative first (``_orbit_walk``)."""
-    weights, _ = _orbit_walk([dominant_representative(w)])
-    return list(zip(*weights.T.tolist()))
 
 
 @functools.cache
@@ -192,25 +188,29 @@ def _freudenthal(m):
 P = 2**31 - 1  # prime, and a product of two residues fits in int64
 
 
-# Point sets kept per process, each with its memo of orbit sums; a caller
-# that loops over seeds keeps the most recent ones.
+# Point sets kept per process, each in one entry with its orbit-sum memo
+# and fundamental values; a caller looping over seeds keeps the latest ones.
 POINT_SETS = 8
 
 
 @functools.lru_cache(maxsize=POINT_SETS)
 def _point_set(trials, seed):
-    """``trials`` random points of (F_P^*)^7 drawn from ``seed``, and the
-    memo of orbit sums at them: each dominant weight walked so far maps
-    to the sum of y^mu mod P over its Weyl orbit at every point y."""
+    """``trials`` random points of (F_P^*)^7 drawn from ``seed``, the memo
+    of orbit sums at them (each dominant weight walked so far maps to the
+    sum of y^mu mod P over its Weyl orbit at every point y) and the seven
+    fundamental characters mod P at each point, made and evicted together."""
     rng = random.Random(seed)
     points = tuple(tuple(rng.randrange(1, P) for _ in range(RANK))
                    for _ in range(trials))
-    return points, {}
+    memo = {}
+    columns = [_direct_values(freudenthal(lam), points, memo)
+               for lam in FUNDAMENTAL_WEIGHTS]
+    return points, memo, tuple(zip(*columns))
 
 
 def _orbit_sums(dominant, points):
     """For each of a list of dominant weights, the sum of y^mu mod P over
-    its Weyl orbit at each point y, from one ``_orbit_walk`` of them all.
+    its Weyl orbit at each point y, from one ``weyl_orbit`` of them all.
 
     At each point y^mu is a product of seven lookups, one in an int64
     table of y_i^e per coordinate i; the residues are then put in owner
@@ -220,7 +220,7 @@ def _orbit_sums(dominant, points):
     """
     import numpy as np
 
-    weights, owner = _orbit_walk(dominant)
+    weights, owner = weyl_orbit(dominant)
     order = np.argsort(owner, kind="stable")
     starts = np.searchsorted(owner[order], np.arange(len(dominant)))
     lows = weights.min(axis=0)
@@ -237,27 +237,17 @@ def _orbit_sums(dominant, points):
     return list(zip(*sums))
 
 
-def _direct_values(system, trials, seed):
-    """sum(mult * y^mu) mod P over a weight system at each point of the
-    set (trials, seed): mult times orbit sum over its dominant weights.
-    The dominant weights not yet in the set's memo are walked together
-    first, so a weight is walked at most once per point set."""
-    points, memo = _point_set(trials, seed)
+def _direct_values(system, points, memo):
+    """sum(mult * y^mu) mod P over a weight system at each of ``points``:
+    mult times orbit sum over its dominant weights, read from the point
+    set's ``memo``.  The dominant weights not yet in the memo are walked
+    together first, so a weight is walked at most once per point set."""
     mults = system.dominant_mults
     missing = [w for w in mults if w not in memo]
     if missing:
         memo.update(zip(missing, _orbit_sums(missing, points)))
     return [sum(n * memo[w][k] for w, n in mults.items()) % P
-            for k in range(trials)]
-
-
-@functools.lru_cache(maxsize=POINT_SETS)
-def _fundamental_values(trials, seed):
-    """The seven fundamental characters mod P at each point of the set
-    (trials, seed); computed once per point set."""
-    columns = [_direct_values(freudenthal(lam), trials, seed)
-               for lam in FUNDAMENTAL_WEIGHTS]
-    return tuple(zip(*columns))
+            for k in range(len(points))]
 
 
 def torus_check(m, chi, trials=20, seed=20240901):
@@ -271,12 +261,12 @@ def torus_check(m, chi, trials=20, seed=20240901):
     whose difference from chi_m is nonzero mod P and of degree deg with
     its denominator cleared, agrees at a random point with probability at
     most deg / (P - 1) (Schwartz-Zippel).  The z_i(y) are direct sums over
-    the fundamental systems (the largest has 24753 distinct weights), made
-    once per (trials, seed); ``trials`` must be at least 1.
+    the fundamental systems (the largest has 24753 distinct weights), kept
+    with the points of (trials, seed); ``trials`` must be at least 1.
     """
     if trials < 1:
         raise ValueError(f"torus check needs at least 1 trial, got {trials}")
-    fundamentals = _fundamental_values(trials, seed)
-    direct = _direct_values(freudenthal(m), trials, seed)
+    points, memo, fundamentals = _point_set(trials, seed)
+    direct = _direct_values(freudenthal(m), points, memo)
     return sum(chi.eval_integer(z) % P != value
                for z, value in zip(fundamentals, direct))

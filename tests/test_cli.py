@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from charkit import cli, lie_core
+from charkit import cli, fixtures, lie_core
 from charkit.cli import main
 from charkit.polyring import MultiPoly
 
@@ -171,6 +171,23 @@ def test_oracle_without_torus_points_is_a_usage_error(capsys, trials):
     code, out, err = run(capsys, "verify", "oracle", "--trials", trials)
     assert (code, out) == (2, "")
     assert err == f"error: torus check needs at least 1 trial, got {trials}\n"
+
+
+@pytest.mark.parametrize("corpus, name, emptied", [
+    ("appendix-a", "third_order_chars.txt", "# no entries\n"),
+    ("appendix-b", "cubic_series.txt", ""),
+], ids=["appendix-a", "appendix-b"])
+def test_an_emptied_shipped_corpus_is_refused(tmp_path, monkeypatch, capsys,
+                                              corpus, name, emptied):
+    # Read on, an emptied corpus would verify as "# 0/0 passed".
+    path = tmp_path / name
+    path.write_text(emptied)
+    shipped = fixtures.data_path
+    monkeypatch.setattr(fixtures, "data_path",
+                        lambda n: path if n == name else shipped(n))
+    code, out, err = run(capsys, "verify", corpus)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: no entries\n"
 
 
 @pytest.mark.parametrize("emptied", ["", "\n# no entries\n"],

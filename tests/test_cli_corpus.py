@@ -1,0 +1,93 @@
+"""Byte-identity of the command line on a fixed corpus of commands.
+
+Each command runs in-process through ``cli.main`` with a fresh
+``--cache-dir``.  Its exit code, the sha1 of its stdout and of its stderr,
+the number of files it leaves in the cache directory and a digest of them
+(the sorted file names and contents) are pinned.  A change meant to keep
+every output as it is, such as a deletion pass, must leave all of them
+unchanged; a change that alters one names it and updates its row here.
+"""
+
+import hashlib
+
+import pytest
+
+from charkit.cli import main
+
+EMPTY = hashlib.sha1(b"").hexdigest()
+# The character cache as ``build_a`` leaves it: the 107 bootstrap characters.
+BOOTSTRAP = (107, "37cd960aa389fe64ec6c03e6aa3376ab39202a6b")
+
+# (arguments after --cache-dir, exit code, stdout sha1, stderr sha1,
+#  (cache files, cache digest))
+CORPUS = [
+    ("character 0000002", 0,
+     "19e062064f9f63a6ff5ab479fe191592d1ce473d", EMPTY, BOOTSTRAP),
+    ("character --method both 1000001", 0,
+     "3b85b93befbf34a6fc24c87eb87f38074c0451d7", EMPTY, BOOTSTRAP),
+    ("character 0,0,0,0,0,0,12", 0,
+     "1ad1ab01a1affb15ce21a26b857497c367234add", EMPTY,
+     (108, "0460cb17e53e400bca9eddd492697f7450a38249")),
+    ("--format json character 0000003", 0,
+     "d42e5a275ba99d349c6b8b798957ca4d3160365e", EMPTY, BOOTSTRAP),
+    ("cg 0000001 0000001", 0,
+     "a67f563e129bde44be9e8c9484e28d3b4b828666", EMPTY, BOOTSTRAP),
+    ("cg 0000012 0010001", 0,
+     "7a85873ba94cfe625507208492aa88ddc5453934", EMPTY,
+     (138, "3493554cb3f453dd59079b250d44921e79c8e4b6")),
+    ("--format json cg 0000012 0010001", 0,
+     "d81744ac75e474350af5fec32c2a13a1fc67ba16", EMPTY,
+     (138, "3493554cb3f453dd59079b250d44921e79c8e4b6")),
+    ("monomial-cg 0003000", 0,
+     "4d259b60eeb98e2911759409f775aeb81a8999f5", EMPTY,
+     (345, "179a0f2dc01150e475df41c8f2a1cb5c920b83e4")),
+    ("--format json monomial-cg 0001001", 0,
+     "15ac2d003465ea512870479bf82ca0f20ff9f04e", EMPTY, BOOTSTRAP),
+    ("series-family 7 3", 0,
+     "9bba2e8873ea35fced232112b2955be3649409bb", EMPTY, BOOTSTRAP),
+    ("--format json series-family 7 3", 0,
+     "f7998cc1925f8e17d4b7206caaa9ff4edd0a2d64", EMPTY, BOOTSTRAP),
+    ("series-family 4 2", 0,
+     "b0a65e3a4f369f4d94d6dcb6be7413264cc40721", EMPTY,
+     (113, "3ed09c69543b40e2bc679c43481256b47f6f0126")),
+    ("verify all", 0,
+     "2c6fbbc77a51e7df838d9f8881cbc69079062368", EMPTY,
+     (518, "81415a009d878c45ca3abf16e5765b7aef44162b")),
+    ("--format json verify all", 0,
+     "7ec7d80de4d65658a77fec4c076b38242ab1065b", EMPTY,
+     (518, "81415a009d878c45ca3abf16e5765b7aef44162b")),
+    ("character 0,0,0,0,0,0,252", 2, EMPTY,
+     "1febdda1d73a50083e51863bd13dc861f693124e", BOOTSTRAP),
+    ("character 0,0,0,0,0,3,251", 2, EMPTY,
+     "0bdd5a42747db9c38f0353b7a179fb393b3aa573", BOOTSTRAP),
+    ("cg 0,0,0,0,0,3,0 0,0,0,0,0,0,251", 2, EMPTY,
+     "0bdd5a42747db9c38f0353b7a179fb393b3aa573", BOOTSTRAP),
+    ("monomial-cg 0,0,0,0,0,0,252", 2, EMPTY,
+     "1febdda1d73a50083e51863bd13dc861f693124e", BOOTSTRAP),
+    ("dim 0001000 0,0,0,0,0,0,24", 0,
+     "37696632e5173e9956ca367d30cdd36a1b209cc4", EMPTY, (0, EMPTY)),
+]
+
+
+def cache_digest(cache):
+    """(number of files, sha1 of their sorted names and contents) of a
+    cache directory, (0, sha1 of nothing) when it was never made."""
+    names = sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+    digest = hashlib.sha1()
+    for name in names:
+        digest.update(name.encode() + b"\0")
+        digest.update((cache / name).read_bytes() + b"\0")
+    return len(names), digest.hexdigest()
+
+
+@pytest.mark.parametrize("args, code, out_sha1, err_sha1, cache", CORPUS,
+                         ids=[row[0] for row in CORPUS])
+def test_corpus_command_is_byte_identical(tmp_path, capsys, args, code,
+                                          out_sha1, err_sha1, cache):
+    path = tmp_path / "cache"
+    got = main(["--cache-dir", str(path), *args.split()])
+    out = capsys.readouterr()
+    assert got == code
+    assert hashlib.sha1(out.out.encode()).hexdigest() == out_sha1, out.out
+    assert hashlib.sha1(out.err.encode()).hexdigest() == err_sha1, out.err
+    assert cache_digest(path) == cache

@@ -139,12 +139,17 @@ def test_chi_corruption_detected(tmp_path):
         load_chi_file(p)
 
 
-def test_empty_file_warns_and_yields_nothing(tmp_path):
-    p = tmp_path / "empty.txt"
-    p.write_text("# only a comment\n")
-    with pytest.warns(UserWarning, match="no entries"):
-        out = load_cg_file(p)
-    assert out == {}
+def test_a_file_with_no_entries_is_refused(tmp_path):
+    # Each loader refuses it: a shipped corpus emptied by accident would
+    # otherwise verify as 0/0 passed.  The character cache catches the
+    # refusal, so there an empty file is a miss.
+    for text in ("", "\n# only a comment\n"):
+        p = tmp_path / "empty.txt"
+        p.write_text(text)
+        for load in (load_cg_file, load_mcg_file, load_chi_file):
+            with pytest.raises(FixtureFormatError) as refused:
+                load(p)
+            assert str(refused.value) == f"{p}: no entries"
 
 
 def test_repeated_weight_rejected(tmp_path):

@@ -47,11 +47,18 @@ SMALL_WEIGHTS = [w for w in itertools.product(range(3), repeat=RANK)
                  if sum(w) <= 2]
 
 
+def orbit_of(w):
+    """The orbit of one weight as ``weyl_orbit`` walks it: a list of
+    tuples, every row owned by the one weight."""
+    rows, owner = weyl_orbit([w])
+    assert owner.tolist() == [0] * len(rows)
+    return [tuple(row) for row in rows.tolist()]
+
+
 @pytest.mark.parametrize("w", SMALL_WEIGHTS, ids=lambda w: "".join(map(str, w)))
 def test_weyl_orbit_lists_the_closure_once(w):
-    orbit = weyl_orbit(w)
+    orbit = orbit_of(w)
     reference = closure_weyl_orbit(w)
-    assert isinstance(orbit, list)
     assert len(orbit) == len(set(orbit)) == len(reference)
     assert set(orbit) == reference
     assert orbit[0] == w
@@ -60,16 +67,25 @@ def test_weyl_orbit_lists_the_closure_once(w):
 
 
 def test_fundamental_orbit_sizes():
-    assert [len(weyl_orbit(lam)) for lam in L] == \
-        [126, 576, 2016, 10080, 4032, 756, 56]
+    # All seven walked together, each row owned by its fundamental.
+    rows, owner = weyl_orbit(L)
+    assert np.bincount(owner).tolist() == [126, 576, 2016, 10080, 4032, 756,
+                                           56]
+    assert [tuple(row) for row in rows[:RANK].tolist()] == list(L)
 
 
 def test_weyl_orbit_of_a_non_dominant_weight():
     w = (1, -2, 0, 1, 0, -1, 0)
-    orbit = weyl_orbit(w)
+    orbit = orbit_of(w)
     assert len(orbit) == len(set(orbit))
     assert set(orbit) == closure_weyl_orbit(w)
     assert orbit[0] == dominant_representative(w)
+    # Beside its dominant representative, in one walk: the same orbit twice.
+    rows, owner = weyl_orbit([w, dominant_representative(w)])
+    rows = [tuple(row) for row in rows.tolist()]
+    for i in (0, 1):
+        assert sorted(r for r, o in zip(rows, owner.tolist()) if o == i) == \
+            sorted(orbit)
 
 
 def test_orbit_size_is_the_walked_orbit_size(monkeypatch):
@@ -80,7 +96,7 @@ def test_orbit_size_is_the_walked_orbit_size(monkeypatch):
     small = [p for p in patterns if oracle._orbit_size(p) <= 10**5]
     assert len(small) == 50
     for p in small:
-        assert oracle._orbit_size(p) == len(oracle._orbit_walk([p])[0]), p
+        assert oracle._orbit_size(p) == len(weyl_orbit([p])[0]), p
     assert oracle._orbit_size((1,) * RANK) == 2903040  # |W(E7)|
     assert oracle._orbit_size((0,) * RANK) == 1
     # The closed form walks nothing.
@@ -89,7 +105,7 @@ def test_orbit_size_is_the_walked_orbit_size(monkeypatch):
     def walked(dominant):
         raise AssertionError(f"orbit walk of {dominant}")
 
-    monkeypatch.setattr(oracle, "_orbit_walk", walked)
+    monkeypatch.setattr(oracle, "weyl_orbit", walked)
     assert all(2903040 % oracle._orbit_size(p) == 0 for p in patterns)
 
 
@@ -101,7 +117,7 @@ def test_orbit_size_is_the_walked_orbit_size(monkeypatch):
 def test_expand_lists_every_orbit_with_its_multiplicity(w):
     system = freudenthal(w)
     dominant = list(system.dominant_mults)
-    weights, owner = oracle._orbit_walk(dominant)
+    weights, owner = weyl_orbit(dominant)
     rows = list(zip(*weights.T.tolist()))
     owners = owner.tolist()
     for i, mu in enumerate(dominant):
@@ -125,7 +141,7 @@ def test_expand_rows_are_distinct_and_carry_the_dimension(w):
     # the dominant weights is the dimension.
     system = freudenthal(w)
     dominant = list(system.dominant_mults)
-    weights, owner = oracle._orbit_walk(dominant)
+    weights, owner = weyl_orbit(dominant)
     assert len(weights) == len(np.unique(weights, axis=0))
     sizes = np.bincount(owner, minlength=len(dominant)).tolist()
     assert sizes == [system.orbit_sizes[mu] for mu in dominant]
@@ -141,7 +157,7 @@ def test_sine_half_of_a_fundamental_sum_is_exactly_zero(lam):
     # one value at y and at 1/y.  Over F_P this also checks the tables'
     # negative powers.
     dominant = list(freudenthal(lam).dominant_mults)
-    points, _ = oracle._point_set(20, 20240901)
+    points, _, _ = oracle._point_set(20, 20240901)
     inverses = [tuple(pow(yi, -1, oracle.P) for yi in y) for y in points]
     sums = oracle._orbit_sums(dominant, points)
     assert sums == oracle._orbit_sums(dominant, inverses)
@@ -154,7 +170,7 @@ def test_dominant_representative():
     w = (-1, 0, 0, 0, 0, 0, 0)
     rep = dominant_representative(w)
     assert all(x >= 0 for x in rep)
-    assert rep in weyl_orbit(w)
+    assert rep in orbit_of(w)
 
 
 def test_freudenthal_minuscule_l7():
@@ -253,8 +269,8 @@ def reference_orbit_sum(mu, y):
 def test_orbit_sums_match_the_closure_at_the_points(m):
     system = freudenthal(m)
     trials, seed = 2, 11
-    direct = oracle._direct_values(system, trials, seed)
-    points, memo = oracle._point_set(trials, seed)
+    points, memo, _ = oracle._point_set(trials, seed)
+    direct = oracle._direct_values(system, points, memo)
     for mu in system.dominant_mults:
         assert memo[mu] == tuple(reference_orbit_sum(mu, y) for y in points)
     assert direct == [sum(n * memo[mu][k]
@@ -300,7 +316,7 @@ def test_oracle_module_is_independent():
 
 def test_verify_oracle_computes_each_weight_system_once(monkeypatch):
     oracle._freudenthal.cache_clear()
-    oracle._fundamental_values.cache_clear()
+    oracle._point_set.cache_clear()
     counts = Counter()
     real = oracle.dominant_weights_below
 
@@ -314,21 +330,23 @@ def test_verify_oracle_computes_each_weight_system_once(monkeypatch):
 
 
 def test_verify_oracle_walks_each_dominant_weight_once(monkeypatch):
+    # Counted on the module binding ``oracle.weyl_orbit``, which
+    # ``_orbit_sums`` calls: a wrapper bound there, such as the benchmark
+    # tracer's, sees every walk.
     oracle._point_set.cache_clear()
-    oracle._fundamental_values.cache_clear()
     walked = Counter()
-    real = oracle._orbit_walk
+    real = oracle.weyl_orbit
 
     def counted(dominant):
         walked.update(map(tuple, dominant))
         return real(dominant)
 
-    monkeypatch.setattr(oracle, "_orbit_walk", counted)
+    monkeypatch.setattr(oracle, "weyl_orbit", counted)
     assert cli.main(["--no-cache", "verify", "oracle", "--trials", "3"]) == 0
-    assert max(walked.values()) == 1
     assert set(walked) == {mu for m in ORACLE_TARGETS
                            for mu in freudenthal(m).dominant_mults}
     assert len(walked) == 15
+    assert max(walked.values()) == 1
     # Another point set walks them again, once.
     assert cli.main(["--no-cache", "verify", "oracle", "--trials", "2"]) == 0
     assert set(walked.values()) == {2}
@@ -336,17 +354,27 @@ def test_verify_oracle_walks_each_dominant_weight_once(monkeypatch):
 
 def test_point_sets_are_bounded(table):
     # A caller looping over seeds keeps at most POINT_SETS point sets,
-    # each with its orbit-sum memo, and their fundamental values.
+    # each one entry with its orbit-sum memo and fundamental values.
     oracle._point_set.cache_clear()
-    oracle._fundamental_values.cache_clear()
     chi = table.character(L[6])
     for seed in range(2 * oracle.POINT_SETS):
         assert torus_check(L[6], chi, trials=1, seed=seed) == 0
-    for cached in (oracle._point_set, oracle._fundamental_values):
-        info = cached.cache_info()
-        assert info.maxsize == oracle.POINT_SETS
-        assert info.currsize == oracle.POINT_SETS
-        assert info.misses == 2 * oracle.POINT_SETS
+    info = oracle._point_set.cache_info()
+    assert info.maxsize == oracle.POINT_SETS
+    assert info.currsize == oracle.POINT_SETS
+    assert info.misses == 2 * oracle.POINT_SETS
+
+
+def test_a_point_set_holds_its_fundamentals_and_their_orbit_sums():
+    # The fundamental values are summed through the entry's own memo, so
+    # they cannot outlive it: every fundamental's dominant weights are in it.
+    points, memo, fundamentals = oracle._point_set(3, 5)
+    assert len(points) == len(fundamentals) == 3
+    assert {mu for lam in L for mu in freudenthal(lam).dominant_mults} \
+        <= set(memo)
+    columns = [oracle._direct_values(freudenthal(lam), points, dict(memo))
+               for lam in L]
+    assert fundamentals == tuple(zip(*columns))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -356,7 +384,6 @@ def test_verify_oracle_output_is_fixed_by_its_seed(capsys, fmt):
     outputs = []
     for _ in range(2):
         oracle._point_set.cache_clear()
-        oracle._fundamental_values.cache_clear()
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]

@@ -29,6 +29,8 @@ imports ``re`` or names a term pattern ``_TERM_RE``.
 The fixture line format belongs to ``fixtures``: only its reader
 ``_entries`` calls ``_iter_lines``, in the library and the tests alike,
 and no other library module builds a ``chi`` line.
+A bad input is refused, never warned about and read on: no library module
+imports ``warnings``.
 No floating point enters the library: no module holds a float or complex
 constant, names ``float`` or ``complex`` (or a numpy ``float*``/``complex*``
 type), or imports ``math`` or ``cmath``.
@@ -340,10 +342,42 @@ def test_a_second_line_reader_is_caught():
               "        yield line\n"
               "class Reader:\n"
               "    def lines(self, path):\n"
-              "        return list(_iter_lines(path, warn_empty=False))\n"
+              "        return list(_iter_lines(path))\n"
               "reader = _iter_lines\n")
     assert call_sites(source, "_iter_lines") == ["load_a_table",
                                                   "Reader.lines"]
+
+
+def warnings_imports(source):
+    """The line numbers of the imports of ``warnings`` in ``source``,
+    whole, from, or of a submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [node.lineno for mod in modules
+                  if mod.split(".")[0] == "warnings"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_warns_and_reads_on(path):
+    assert warnings_imports(path.read_text()) == []
+
+
+def test_a_warnings_import_is_caught():
+    source = ("import os, warnings\n"
+              "from warnings import warn\n"
+              "import warnings as w\n"
+              "from . import fixtures\n"
+              "def load(path):\n"
+              "    import warnings\n"
+              "    warn_empty = True\n")
+    assert warnings_imports(source) == [1, 2, 3, 6]
 
 
 def chi_line_builders(source):
