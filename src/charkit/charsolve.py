@@ -106,10 +106,12 @@ class ZeroGapError(ArithmeticError):
 class CharacterTable:
     """Memoized character computations against one operator.
 
-    Results are cached in memory and, when ``cache_dir`` is set, persisted
-    as canonical ``chi`` fixture lines (one file per weight), so repeated
-    CLI invocations and long corpus runs reuse earlier work.  No lock
-    guards the memory cache: each insertion is one dict store.
+    Results are cached in memory and, when ``cache_dir`` is set, the
+    characters asked for by name are persisted as canonical ``chi`` fixture
+    lines (one file per weight), so repeated CLI invocations and long
+    corpus runs reuse earlier work; a decomposition's constituents stay in
+    memory (``character``).  No lock guards the memory cache: each
+    insertion is one dict store.
     """
 
     def __init__(self, operator):
@@ -172,22 +174,26 @@ class CharacterTable:
     def character(self, m, support=None):
         """The character of highest weight m, from cache or by Method 1.
 
-        ``support``, a ``Restriction`` with m among its weights, is the one
-        the solve runs on, sharing its rows of the operator.  Only solved
-        characters are written to the disk cache.
+        Only characters asked for by name go through the disk: without a
+        ``support`` the lookup runs memory, then disk, then Method 1 and a
+        write.  ``support``, a ``Restriction`` with m among its weights, is
+        a decomposition's constituent path: the solve runs on it, sharing
+        its rows of the operator, and the result stays in memory, since
+        solving again on the shared rows costs less than parsing the text.
+        A character already in memory is never written.
         """
         m = tuple(m)
         require_dominant(m)
         chi = self._cache.get(m)
         if chi is not None:
             return chi
-        chi = self._load_disk(m)
+        chi = None if support is not None else self._load_disk(m)
         prov = "disk"
         if chi is None:
             chi, prov = self.character_m1(m, support), "method-1"
         self._cache[m] = chi
         self._provenance[m] = prov
-        if prov != "disk":
+        if prov != "disk" and support is None:
             self._store_disk(m, chi)
         return chi
 

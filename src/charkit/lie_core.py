@@ -177,15 +177,19 @@ def weyl_dim(m):
     return _weyl_dim(m)
 
 
+# Each positive root's height with its alpha-coordinates, and the product
+# of the heights, the denominator of every dimension.
+_ROOT_HEIGHTS = tuple((sum(r), r) for r in POSITIVE_ROOTS)
+_HEIGHT_PRODUCT = functools.reduce(operator.mul,
+                                   (h for h, _ in _ROOT_HEIGHTS))
+
+
 @functools.lru_cache(maxsize=1 << 14)
 def _weyl_dim(m):
     num = 1
-    den = 1
-    for r in POSITIVE_ROOTS:
-        h = sum(r)
-        num *= h + sum(r[i] * m[i] for i in range(RANK))
-        den *= h
-    q, rem = divmod(num, den)
+    for h, r in _ROOT_HEIGHTS:
+        num *= h + sum(map(operator.mul, r, m))
+    q, rem = divmod(num, _HEIGHT_PRODUCT)
     assert rem == 0
     return q
 
@@ -241,6 +245,12 @@ def require_keyed_downset(m):
             f"below {KEY_MAX * least}")
 
 
+# The most dominant weights a downset may have: a top with more below it is
+# refused (``dominant_weights_below``) before anything is solved.  48
+# lambda_7 has 631 751.
+SUPPORT_MAX = 2**20
+
+
 # The guard bits, the ones of every field, and each positive root's key
 # under 2(r, rho) from bit 63.
 _KEY_GUARD = weight_key((KEY_MAX + 1,) * RANK)
@@ -290,6 +300,10 @@ def dominant_weights_below(m):
     member with the guard test, so the inner loop tests nothing but
     membership.
 
+    The closure counts its members once per level and refuses, with
+    ``MonomialRangeError``, a top with more than ``SUPPORT_MAX`` of them,
+    so a run that no memory could hold stops before anything is solved.
+
     This is the one enumeration of a downset.  A constituent solved inside
     a decomposition is solved on the top weight's restriction of the
     operator (``Delta1Operator.restrict``) instead of enumerating again.
@@ -311,5 +325,9 @@ def dominant_weights_below(m):
                 if z not in seen:
                     seen.add(z)
                     nxt.append(z)
+        if len(seen) > SUPPORT_MAX:
+            raise MonomialRangeError(
+                f"weight {m} is outside the work budget: its downset has "
+                f"more than SUPPORT_MAX = {SUPPORT_MAX} dominant weights")
         frontier = nxt
     return list(map(key_weight, sorted(seen, reverse=True)))

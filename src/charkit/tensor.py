@@ -9,9 +9,13 @@ character that entered it); the exact dimension sum is checked as well.
 
 The downset of the top weight is enumerated once per decomposition, and
 the operator is restricted to it once: a constituent character that is not
-cached yet is solved by Method 1 on that ``Restriction``, from its own
+in memory yet is solved by Method 1 on that ``Restriction``, from its own
 position, so its downset is never enumerated again and each row of the
-operator is read at most once per decomposition.  Each public entry refuses
+operator is read at most once per decomposition.  Constituents neither
+read nor write the disk cache, and stay in memory only: solving one again
+on the shared rows costs less than parsing its text.  The factors of
+``cg_decompose`` are characters asked for by name, so they go through the
+disk cache when one is attached.  Each public entry refuses
 a top weight outside the operator's range (``require_in_range``), then
 enumerates its downset, whose closure refuses a top outside the keys' range
 (``require_keyed_downset``), before either factor is solved.

@@ -12,6 +12,7 @@ from charkit.lie_core import (
     weyl_dim, NonDominantError,
 )
 from charkit.polyring import MultiPoly
+from charkit.tensor import monomial_decompose
 
 from test_csmodel import apply, with_a_huge_coefficient
 
@@ -236,9 +237,24 @@ def test_disk_cache_roundtrip(operator, tmp_path):
     m = (0, 1, 0, 0, 0, 0, 1)
     chi = t1.character(m)
     assert t1.provenance(m) == "method-1"
+    assert [p.name for p in tmp_path.iterdir()] == ["chi_0-1-0-0-0-0-1.txt"]
     t2 = fresh_table(operator, tmp_path)
     assert t2.character(m) == chi
     assert t2.provenance(m) == "disk"
+
+
+def test_a_decomposition_neither_reads_nor_writes_its_constituents(
+        operator, tmp_path):
+    # (1,0,0,0,0,0,1) is a constituent of z3 z7: solved on the top's
+    # support, it stays in memory, so the planted file is neither read as a
+    # miss nor rewritten, and no other constituent is written.
+    path = tmp_path / "chi_1-0-0-0-0-0-1.txt"
+    path.write_bytes(b"garbage")
+    t = fresh_table(operator, tmp_path)
+    monomial_decompose((0, 0, 1, 0, 0, 0, 1), t)
+    assert path.read_bytes() == b"garbage"
+    assert t.provenance((1, 0, 0, 0, 0, 0, 1)) == "method-1"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_disk_hit_leaves_the_cache_file_alone(operator, tmp_path):

@@ -166,6 +166,28 @@ def test_out_of_range_weight_is_refused_before_its_downset(monkeypatch,
     assert (code, out, got) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["character", "0,0,0,0,0,0,12"],
+    ["monomial-cg", "0,0,0,0,0,0,12"],
+    ["cg", "0,0,0,0,0,0,6", "0,0,0,0,0,0,6"],
+], ids=["character", "monomial-cg", "cg"])
+def test_a_top_past_the_work_budget_is_refused(tmp_path, monkeypatch, capsys,
+                                               argv):
+    # With the budget at 100 the 502 weights below 12 lambda_7 are refused,
+    # and the 42 below a factor 6 lambda_7 are not: cg refuses its top
+    # before either factor is solved or written.
+    monkeypatch.setattr(lie_core, "SUPPORT_MAX", 100)
+    cache = tmp_path / "cache"
+    code = main(["--cache-dir", str(cache), *argv])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == ("error: weight (0, 0, 0, 0, 0, 0, 12) is outside the "
+                       "work budget: its downset has more than SUPPORT_MAX "
+                       "= 100 dominant weights\n")
+    assert not (cache / "chi_0-0-0-0-0-0-6.txt").exists()
+    assert not (cache / "chi_0-0-0-0-0-0-12.txt").exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_oracle_without_torus_points_is_a_usage_error(capsys, trials):
     code, out, err = run(capsys, "verify", "oracle", "--trials", trials)

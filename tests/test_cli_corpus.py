@@ -33,14 +33,11 @@ CORPUS = [
     ("cg 0000001 0000001", 0,
      "a67f563e129bde44be9e8c9484e28d3b4b828666", EMPTY, BOOTSTRAP),
     ("cg 0000012 0010001", 0,
-     "7a85873ba94cfe625507208492aa88ddc5453934", EMPTY,
-     (138, "3493554cb3f453dd59079b250d44921e79c8e4b6")),
+     "7a85873ba94cfe625507208492aa88ddc5453934", EMPTY, BOOTSTRAP),
     ("--format json cg 0000012 0010001", 0,
-     "d81744ac75e474350af5fec32c2a13a1fc67ba16", EMPTY,
-     (138, "3493554cb3f453dd59079b250d44921e79c8e4b6")),
+     "d81744ac75e474350af5fec32c2a13a1fc67ba16", EMPTY, BOOTSTRAP),
     ("monomial-cg 0003000", 0,
-     "4d259b60eeb98e2911759409f775aeb81a8999f5", EMPTY,
-     (345, "179a0f2dc01150e475df41c8f2a1cb5c920b83e4")),
+     "4d259b60eeb98e2911759409f775aeb81a8999f5", EMPTY, BOOTSTRAP),
     ("--format json monomial-cg 0001001", 0,
      "15ac2d003465ea512870479bf82ca0f20ff9f04e", EMPTY, BOOTSTRAP),
     ("series-family 7 3", 0,
@@ -48,14 +45,13 @@ CORPUS = [
     ("--format json series-family 7 3", 0,
      "f7998cc1925f8e17d4b7206caaa9ff4edd0a2d64", EMPTY, BOOTSTRAP),
     ("series-family 4 2", 0,
-     "b0a65e3a4f369f4d94d6dcb6be7413264cc40721", EMPTY,
-     (113, "3ed09c69543b40e2bc679c43481256b47f6f0126")),
+     "b0a65e3a4f369f4d94d6dcb6be7413264cc40721", EMPTY, BOOTSTRAP),
     ("verify all", 0,
      "2c6fbbc77a51e7df838d9f8881cbc69079062368", EMPTY,
-     (518, "81415a009d878c45ca3abf16e5765b7aef44162b")),
+     (142, "c5610d45650479f34c1f612577b7ca41a3832146")),
     ("--format json verify all", 0,
      "7ec7d80de4d65658a77fec4c076b38242ab1065b", EMPTY,
-     (518, "81415a009d878c45ca3abf16e5765b7aef44162b")),
+     (142, "c5610d45650479f34c1f612577b7ca41a3832146")),
     ("character 0,0,0,0,0,0,252", 2, EMPTY,
      "1febdda1d73a50083e51863bd13dc861f693124e", BOOTSTRAP),
     ("character 0,0,0,0,0,3,251", 2, EMPTY,

@@ -234,6 +234,22 @@ def test_dominant_weights_below_refuses_a_top_beyond_the_keys(monkeypatch):
     assert issubclass(MonomialRangeError, ValueError)
 
 
+def test_dominant_weights_below_refuses_a_downset_past_the_budget(
+        monkeypatch):
+    # 48 lambda_7, the largest top measured, has 631 751 members.
+    assert lie_core.SUPPORT_MAX > 631_751
+    m = (0, 0, 0, 0, 0, 0, 6)
+    size = len(dominant_weights_below(m))
+    monkeypatch.setattr(lie_core, "SUPPORT_MAX", size)
+    assert len(dominant_weights_below(m)) == size
+    monkeypatch.setattr(lie_core, "SUPPORT_MAX", size - 1)
+    with pytest.raises(MonomialRangeError,
+                       match=rf"^weight \(0, 0, 0, 0, 0, 0, 6\) is outside "
+                             rf"the work budget: its downset has more than "
+                             rf"SUPPORT_MAX = {size - 1} dominant weights$"):
+        dominant_weights_below(m)
+
+
 def closure_key(mu, h):
     """The key of mu as the closure holds it: guard bits set, h from bit 63."""
     return (h << 63) + lie_core._KEY_GUARD + weight_key(mu)
