@@ -11,8 +11,7 @@ from .csmodel import (
 )
 from .charsolve import CharacterTable, IntegralityError
 from .tensor import (
-    CGSeries, cg_decompose, monomial_decompose, series_family_z7,
-    verify_quadratic_roundtrip, DecompositionError,
+    CGSeries, cg_decompose, monomial_decompose, DecompositionError,
 )
 from .oracle import freudenthal, torus_check, WeightSystem, OracleRefusal
 
@@ -24,7 +23,6 @@ __all__ = [
     "QuadraticCorpus", "Delta1Operator", "build_a",
     "CorpusIncompleteError", "StructuralViolationError",
     "CharacterTable", "IntegralityError",
-    "CGSeries", "cg_decompose", "monomial_decompose", "series_family_z7",
-    "verify_quadratic_roundtrip", "DecompositionError",
+    "CGSeries", "cg_decompose", "monomial_decompose", "DecompositionError",
     "freudenthal", "torus_check", "WeightSystem", "OracleRefusal",
 ]

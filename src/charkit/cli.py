@@ -10,6 +10,8 @@ series-family K N     z7 * chi_{n lambda_k} against its closed form
 verify CORPUS         re-derive a fixture corpus and report pass/fail
 
 Weights are seven digits (``0000002``) or comma-separated (``0,...,12``).
+``series-family`` and ``verify quadratic`` compare ``cg_decompose`` with
+its reference here.  Argument errors are refused before the operator is built.
 Exit status: 0 on success; 1 on a verification failure or on a failed
 internal invariant (a one-line ``error:`` on stderr); 2 on usage errors,
 among them a cache directory that cannot be created or written (an
@@ -27,11 +29,10 @@ from . import fixtures
 from .charsolve import IntegralityError, ZeroGapError
 from .csmodel import QuadraticCorpus, StructuralViolationError, build_a
 from .lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, weyl_dim
-from .oracle import OracleRefusal, freudenthal, torus_check
+from .oracle import OracleRefusal, freudenthal, require_trials, torus_check
 from .polyring import descending_monomials
 from .tensor import (
-    DecompositionError, cg_decompose, monomial_decompose, series_family_z7,
-    verify_quadratic_roundtrip,
+    DecompositionError, cg_decompose, monomial_decompose, z7_family,
 )
 
 # Failures of a self-check or of the oracle's work ceiling: exit 1.
@@ -50,7 +51,7 @@ def _weight(text):
 
 def _integer(text):
     try:
-        return fixtures._integer(text)
+        return fixtures.parse_integer(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -132,6 +133,14 @@ def _series_json(factors, series):
             "dim_check": True}
 
 
+def _series_diffs(got, want):
+    """(weight, got, want) for every weight where two {weight: mult}
+    series differ, in ascending weight order."""
+    return [(w, got.get(w, 0), want.get(w, 0))
+            for w in sorted(set(got) | set(want))
+            if got.get(w, 0) != want.get(w, 0)]
+
+
 def _emit_series(args, factors, series, label):
     """Print a series whose dimension sum the decomposition certified."""
     if args.format == "json":
@@ -193,31 +202,38 @@ def cmd_dim(args):
 
 
 def cmd_series_family(args):
+    k, n = args.k, args.n
+    closed = z7_family(k, n)
     _, table = _make_table(args)
-    rep = series_family_z7(args.k, args.n, table)
+    computed = cg_decompose(FUNDAMENTAL_WEIGHTS[6],
+                            tuple(n * x for x in FUNDAMENTAL_WEIGHTS[k - 1]),
+                            table)
+    diffs = _series_diffs(computed.terms, closed)
     if args.format == "json":
         print(json.dumps({
-            "k": rep.k, "n": rep.n, "match": rep.match,
-            "computed": _series_json([], rep.computed)["series"],
+            "k": k, "n": n, "match": not diffs,
+            "computed": _series_json([], computed)["series"],
             "closed_form": [{"weight": list(w), "mult": m}
-                            for w, m in sorted(rep.closed_form.items())],
+                            for w, m in sorted(closed.items())],
         }))
     else:
-        print(f"# z7 * chi_(n={rep.n}) lambda_{rep.k}: "
-              f"{'match' if rep.match else 'MISMATCH'}")
+        print(f"# z7 * chi_(n={n}) lambda_{k}: "
+              f"{'MISMATCH' if diffs else 'match'}")
         print(fixtures.format_series_line(
-            "series", f"7 x {rep.k}^{rep.n}", rep.computed.terms))
-        for w, a, b in rep.differences:
+            "series", f"7 x {k}^{n}", computed.terms))
+        for w, a, b in diffs:
             print(f"  differs at {fixtures.format_weight(w)}: "
                   f"computed {a}, closed form {b}")
-    return 0 if rep.match else 1
+    return 1 if diffs else 0
 
 
 def _verify_quadratic(table, corpus, rows):
-    report = verify_quadratic_roundtrip(corpus, table)
-    for (j, k), ok in sorted(report.results.items()):
-        rows.append((f"cg {j} {k}", ok,
-                     "" if ok else f"differs: {report.differences[(j, k)][:3]}"))
+    for (j, k), fixture_series in sorted(corpus.series.items()):
+        computed = cg_decompose(FUNDAMENTAL_WEIGHTS[j - 1],
+                                FUNDAMENTAL_WEIGHTS[k - 1], table)
+        diffs = _series_diffs(computed.terms, fixture_series)
+        rows.append((f"cg {j} {k}", not diffs,
+                     f"differs: {diffs[:3]}" if diffs else ""))
 
 
 def _verify_chars(table, rows):
@@ -256,9 +272,11 @@ def _verify_oracle(table, rows, trials, seed):
 
 
 def cmd_verify(args):
+    which = args.corpus
+    if which in ("oracle", "all"):
+        require_trials(args.trials)
     corpus, table = _make_table(args)
     rows = []
-    which = args.corpus
     if which in ("quadratic", "all"):
         _verify_quadratic(table, corpus, rows)
     if which in ("appendix-a", "all"):

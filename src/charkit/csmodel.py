@@ -96,20 +96,19 @@ B_COEFFS = tuple(eigenvalue(w) for w in FUNDAMENTAL_WEIGHTS)
 
 @dataclass
 class QuadraticCorpus:
-    """The 28 pairwise fundamental tensor series plus the characters needed
-    to seed the reconstruction: the constant 1, the fundamentals z_i, and
-    the degree-two characters."""
+    """The 28 pairwise fundamental tensor series plus the degree-two
+    characters, which seed the reconstruction beside the constant 1 and
+    the fundamentals z_i."""
 
     series: dict = field(default_factory=dict)        # (j,k) -> {weight: N}
     second_order_chars: dict = field(default_factory=dict)  # weight -> MultiPoly
 
     @classmethod
     def load_default(cls):
+        """The packaged corpus, unvalidated: ``build_a`` validates it."""
         series = fixtures.load_cg_file(fixtures.data_path("quadratic_series.txt"))
         chars = fixtures.load_chi_file(fixtures.data_path("second_order_chars.txt"))
-        corpus = cls(series=series, second_order_chars=chars)
-        corpus.validate()
-        return corpus
+        return cls(series=series, second_order_chars=chars)
 
     def validate(self):
         if sorted(self.series) != [(j, k) for j in range(1, 8)
@@ -131,14 +130,6 @@ class QuadraticCorpus:
                     raise CorpusIncompleteError(
                         f"series {j} {k}: no character for weight "
                         f"{fixtures.format_weight(w)}")
-
-    def seed_characters(self):
-        """Characters known without any operator: 1, the z_i, the corpus."""
-        seeds = {ZERO_WEIGHT: MultiPoly.one()}
-        for i in range(RANK):
-            seeds[FUNDAMENTAL_WEIGHTS[i]] = MultiPoly.variable(i + 1)
-        seeds.update(self.second_order_chars)
-        return seeds
 
 
 class Delta1Operator:
@@ -436,10 +427,13 @@ def build_a(corpus):
     corpus.validate()
     op = Delta1Operator()
     table = CharacterTable(op)
-    for w, chi in corpus.seed_characters().items():
+    # Characters known without any operator: 1, the z_i, the corpus.
+    zvars = [MultiPoly.variable(i + 1) for i in range(RANK)]
+    seeds = [(ZERO_WEIGHT, MultiPoly.one()), *zip(FUNDAMENTAL_WEIGHTS, zvars),
+             *corpus.second_order_chars.items()]
+    for w, chi in seeds:
         table.seed(w, chi)
 
-    zvars = [MultiPoly.variable(i + 1) for i in range(RANK)]
     for (j, k) in _pair_order():
         ser = corpus.series[(j, k)]
         total = MultiPoly.zero()

@@ -30,7 +30,7 @@ class FixtureCorruptError(ValueError):
     """A fixture parses but fails its validation identity."""
 
 
-def _integer(text):
+def parse_integer(text):
     """``int(text)`` for an optional ``-`` and decimal digits, the spelling
     of a polynomial's coefficient; ``int`` alone would also take ``+``,
     ``_`` between digits and surrounding whitespace."""
@@ -49,7 +49,7 @@ def parse_weight(text):
     if len(parts) != RANK:
         raise FixtureFormatError(f"weight {text!r} does not have 7 entries")
     try:
-        w = tuple(map(_integer, parts))
+        w = tuple(map(parse_integer, parts))
     except ValueError:
         raise FixtureFormatError(f"weight {text!r} has non-integer entries")
     if any(x < 0 for x in w):
@@ -118,7 +118,7 @@ def _pair_key(fields):
     """The unordered pair ``j k`` as (min, max): ``cg 1 3`` and ``cg 3 1``
     name one key."""
     _, j, k = fields
-    j, k = _integer(j), _integer(k)
+    j, k = parse_integer(j), parse_integer(k)
     if not (1 <= j <= RANK and 1 <= k <= RANK):
         raise ValueError(f"bad pair {j} {k}")
     return min(j, k), max(j, k)
@@ -130,7 +130,7 @@ def _parse_series_rhs(rhs):
         try:
             wtext, ntext = item.rsplit(":", 1)
             w = parse_weight(wtext)
-            n = _integer(ntext)
+            n = parse_integer(ntext)
         except ValueError as exc:
             raise FixtureFormatError(f"bad series item {item!r}: {exc}")
         if n <= 0:

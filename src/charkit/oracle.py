@@ -250,6 +250,12 @@ def _direct_values(system, points, memo):
             for k in range(len(points))]
 
 
+def require_trials(trials):
+    """Refuse a torus check of fewer than one point with ``ValueError``."""
+    if trials < 1:
+        raise ValueError(f"torus check needs at least 1 trial, got {trials}")
+
+
 def torus_check(m, chi, trials=20, seed=20240901):
     """The number of random points y of (F_P^*)^7 at which chi(z(y)) and
     the direct sum over the weight system of m differ mod P.
@@ -264,8 +270,7 @@ def torus_check(m, chi, trials=20, seed=20240901):
     the fundamental systems (the largest has 24753 distinct weights), kept
     with the points of (trials, seed); ``trials`` must be at least 1.
     """
-    if trials < 1:
-        raise ValueError(f"torus check needs at least 1 trial, got {trials}")
+    require_trials(trials)
     points, memo, fundamentals = _point_set(trials, seed)
     direct = _direct_values(freudenthal(m), points, memo)
     return sum(chi.eval_integer(z) % P != value

@@ -15,15 +15,18 @@ operator is read at most once per decomposition.  Constituents neither
 read nor write the disk cache, and stay in memory only: solving one again
 on the shared rows costs less than parsing its text.  The factors of
 ``cg_decompose`` are characters asked for by name, so they go through the
-disk cache when one is attached.  Each public entry refuses
+disk cache when one is attached.  Each decomposition refuses
 a top weight outside the operator's range (``require_in_range``), then
 enumerates its downset, whose closure refuses a top outside the keys' range
 (``require_keyed_downset``), before either factor is solved.
+
+``z7_family`` is the paper's closed form for z7 * chi_{n lambda_k}; the
+command line compares computed series with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lie_core import (
     RANK, FUNDAMENTAL_WEIGHTS, dominant_weights_below, monomial_dim,
@@ -136,61 +139,13 @@ _FAMILY_OFFSETS = {
 }
 
 
-def _family_terms(k, n):
-    """The closed-form series for z7 * chi_{n lambda_k} as {weight: mult}."""
-    lam = FUNDAMENTAL_WEIGHTS[k - 1]
-    return {tuple((n - 1) * x + int(d) for x, d in zip(lam, offset)): 1
-            for offset in _FAMILY_OFFSETS[k].split()}
-
-
-def _series_diffs(got, want):
-    """(weight, got, want) for every weight where two {weight: mult}
-    series differ, in ascending weight order."""
-    return [(w, got.get(w, 0), want.get(w, 0))
-            for w in sorted(set(got) | set(want))
-            if got.get(w, 0) != want.get(w, 0)]
-
-
-@dataclass
-class FamilyReport:
-    k: int
-    n: int
-    computed: CGSeries
-    closed_form: dict
-    match: bool
-    differences: list = field(default_factory=list)
-
-
-def series_family_z7(k, n, table):
-    """Decompose z7 * chi_{n lambda_k} and compare with the closed form."""
+def z7_family(k, n):
+    """The closed-form series of z7 * chi_{n lambda_k} as {weight: mult};
+    ``k`` must be in 1..7 and ``n`` at least 1."""
     if not 1 <= k <= RANK:
         raise ValueError(f"fundamental index {k} out of range 1..7")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    target = tuple(n if i == k - 1 else 0 for i in range(RANK))
-    computed = cg_decompose(FUNDAMENTAL_WEIGHTS[6], target, table)
-    closed = _family_terms(k, n)
-    diffs = _series_diffs(computed.terms, closed)
-    return FamilyReport(k=k, n=n, computed=computed, closed_form=closed,
-                        match=not diffs, differences=diffs)
-
-
-@dataclass
-class RoundTripReport:
-    results: dict          # (j,k) -> bool
-    differences: dict      # (j,k) -> list of (weight, computed, fixture)
-
-
-def verify_quadratic_roundtrip(corpus, table):
-    """Recompute all 28 pairwise fundamental series from the operator and
-    diff against the corpus fixtures, closing the bootstrap loop."""
-    results = {}
-    differences = {}
-    for (j, k), fixture_series in sorted(corpus.series.items()):
-        computed = cg_decompose(FUNDAMENTAL_WEIGHTS[j - 1],
-                                FUNDAMENTAL_WEIGHTS[k - 1], table)
-        diffs = _series_diffs(computed.terms, fixture_series)
-        results[(j, k)] = not diffs
-        if diffs:
-            differences[(j, k)] = diffs
-    return RoundTripReport(results=results, differences=differences)
+    lam = FUNDAMENTAL_WEIGHTS[k - 1]
+    return {tuple((n - 1) * x + int(d) for x, d in zip(lam, offset)): 1
+            for offset in _FAMILY_OFFSETS[k].split()}

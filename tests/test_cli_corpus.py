@@ -12,7 +12,9 @@ import hashlib
 
 import pytest
 
+from charkit import cli, tensor
 from charkit.cli import main
+from charkit.csmodel import build_a
 
 EMPTY = hashlib.sha1(b"").hexdigest()
 # The character cache as ``build_a`` leaves it: the 107 bootstrap characters.
@@ -62,6 +64,11 @@ CORPUS = [
      "1febdda1d73a50083e51863bd13dc861f693124e", BOOTSTRAP),
     ("dim 0001000 0,0,0,0,0,0,24", 0,
      "37696632e5173e9956ca367d30cdd36a1b209cc4", EMPTY, (0, EMPTY)),
+    # Argument errors are refused before the operator is built.
+    ("series-family 0 2", 2, EMPTY,
+     "f4ef6498c61cb9ffb69491b20f2319d0ba1f96fc", (0, EMPTY)),
+    ("verify all --trials 0", 2, EMPTY,
+     "48bc1851c944f9a8daedea7d487d11213e3ce903", (0, EMPTY)),
 ]
 
 
@@ -87,3 +94,50 @@ def test_corpus_command_is_byte_identical(tmp_path, capsys, args, code,
     assert hashlib.sha1(out.out.encode()).hexdigest() == out_sha1, out.out
     assert hashlib.sha1(out.err.encode()).hexdigest() == err_sha1, out.err
     assert cache_digest(path) == cache
+
+
+# The failing paths of the two commands that compare a computed series with
+# a reference, forced by tampering with the reference: (arguments after
+# --no-cache, tampered reference, exit code, stdout sha1, stderr sha1).
+FAIL_PATHS = [
+    ("series-family 7 2", "family", 1,
+     "2810ced492ff64a152558af813055ec4504bf8bd", EMPTY),
+    ("--format json series-family 7 2", "family", 1,
+     "a6a34caf784873546dc63cc710738a41433487f8", EMPTY),
+    ("verify quadratic", "quadratic", 1,
+     "1d66d50160417192b8503f278c5a6e281c84726d", EMPTY),
+    ("--format json verify quadratic", "quadratic", 1,
+     "79e41697e0652547706a9c10b463928231530aef", EMPTY),
+]
+
+
+def tamper(monkeypatch, which):
+    """Change one reference the command compares against: the offset
+    0000000 of the lambda_7 family row, or two multiplicities of the
+    fixture series cg 7 7 once the operator is built from it."""
+    if which == "family":
+        monkeypatch.setitem(tensor._FAMILY_OFFSETS, 7,
+                            "0000002 0000010 1000000 0000001")
+        return
+
+    def build_then_tamper(corpus):
+        built = build_a(corpus)
+        series = dict(corpus.series[(7, 7)])
+        series[(0, 0, 0, 0, 0, 0, 0)] = 2
+        del series[(1, 0, 0, 0, 0, 0, 0)]
+        corpus.series[(7, 7)] = series
+        return built
+
+    monkeypatch.setattr(cli, "build_a", build_then_tamper)
+
+
+@pytest.mark.parametrize("args, which, code, out_sha1, err_sha1", FAIL_PATHS,
+                         ids=[row[0] for row in FAIL_PATHS])
+def test_fail_path_is_byte_identical(monkeypatch, capsys, args, which, code,
+                                     out_sha1, err_sha1):
+    tamper(monkeypatch, which)
+    got = main(["--no-cache", *args.split()])
+    out = capsys.readouterr()
+    assert got == code
+    assert hashlib.sha1(out.out.encode()).hexdigest() == out_sha1, out.out
+    assert hashlib.sha1(out.err.encode()).hexdigest() == err_sha1, out.err

@@ -29,6 +29,9 @@ imports ``re`` or names a term pattern ``_TERM_RE``.
 The fixture line format belongs to ``fixtures``: only its reader
 ``_entries`` calls ``_iter_lines``, in the library and the tests alike,
 and no other library module builds a ``chi`` line.
+A module's underscore names are its own: no library module reaches
+another's, neither as an attribute of an imported module
+(``fixtures._integer``) nor through ``from .x import _name``.
 A bad input is refused, never warned about and read on: no library module
 imports ``warnings``.
 No floating point enters the library: no module holds a float or complex
@@ -348,6 +351,69 @@ def test_a_second_line_reader_is_caught():
                                                   "Reader.lines"]
 
 
+def is_library(node):
+    """Whether an import node imports from the library: a relative import,
+    or one of ``charkit``."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "charkit"
+    return any(alias.name.split(".")[0] == "charkit" for alias in node.names)
+
+
+def foreign_private_names(source):
+    """Every underscore name, dunders aside, of another library module
+    that ``source`` reaches, as sorted ``lineno: what`` strings: one
+    imported by ``from .x import _name``, or an attribute of a name bound
+    to a library module (``from . import x``, ``import charkit.x as x``),
+    directly or down a dotted path."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    found = []
+    modules = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or not is_library(node):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            whole = isinstance(node, ast.Import) \
+                or node.module in (None, "charkit")
+            if whole:
+                modules.add(bound)
+            elif private(alias.name):
+                found.append(f"{node.lineno}: {alias.name}")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not private(node.attr):
+            continue
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in modules:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reaches_another_modules_private_names(path):
+    assert foreign_private_names(path.read_text()) == []
+
+
+def test_a_private_name_reached_from_outside_is_caught():
+    source = ("from . import fixtures, polyring as poly\n"
+              "from .lie_core import RANK, _ROOT_STEPS\n"
+              "import charkit.oracle\n"
+              "from charkit import csmodel\n"
+              "from charkit.tensor import _FAMILY_OFFSETS, __doc__\n"
+              "n = fixtures._integer(text) + poly._FACTORS[0][RANK]\n"
+              "m = charkit.oracle._point_set(1, 2) or csmodel.Table._memo\n"
+              "table._cache, self._memo = fixtures.__name__, RANK._bits\n")
+    assert foreign_private_names(source) == [
+        "2: _ROOT_STEPS", "5: _FAMILY_OFFSETS",
+        "6: fixtures._integer", "6: poly._FACTORS",
+        "7: charkit.oracle._point_set", "7: csmodel.Table._memo"]
+
+
 def warnings_imports(source):
     """The line numbers of the imports of ``warnings`` in ``source``,
     whole, from, or of a submodule."""
@@ -419,10 +485,8 @@ def local_library_imports(source):
     """The qualified names of the functions in ``source`` whose body
     imports a library module: a relative import or one of ``charkit``."""
     def hit(node):
-        if isinstance(node, ast.ImportFrom):
-            return node.level > 0 or node.module.split(".")[0] == "charkit"
-        return isinstance(node, ast.Import) and any(
-            alias.name.split(".")[0] == "charkit" for alias in node.names)
+        return isinstance(node, (ast.Import, ast.ImportFrom)) \
+            and is_library(node)
 
     return [site for site in scoped_sites(source, hit) if site != "<module>"]
 

@@ -11,12 +11,24 @@ from charkit.lie_core import (
 )
 from charkit.polyring import MultiPoly
 from charkit.tensor import (
-    _FAMILY_OFFSETS, CGSeries, DecompositionError, _family_terms,
-    _subtractive_decompose, cg_decompose, monomial_decompose,
-    series_family_z7, verify_quadratic_roundtrip,
+    _FAMILY_OFFSETS, CGSeries, DecompositionError, _subtractive_decompose,
+    cg_decompose, monomial_decompose, z7_family,
 )
 
 L = FUNDAMENTAL_WEIGHTS
+
+
+def family(k, n, table):
+    """The computed series of z7 * chi_{n lambda_k}, and its closed form."""
+    computed = cg_decompose(L[6], tuple(n * x for x in L[k - 1]), table)
+    return computed, z7_family(k, n)
+
+
+def quadratic_roundtrip(corpus, table):
+    """(j, k) -> whether cg_decompose reproduces the corpus series of the
+    pair lambda_j, lambda_k."""
+    return {(j, k): cg_decompose(L[j - 1], L[k - 1], table).terms == want
+            for (j, k), want in corpus.series.items()}
 
 
 def test_cg_l7_l7(table):
@@ -154,40 +166,40 @@ def test_cgseries_rejects_nonpositive():
 
 
 def test_family_k7(table):
-    rep = series_family_z7(7, 2, table)
-    assert rep.match
-    assert rep.computed.terms == {
+    computed, closed = family(7, 2, table)
+    assert computed.terms == closed
+    assert computed.terms == {
         (0, 0, 0, 0, 0, 0, 3): 1, (0, 0, 0, 0, 0, 1, 1): 1,
         (1, 0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0, 0, 1): 1}
 
 
 def test_family_k7_n1_degenerates_to_quadratic(table):
-    rep = series_family_z7(7, 1, table)
-    assert rep.match
-    assert rep.computed.terms == cg_decompose(L[6], L[6], table).terms
+    computed, closed = family(7, 1, table)
+    assert computed.terms == closed
+    assert computed.terms == cg_decompose(L[6], L[6], table).terms
 
 
 def test_family_k2_n2(table):
-    rep = series_family_z7(2, 2, table)
-    assert rep.match
-    assert rep.computed.terms == {
+    computed, closed = family(2, 2, table)
+    assert computed.terms == closed
+    assert computed.terms == {
         (0, 2, 0, 0, 0, 0, 1): 1, (0, 1, 1, 0, 0, 0, 0): 1,
         (0, 1, 0, 0, 0, 1, 0): 1, (1, 1, 0, 0, 0, 0, 0): 1}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_family_n1_matches_quadratic_series(k, table, corpus):
-    rep = series_family_z7(k, 1, table)
-    assert rep.match
+    computed, closed = family(k, 1, table)
+    assert computed.terms == closed
     pair = (min(k, 7), max(k, 7))
-    assert rep.computed.terms == corpus.series[pair]
+    assert computed.terms == corpus.series[pair]
 
 
 def test_family_k4(table):
     # the widest family row: seven constituents for every n
-    rep = series_family_z7(4, 2, table)
-    assert rep.match
-    assert len(rep.computed.terms) == 7
+    computed, closed = family(4, 2, table)
+    assert computed.terms == closed
+    assert len(computed.terms) == 7
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -195,25 +207,25 @@ def test_closed_form_rows_are_distinct_and_sum_to_the_dimension(k):
     # No row of a family merges with another or leaves the dominant
     # chamber, and 56 * dim(n lambda_k) is the dimension sum, up to n = 8.
     for n in range(1, 9):
-        terms = _family_terms(k, n)
+        terms = z7_family(k, n)
         assert len(terms) == len(_FAMILY_OFFSETS[k].split())
         assert all(x >= 0 for w in terms for x in w)
         total = sum(weyl_dim(w) for w in terms)
         assert total == 56 * weyl_dim(tuple(n * x for x in L[k - 1]))
 
 
-def test_family_argument_validation(table):
-    with pytest.raises(ValueError):
-        series_family_z7(0, 2, table)
-    with pytest.raises(ValueError):
-        series_family_z7(7, 0, table)
+def test_family_argument_validation():
+    with pytest.raises(ValueError, match=r"fundamental index 0 out of range"):
+        z7_family(0, 2)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        z7_family(7, 0)
 
 
 def test_quadratic_roundtrip(corpus, table):
-    report = verify_quadratic_roundtrip(corpus, table)
-    assert all(report.results.values())
-    assert len(report.results) == 28
-    assert report.results[(1, 7)]
+    results = quadratic_roundtrip(corpus, table)
+    assert all(results.values())
+    assert len(results) == 28
+    assert results[(1, 7)]
     # spot values against the fixtures
     got17 = cg_decompose(L[0], L[6], table)
     assert got17.terms == {(1, 0, 0, 0, 0, 0, 1): 1, L[1]: 1, L[6]: 1}
@@ -246,7 +258,7 @@ def test_a_series_comes_out_in_its_top_downset_order(table):
     for k in range(1, 8):
         for n in range(1, 4):
             top = tuple(a + n * b for a, b in zip(L[6], L[k - 1]))
-            cases.append((top, series_family_z7(k, n, table).computed))
+            cases.append((top, family(k, n, table)[0]))
     assert len(cases) == 84 + 28 + 1 + 21
     for top, series in cases:
         assert list(series.terms) == [
