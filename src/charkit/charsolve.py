@@ -20,7 +20,9 @@ where S(nu -> mu) is the coefficient the operator sends z^nu to z^mu with.
 The denominators are strictly positive by monotonicity of the eigenvalues
 along the dominance order, and every division must be exact; a remainder
 means a corrupted operator.  A weight's row is read only when its
-coefficient is nonzero.
+coefficient is nonzero.  The eps_mu are the restriction's own list
+(``Restriction.eigenvalues``), worked out once per restriction, so a
+decomposition's constituents share it.
 
 Every off-diagonal term of a row lies strictly lower in height, so the
 numerators of one height level are complete once every higher level is
@@ -52,12 +54,14 @@ lambda_7, two.  An operator whose images might not fit int64 (L < 1) is
 solved position by position instead.
 
 The level solve runs for supports of at least ``LEVEL_SOLVE_MIN_SUPPORT``
-weights.  Below that the walk by positions is cheaper, counting numpy's
-import (about 0.15 s, as long as the whole set-up), which a process pays
-on its first level solve; so set-up, decompositions, Method 2 and every
-small solve stay on Python ints without numpy.  Measured cold, one process
-per solve: 0.21 s against 0.20 s at 3 102 weights, 0.42 s against 0.23 s
-at 5 185, and 1.32 s against 0.38 s at 13 081.
+weights, and the walk by positions below, so set-up, decompositions,
+Method 2 and every small solve stay on Python ints without numpy, whose
+import a process pays on its first level solve.  Measured cold, one
+process per solve, support built first (median of 7; Python 3.11, numpy
+2.4, 2 shared CPUs), by positions against by levels: 0.25 s against
+0.13 s at 3 102 weights, 0.38 s against 0.14 s at 5 185, and 1.06 s
+against 0.24 s at 13 081.  The two cost about the same near 1 600 to
+1 800 weights, below the threshold.
 
 Method 2 multiplies out one annihilator per distinct eigenvalue below m,
 
@@ -285,21 +289,27 @@ def _divide(m, mu, num, gap):
 
 
 def _solve_positions(m, support, p):
-    """Method 1 one position at a time, on the support's ``row``s; the
-    coefficients of chi_m as {weight: C}, in position order."""
+    """Method 1 one position at a time, on the support's ``row``s and
+    ``eigenvalues``; the coefficients of chi_m as {weight: C}, in position
+    order.  The exact division is inline; a failed one is refused by
+    ``_divide``."""
     row = support.row
     weights = support.weights
+    eps = support.eigenvalues()
     eps_m = eigenvalue(m)
     acc = [0] * len(weights)
-    acc[p] = 1
-    coeffs = {}
-    for i in range(p, len(weights)):
+    coeffs = {m: 1}
+    for j, s in zip(*row(p)):
+        acc[j] += s
+    for i in range(p + 1, len(weights)):
         num = acc[i]
         if num == 0:
             continue
-        mu = weights[i]
-        c = 1 if i == p else _divide(m, mu, num, eps_m - eigenvalue(mu))
-        coeffs[mu] = c
+        gap = eps_m - eps[i]
+        c, rem = divmod(num, gap) if gap > 0 else (0, 1)
+        if rem:
+            _divide(m, weights[i], num, gap)
+        coeffs[weights[i]] = c
         targets, values = row(i)
         for j, s in zip(targets, values):
             acc[j] += c * s

@@ -34,12 +34,13 @@ a top weight before enumerating its downset).  An image is memoized as
 two tuples, its keys and their coefficients.  No solver sees a key:
 ``image_terms`` takes an exponent tuple, ``apply_terms`` maps tuple keys
 to tuple keys, and ``restrict`` gives both solvers the operator on a
-downset as a ``Restriction``: the members' one index, by key, and their
-rows by position, each a list of target positions with the image's
-coefficient tuple, built once.  ``Restriction.levels`` gives the same
-rows, the diagonal left out, as numpy int64 arrays one block of whole
-height levels at a time, each block built when a level solve first reaches
-it (numpy is imported there, and only when first needed).
+downset as a ``Restriction``: the members' one index, by key, their rows
+by position, each a list of target positions with the image's coefficient
+tuple, built once, and their eigenvalues, worked out once.
+``Restriction.levels`` gives the same rows, the diagonal left out, as
+numpy arrays one block of whole height levels at a time, each block built
+when a level solve first reaches it (numpy is imported there, and only
+when first needed).
 
 The blocks read the same shifts.  Every off-diagonal image term of z^n is
 z^(n + d) for one of a fixed set of shifts d = e - u_j - u_k (306 for E7,
@@ -50,7 +51,10 @@ otherwise.  So the images of a block of rows are one product of the
 pair by pair (the table has 401 nonzero entries off the diagonal), and the
 target keys are the rows' own keys plus the shifts.  The product is exact
 in int64 whenever the level solve's limb width is at least 1 (``Levels``);
-no block is built otherwise.
+no block is built otherwise.  A target key's position comes from a hash
+index over the members' keys, built once per ``Levels``: open addressing
+with linear probing in a power-of-two table at most half full, probed for
+all of a block's targets at once, one slot further per round.
 
 The operator is triangular: an image term n - u_j - u_k + e, for e a term
 of a_jk, lies below n exactly when e lies below lambda_j + lambda_k.
@@ -88,6 +92,20 @@ class StructuralViolationError(AssertionError):
 # Rows the level solve builds at once (``Levels.block``), at the least: a
 # block's (shifts x rows) table of image coefficients is 2.5 MB of int64.
 _CHUNK_ROWS = 1024
+
+# The empty slot of the level solve's key index (``Levels``): every weight
+# key is non-negative.
+_EMPTY = -1
+
+
+def _hash(keys, bits):
+    """The home slots of the int64 ``keys`` in a table of 2**bits slots:
+    the top bits of a multiplicative hash on uint64 (Knuth's, with the
+    golden ratio)."""
+    import numpy as np
+
+    return ((keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+            >> np.uint64(64 - bits)).view(np.int64)
 
 
 # b_j(z) = eps_j * z_j; the eigenvalue coefficients on z_1..z_7.
@@ -256,8 +274,10 @@ class Restriction:
     built once, however many members are solved on the restriction.  Every
     target is a member at or after position i: ``register_pair`` admits
     only coefficient terms that keep the operator triangular.
-    ``levels()`` gives the level solve of a large support the same rows,
-    off the diagonal, one block of height levels at a time.
+    ``eigenvalues()`` lists the members' eigenvalues by position, once
+    for every member solved on the restriction.  ``levels()`` gives the
+    level solve of a large support the same rows, off the diagonal, one
+    block of height levels at a time.
     """
 
     def __init__(self, operator, weights):
@@ -265,6 +285,7 @@ class Restriction:
         self.weights = weights
         self._index = {weight_key(mu): i for i, mu in enumerate(weights)}
         self._rows = [None] * len(weights)
+        self._eps = None
         self._levels = None
 
     def position(self, mu):
@@ -278,6 +299,13 @@ class Restriction:
             index = self._index
             r = self._rows[i] = [index[q] for q in keys], coeffs
         return r
+
+    def eigenvalues(self):
+        """The members' eigenvalues, by position, worked out once per
+        restriction."""
+        if self._eps is None:
+            self._eps = [eigenvalue(mu) for mu in self.weights]
+        return self._eps
 
     def levels(self):
         """The operator on the support as the level solve reads it
@@ -299,7 +327,10 @@ class Levels:
     the width L of the int64 limbs the solve carries its coefficients on:
     L = 62 - bitlen(shifts * max |S|), max |S| bounded by
     2 max(n)^2 * max_d sum over pairs of |a_jk[d]|; below 1, the images
-    may not fit int64, and no block is built.
+    may not fit int64, and no block is built.  Otherwise the members'
+    positions are indexed by key (``_find``): an open-addressing table of
+    2**bits >= 2n slots, each slot a key and its int32 position, reached
+    from the key's home slot (``_hash``) by linear probing.
 
     A member outside the key range raises ``MonomialRangeError`` here,
     as its image would.
@@ -349,22 +380,61 @@ class Levels:
         self._columns = [np.flatnonzero(t) for t in self._table.T]
         self._missing = [p for p, (j, k) in enumerate(self._pairs)
                          if (j + 1, k + 1) not in op._shifts]
-        self._keys = np.fromiter(support._index, dtype=np.int64, count=n)
-        self._order = np.argsort(self._keys)
-        self._sorted_keys = self._keys[self._order]
+        self._keys = keys = np.fromiter(support._index, dtype=np.int64,
+                                        count=n)
         self._weights = weights
 
-    def block(self, k, keep=True):
-        """Block k's rows off the diagonal, as int64 arrays ``(start,
-        target, value)``: the row of the member at position
-        ``blocks[k] + r`` holds positions ``target[start[r]:start[r + 1]]``,
-        all after its own, with the nonzero coefficients
-        ``value[start[r]:start[r + 1]]``.  Kept for the next call when
-        ``keep`` is set.
+        # The key index: positions fit int32, as n is at most SUPPORT_MAX.
+        # Each round gives every free slot one of the keys probing it, and
+        # moves the others on by one slot.
+        self._bits = bits = (2 * n - 1).bit_length()
+        self._slot_keys = np.full(1 << bits, _EMPTY, dtype=np.int64)
+        self._slot_positions = np.zeros(1 << bits, dtype=np.int32)
+        todo = np.arange(n, dtype=np.int32)
+        at = _hash(keys, bits)
+        while todo.size:
+            won = self._slot_keys[at] == _EMPTY
+            self._slot_positions[at[won]] = todo[won]
+            won[won] = self._slot_positions[at[won]] == todo[won]
+            self._slot_keys[at[won]] = keys[todo[won]]
+            todo, at = todo[~won], (at[~won] + 1) & ((1 << bits) - 1)
 
-        Every target is looked up among the members' sorted keys; one that
-        is not a member raises ``KeyError``, as ``Restriction.row`` does,
-        and a member that needs an unbuilt pair raises
+    def _find(self, needles):
+        """The positions of the members with keys ``needles``, as int32,
+        and -1 for a needle that is no member's key, which ends its probe
+        at an empty slot."""
+        import numpy as np
+
+        mask = (1 << self._bits) - 1
+        at = _hash(needles, self._bits)
+        found = self._slot_keys[at]
+        out = self._slot_positions[at]
+        todo = np.flatnonzero(found != needles)
+        out[todo] = -1
+        at, found = at[todo], found[todo]
+        while todo.size:
+            go = found != _EMPTY
+            todo, at = todo[go], (at[go] + 1) & mask
+            found = self._slot_keys[at]
+            hit = found == needles[todo]
+            out[todo[hit]] = self._slot_positions[at[hit]]
+            todo, at, found = todo[~hit], at[~hit], found[~hit]
+        return out
+
+    def block(self, k, keep=True):
+        """Block k's rows off the diagonal, as arrays ``(start, target,
+        value)``: the row of the member at position ``blocks[k] + r``
+        holds positions ``target[start[r]:start[r + 1]]`` (int32), all
+        after its own, with the nonzero coefficients
+        ``value[start[r]:start[r + 1]]`` (int64).  Kept for the next call
+        when ``keep`` is set.
+
+        The images are built shift-major; their nonzero entries are found
+        row-major in one contiguous copy of the table's nonzero mask, and
+        the table is let go before the targets are looked up in the key
+        index.  A target that is not a member raises ``KeyError``, as
+        ``Restriction.row`` does, naming the first such entry by row, then
+        by shift; a member that needs an unbuilt pair raises
         ``OperatorIncompleteError``, as its image would.
         """
         import numpy as np
@@ -383,24 +453,27 @@ class Levels:
                 raise OperatorIncompleteError(
                     f"coefficient pair {pair} needed for monomial {n} is "
                     f"not built")
-        images = np.zeros((len(self._shifts), b - a), dtype=np.int64)
+        shifts = len(self._shifts)
+        images = np.zeros((shifts, b - a), dtype=np.int64)
         for p, (f, ds) in enumerate(zip(factors, self._columns)):
             if ds.size:
                 images[ds] += self._table[ds, p, None] * f
-        # by row, then by shift: row-major in the (rows x shifts) view
-        i, d = np.nonzero(images.T)
+        # by row, then by shift: row-major in a (rows x shifts) mask
+        entries = np.flatnonzero(np.ascontiguousarray((images != 0).T))
+        i, d = np.divmod(entries, shifts)
+        del entries
+        value = images.ravel()[d * (b - a) + i]
+        del images
         q = self._keys[a + i] + self._shifts[d]
-        keys = self._sorted_keys
-        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-        outside = np.flatnonzero(keys[at] != q)
-        if outside.size:
-            x = outside[0]
+        target = self._find(q)
+        if target.min(initial=0) < 0:
+            x = int(np.argmin(target >= 0))
             raise KeyError(
                 f"image term z^{key_weight(int(q[x]))} of "
                 f"z^{self._weights[a + int(i[x])]} is not in the support")
         start = np.zeros(b - a + 1, dtype=np.intp)
         np.cumsum(np.bincount(i, minlength=b - a), out=start[1:])
-        rows = start, self._order[at], images[d, i]
+        rows = start, target, value
         if keep:
             self._memo[k] = rows
         return rows

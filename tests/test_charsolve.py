@@ -406,6 +406,26 @@ def test_a_support_above_the_threshold_is_solved_by_levels(operator,
     assert list(chi.terms.items()) == want
 
 
+def test_constituents_on_one_restriction_match_fresh_ones(operator):
+    # The position solve reads the restriction's eigenvalues, worked out
+    # once and shared: constituents solved in turn on one restriction, as
+    # a decomposition solves them, come out as each solved on a fresh one.
+    weights = dominant_weights_below((0, 0, 0, 0, 2, 2, 2))
+    shared = operator.restrict(weights)
+    table = fresh_table(operator)
+    constituents = weights[1::7]
+    assert len(constituents) > 10
+    for mu in constituents:
+        p = shared.position(mu)
+        assert p > 0
+        got = table.character_m1(mu, shared)
+        want = fresh_table(operator).character_m1(
+            mu, operator.restrict(weights))
+        assert list(got.terms.items()) == list(want.terms.items())
+    assert shared.eigenvalues() is shared.eigenvalues()
+    assert shared.eigenvalues() == [eigenvalue(mu) for mu in weights]
+
+
 @pytest.mark.parametrize("bits", [1, 3])
 def test_level_solve_on_several_limbs(operator, bits):
     # Any limb width of at least 1 is exact; a narrow one splits the

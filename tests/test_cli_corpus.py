@@ -30,6 +30,10 @@ CORPUS = [
     ("character 0,0,0,0,0,0,12", 0,
      "1ad1ab01a1affb15ce21a26b857497c367234add", EMPTY,
      (108, "0460cb17e53e400bca9eddd492697f7450a38249")),
+    # The first row on the level solve (13 081 weights).
+    ("character 0,0,0,0,0,0,24", 0,
+     "f2ce2651151ff5ad264635982ec658eb5aa9a35b", EMPTY,
+     (108, "8b6402db93261fbc93cf5f2335d608043170e439")),
     ("--format json character 0000003", 0,
      "d42e5a275ba99d349c6b8b798957ca4d3160365e", EMPTY, BOOTSTRAP),
     ("cg 0000001 0000001", 0,

@@ -209,6 +209,44 @@ def test_restriction_arrays_refuse_a_target_outside_the_support(operator):
         [support.row(i) for i in range(len(weights))]
 
 
+def constant_hash(keys, bits):
+    """Slot 0 as every key's home: all keys share one probe chain."""
+    import numpy as np
+
+    return np.zeros(len(keys), dtype=np.int64)
+
+
+def test_the_key_index_probes_past_collisions(operator, monkeypatch):
+    # With one home slot, each key is placed and found only by walking the
+    # probe chain of every key before it; the blocks stay the same.
+    monkeypatch.setattr(csmodel, "_CHUNK_ROWS", 7)
+    weights = dominant_weights_below((0, 0, 0, 0, 2, 2, 2))
+    levels = operator.restrict(weights).levels()
+    want = [levels.block(k) for k in range(len(levels.blocks) - 1)]
+    assert len(want) > 1
+    monkeypatch.setattr(csmodel, "_hash", constant_hash)
+    levels = operator.restrict(weights).levels()
+    got = [levels.block(k) for k in range(len(levels.blocks) - 1)]
+    assert len(got) == len(want)
+    for rows, want_rows in zip(got, want):
+        for x, y in zip(rows, want_rows):
+            assert x.dtype == y.dtype and x.tolist() == y.tolist()
+
+
+def test_a_target_outside_the_support_is_refused_past_collisions(
+        operator, monkeypatch):
+    # As in test_restriction_arrays_refuse_a_target_outside_the_support:
+    # the zero weight's key, missing, ends its probe at the empty slot
+    # after the one chain, and is refused with the same message.
+    weights = dominant_weights_below((0, 0, 0, 0, 0, 0, 4))[:-1]
+    with pytest.raises(KeyError) as want:
+        operator.restrict(weights).levels().block(0)
+    monkeypatch.setattr(csmodel, "_hash", constant_hash)
+    with pytest.raises(KeyError) as got:
+        operator.restrict(weights).levels().block(0)
+    assert str(got.value) == str(want.value)
+
+
 def test_restriction_arrays_refuse_what_the_images_refuse(operator):
     last = KEY_MAX - 4
     beyond = operator.restrict([(0, 0, 0, 0, 0, 0, last + 1)])
