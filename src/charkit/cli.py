@@ -6,7 +6,7 @@ character W [W...]    compute irreducible characters
 cg W1 W2              Clebsch-Gordan series of a product of two characters
 monomial-cg M         decompose a monomial in the fundamental characters
 dim W [W...]          dimensions of irreducible representations
-series-family K N     z7 * chi_{n lambda_k} against its closed form
+series-family K N     z7 * chi_{n lambda_k} against ``minuscule_series``
 verify CORPUS         re-derive a fixture corpus and report pass/fail
 
 Weights are seven digits (``0000002``) or comma-separated (``0,...,12``).
@@ -28,12 +28,12 @@ import sys
 from . import fixtures
 from .charsolve import IntegralityError, ZeroGapError
 from .csmodel import QuadraticCorpus, StructuralViolationError, build_a
-from .lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, weyl_dim
-from .oracle import OracleRefusal, freudenthal, require_trials, torus_check
-from .polyring import descending_monomials
-from .tensor import (
-    DecompositionError, cg_decompose, monomial_decompose, z7_family,
+from .lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, RANK, weyl_dim
+from .oracle import (
+    OracleRefusal, freudenthal, minuscule_series, require_trials, torus_check,
 )
+from .polyring import descending_monomials
+from .tensor import DecompositionError, cg_decompose, monomial_decompose
 
 # Failures of a self-check or of the oracle's work ceiling: exit 1.
 INVARIANT_ERRORS = (DecompositionError, IntegralityError, ZeroGapError,
@@ -203,18 +203,21 @@ def cmd_dim(args):
 
 def cmd_series_family(args):
     k, n = args.k, args.n
-    closed = z7_family(k, n)
+    if not 1 <= k <= RANK:
+        raise ValueError(f"fundamental index {k} out of range 1..7")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    m = tuple(n * x for x in FUNDAMENTAL_WEIGHTS[k - 1])
     _, table = _make_table(args)
-    computed = cg_decompose(FUNDAMENTAL_WEIGHTS[6],
-                            tuple(n * x for x in FUNDAMENTAL_WEIGHTS[k - 1]),
-                            table)
+    computed = cg_decompose(FUNDAMENTAL_WEIGHTS[6], m, table)
+    closed = minuscule_series(m)
     diffs = _series_diffs(computed.terms, closed)
     if args.format == "json":
         print(json.dumps({
             "k": k, "n": n, "match": not diffs,
             "computed": _series_json([], computed)["series"],
-            "closed_form": [{"weight": list(w), "mult": m}
-                            for w, m in sorted(closed.items())],
+            "closed_form": [{"weight": list(w), "mult": mult}
+                            for w, mult in sorted(closed.items())],
         }))
     else:
         print(f"# z7 * chi_(n={n}) lambda_{k}: "

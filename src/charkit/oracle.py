@@ -16,18 +16,21 @@ and the fundamental characters there.  A dominant weight's orbit is
 walked (``weyl_orbit``, on int64 rows) and summed mod P at every point
 once, the first time any system needs it; a system's direct sum is then
 mult times orbit sum over its dominant weights.  numpy is imported only
-by that walk and sum, when first needed.
+by that walk and sum, when first needed.  ``minuscule_series``, the tensor
+rule of the minuscule lambda_7, finds its 56 weights by their norm, with no
+orbit walk, on its first call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
 from .lie_core import (
     RANK, CARTAN_A, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS, POSITIVE_ROOTS_FUND,
-    bilinear2, dominant_weights_below, require_dominant, weyl_dim,
+    bilinear2, dominant_weights_below, is_below, require_dominant, weyl_dim,
 )
 
 # Largest dimension the oracle accepts; above every fundamental (365750).
@@ -181,6 +184,28 @@ def _freudenthal(m):
                           orbit_sizes=orbit_sizes)
     assert system.total() == dim
     return system
+
+
+@functools.cache
+def _minuscule_weights():
+    """The 56 weights of V(lambda_7): a minuscule orbit is exactly the
+    weights of its root-lattice coset with its norm, all in the box -1..1."""
+    top = FUNDAMENTAL_WEIGHTS[6]
+    norm = bilinear2(top, top)
+    weights = tuple(w for w in itertools.product((-1, 0, 1), repeat=RANK)
+                    if is_below(w, top) and bilinear2(w, w) == norm)
+    assert len(weights) == weyl_dim(top), len(weights)
+    return weights
+
+
+def minuscule_series(m):
+    """The series of chi_m * chi_{lambda_7} as {weight: 1}: lambda_7 is
+    minuscule, so V(m) x V(lambda_7) is the sum of V(m + w), each once, over
+    the weights w of V(lambda_7) with m + w dominant.  No operator, no
+    Freudenthal data, no ceiling."""
+    require_dominant(m)
+    sums = (tuple(a + b for a, b in zip(m, w)) for w in _minuscule_weights())
+    return {s: 1 for s in sums if min(s) >= 0}
 
 
 # --------------------------------------------------------------- torus side

@@ -19,9 +19,6 @@ disk cache when one is attached.  Each decomposition refuses
 a top weight outside the operator's range (``require_in_range``), then
 enumerates its downset, whose closure refuses a top outside the keys' range
 (``require_keyed_downset``), before either factor is solved.
-
-``z7_family`` is the paper's closed form for z7 * chi_{n lambda_k}; the
-command line compares computed series with it.
 """
 
 from __future__ import annotations
@@ -29,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lie_core import (
-    RANK, FUNDAMENTAL_WEIGHTS, dominant_weights_below, monomial_dim,
-    require_dominant, series_dim, weyl_dim,
+    dominant_weights_below, monomial_dim, require_dominant, series_dim,
+    weyl_dim,
 )
 
 
@@ -123,29 +120,3 @@ def monomial_decompose(exps, table):
     return _subtractive_decompose({exps: 1}, support, table,
                                   monomial_dim(exps))
 
-
-# ------------------------------------------------------------ z7 families
-
-# The published rows of z7 * chi_{n lambda_k}: each is (n - 1) lambda_k + d
-# with multiplicity 1, listed here by its offset d, the row at n = 1.
-_FAMILY_OFFSETS = {
-    1: "1000001 0100000 0000001",
-    2: "0100001 0010000 0000010 1000000",
-    3: "0010001 1100000 0000100 1000001 0100000",
-    4: "0001001 0110000 1000100 0100010 0010001 1100000 0000100",
-    5: "0000101 0001000 1000010 0100001 0010000 0000010",
-    6: "0000011 0000100 1000001 0100000 0000001",
-    7: "0000002 0000010 1000000 0000000",
-}
-
-
-def z7_family(k, n):
-    """The closed-form series of z7 * chi_{n lambda_k} as {weight: mult};
-    ``k`` must be in 1..7 and ``n`` at least 1."""
-    if not 1 <= k <= RANK:
-        raise ValueError(f"fundamental index {k} out of range 1..7")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    lam = FUNDAMENTAL_WEIGHTS[k - 1]
-    return {tuple((n - 1) * x + int(d) for x, d in zip(lam, offset)): 1
-            for offset in _FAMILY_OFFSETS[k].split()}

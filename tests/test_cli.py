@@ -67,6 +67,18 @@ def test_series_family(capsys):
     assert "match" in out
 
 
+def test_family_argument_validation(tmp_path, capsys):
+    # Refused before the operator is built, so no cache directory is made.
+    cache = tmp_path / "cache"
+    for k, n, err in [("0", "2", "fundamental index 0 out of range 1..7"),
+                      ("8", "2", "fundamental index 8 out of range 1..7"),
+                      ("7", "0", "n must be a positive integer")]:
+        argv = ["--cache-dir", str(cache), "series-family", k, n]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not cache.exists()
+
+
 def test_verify_quadratic(capsys):
     code, out, _ = run(capsys, "verify", "quadratic")
     assert code == 0

@@ -12,9 +12,10 @@ import hashlib
 
 import pytest
 
-from charkit import cli, tensor
+from charkit import cli
 from charkit.cli import main
 from charkit.csmodel import build_a
+from charkit.lie_core import FUNDAMENTAL_WEIGHTS
 
 EMPTY = hashlib.sha1(b"").hexdigest()
 # The character cache as ``build_a`` leaves it: the 107 bootstrap characters.
@@ -52,6 +53,25 @@ CORPUS = [
      "f7998cc1925f8e17d4b7206caaa9ff4edd0a2d64", EMPTY, BOOTSTRAP),
     ("series-family 4 2", 0,
      "b0a65e3a4f369f4d94d6dcb6be7413264cc40721", EMPTY, BOOTSTRAP),
+    # One row of every other family; the factor n lambda_k is written.
+    ("series-family 1 5", 0,
+     "74d37e6eddc5541920aad6f7d1d974b0f894b969", EMPTY,
+     (108, "34d6b81107b882e11ff39a8b9617c4b667eeaf0d")),
+    ("--format json series-family 1 5", 0,
+     "f3d2c4e375e2ae47d01a327161f14eadf649465b", EMPTY,
+     (108, "34d6b81107b882e11ff39a8b9617c4b667eeaf0d")),
+    ("series-family 2 4", 0,
+     "5f6ea4e088c17ad15c6f452d4a58bd6e8f6e7e9f", EMPTY,
+     (108, "8a6d6e27f7b4b8ff616f5e36d6bba43316095ba5")),
+    ("series-family 3 3", 0,
+     "650ab3e7e6f0dad80bbc3a6e7ef603ca27e9dc82", EMPTY,
+     (108, "590784cc9a933b575130248236aa57de888d48fd")),
+    ("series-family 5 3", 0,
+     "c0e7690c2d304a41e2b658103847ba54443e8a86", EMPTY,
+     (108, "9e2516441001e6d4d8b1b52d8f5324fd18a045f0")),
+    ("series-family 6 4", 0,
+     "bd80c4c492f2c9e14a16277184348efe7b38b39d", EMPTY,
+     (108, "29b88205e3120aa7a513876abfeb48ad53636cbc")),
     ("verify all", 0,
      "2c6fbbc77a51e7df838d9f8881cbc69079062368", EMPTY,
      (142, "c5610d45650479f34c1f612577b7ca41a3832146")),
@@ -116,12 +136,20 @@ FAIL_PATHS = [
 
 
 def tamper(monkeypatch, which):
-    """Change one reference the command compares against: the offset
-    0000000 of the lambda_7 family row, or two multiplicities of the
-    fixture series cg 7 7 once the operator is built from it."""
+    """Change one reference the command compares against: the row
+    m - lambda_7 of the minuscule rule's series for m moved to m, or two
+    multiplicities of the fixture series cg 7 7 once the operator is built
+    from it."""
     if which == "family":
-        monkeypatch.setitem(tensor._FAMILY_OFFSETS, 7,
-                            "0000002 0000010 1000000 0000001")
+        rule = cli.minuscule_series
+
+        def moved_row(m):
+            series = rule(m)
+            del series[tuple(a - b for a, b in zip(m, FUNDAMENTAL_WEIGHTS[6]))]
+            series[m] = 1
+            return series
+
+        monkeypatch.setattr(cli, "minuscule_series", moved_row)
         return
 
     def build_then_tamper(corpus):

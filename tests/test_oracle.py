@@ -1,7 +1,10 @@
 import ast
 import dataclasses
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -9,11 +12,12 @@ import pytest
 
 from charkit import cli, oracle
 from charkit.lie_core import (
-    CARTAN_A, FUNDAMENTAL_WEIGHTS, RANK, ZERO_WEIGHT, weyl_dim,
+    CARTAN_A, FUNDAMENTAL_WEIGHTS, RANK, ZERO_WEIGHT, NonDominantError,
+    weyl_dim,
 )
 from charkit.oracle import (
-    CEILING, OracleRefusal, dominant_representative, freudenthal, torus_check,
-    weyl_orbit,
+    CEILING, OracleRefusal, dominant_representative, freudenthal,
+    minuscule_series, torus_check, weyl_orbit,
 )
 
 L = FUNDAMENTAL_WEIGHTS
@@ -178,6 +182,33 @@ def test_freudenthal_minuscule_l7():
     assert ws.dominant_mults == {L[6]: 1}
     assert ws.orbit_sizes[L[6]] == 56
     assert ws.total() == 56
+
+
+def test_minuscule_weights_are_the_orbit_of_lambda_7():
+    rows, _ = weyl_orbit([L[6]])
+    assert set(oracle._minuscule_weights()) == set(map(tuple, rows.tolist()))
+    assert len(oracle._minuscule_weights()) == 56
+
+
+def test_minuscule_series_refuses_a_non_dominant_weight():
+    with pytest.raises(NonDominantError, match="not dominant"):
+        minuscule_series((0, 0, 0, 0, 0, 1, -1))
+    with pytest.raises(NonDominantError):
+        minuscule_series((0, 0, 0, 0, 0, 1))
+
+
+def test_import_computes_no_orbit():
+    # The minuscule weights and the torus point sets are made when first
+    # asked for, never by importing the package.
+    script = ("import charkit\n"
+              "from charkit import oracle\n"
+              "assert oracle._minuscule_weights.cache_info().currsize == 0\n"
+              "assert oracle._point_set.cache_info().currsize == 0\n")
+    src = pathlib.Path(__file__).parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_freudenthal_trivial():

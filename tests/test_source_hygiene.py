@@ -404,12 +404,12 @@ def test_a_private_name_reached_from_outside_is_caught():
               "from .lie_core import RANK, _ROOT_STEPS\n"
               "import charkit.oracle\n"
               "from charkit import csmodel\n"
-              "from charkit.tensor import _FAMILY_OFFSETS, __doc__\n"
+              "from charkit.tensor import _subtractive_decompose, __doc__\n"
               "n = fixtures._integer(text) + poly._FACTORS[0][RANK]\n"
               "m = charkit.oracle._point_set(1, 2) or csmodel.Table._memo\n"
               "table._cache, self._memo = fixtures.__name__, RANK._bits\n")
     assert foreign_private_names(source) == [
-        "2: _ROOT_STEPS", "5: _FAMILY_OFFSETS",
+        "2: _ROOT_STEPS", "5: _subtractive_decompose",
         "6: fixtures._integer", "6: poly._FACTORS",
         "7: charkit.oracle._point_set", "7: csmodel.Table._memo"]
 
@@ -516,18 +516,20 @@ def test_a_function_level_library_import_is_caught():
 def test_setup_and_solvers_do_not_import_numpy():
     # numpy is imported only by the torus check and by Method-1 solves on
     # large supports; importing it costs about as much as the whole set-up
-    # path, which stays without it, as do solves on small supports and
-    # Freudenthal, whose orbit sizes are closed-form.
+    # path, which stays without it, as do solves on small supports,
+    # Freudenthal, whose orbit sizes are closed-form, and the minuscule
+    # rule, whose weights are found by their norm.
     script = (
         "import sys\n"
         "import charkit\n"
         "from charkit.lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS\n"
-        "from charkit.oracle import freudenthal\n"
+        "from charkit.oracle import freudenthal, minuscule_series\n"
         "_, _, table = charkit.build_a(charkit.QuadraticCorpus.load_default())\n"
         "m = (0, 0, 0, 0, 0, 1, 1)\n"
         "assert table.character(m) == table.character_m2(m)\n"
         "totals = [freudenthal(lam).total() for lam in FUNDAMENTAL_WEIGHTS]\n"
         "assert totals == list(FUNDAMENTAL_DIMS), totals\n"
+        "assert len(minuscule_series(FUNDAMENTAL_WEIGHTS[3])) == 7\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}

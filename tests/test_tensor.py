@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 
 import pytest
 
@@ -9,19 +10,50 @@ from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, NonDominantError,
     dominant_weights_below, is_below, weyl_dim,
 )
+from charkit.oracle import minuscule_series
 from charkit.polyring import MultiPoly
 from charkit.tensor import (
-    _FAMILY_OFFSETS, CGSeries, DecompositionError, _subtractive_decompose,
-    cg_decompose, monomial_decompose, z7_family,
+    CGSeries, DecompositionError, _subtractive_decompose, cg_decompose,
+    monomial_decompose,
 )
 
 L = FUNDAMENTAL_WEIGHTS
+
+Z7_FAMILIES = pathlib.Path(__file__).parent / "data" / "z7_families.txt"
+
+
+def load_families():
+    """k -> the published offsets of z7 * chi_{n lambda_k}, as weights."""
+    rows = {}
+    for line in Z7_FAMILIES.read_text().splitlines():
+        if line and not line.startswith("#"):
+            k, offsets = line.split(":")
+            rows[int(k)] = [fixtures.parse_weight(d) for d in offsets.split()]
+    return rows
+
+
+PUBLISHED = load_families()
+
+
+def closed_form(k, n, rows=PUBLISHED):
+    """The published series of z7 * chi_{n lambda_k} as {weight: 1}: each
+    row is (n - 1) lambda_k + d, d its weight at n = 1."""
+    return {tuple((n - 1) * x + d for x, d in zip(L[k - 1], offset)): 1
+            for offset in rows[k]}
 
 
 def family(k, n, table):
     """The computed series of z7 * chi_{n lambda_k}, and its closed form."""
     computed = cg_decompose(L[6], tuple(n * x for x in L[k - 1]), table)
-    return computed, z7_family(k, n)
+    return computed, closed_form(k, n)
+
+
+def rule_mismatches(rows, n_max=20):
+    """The (k, n) with n <= n_max at which the rows of ``rows`` differ
+    from the minuscule rule."""
+    return [(k, n) for k in range(1, 8) for n in range(1, n_max + 1)
+            if closed_form(k, n, rows)
+            != minuscule_series(tuple(n * x for x in L[k - 1]))]
 
 
 def quadratic_roundtrip(corpus, table):
@@ -207,18 +239,33 @@ def test_closed_form_rows_are_distinct_and_sum_to_the_dimension(k):
     # No row of a family merges with another or leaves the dominant
     # chamber, and 56 * dim(n lambda_k) is the dimension sum, up to n = 8.
     for n in range(1, 9):
-        terms = z7_family(k, n)
-        assert len(terms) == len(_FAMILY_OFFSETS[k].split())
+        terms = minuscule_series(tuple(n * x for x in L[k - 1]))
+        assert len(terms) == len(PUBLISHED[k])
         assert all(x >= 0 for w in terms for x in w)
         total = sum(weyl_dim(w) for w in terms)
         assert total == 56 * weyl_dim(tuple(n * x for x in L[k - 1]))
 
 
-def test_family_argument_validation():
-    with pytest.raises(ValueError, match=r"fundamental index 0 out of range"):
-        z7_family(0, 2)
-    with pytest.raises(ValueError, match="n must be a positive integer"):
-        z7_family(7, 0)
+def test_published_families_are_the_minuscule_rule():
+    assert sorted(PUBLISHED) == list(range(1, 8))
+    assert rule_mismatches(PUBLISHED) == []
+
+
+def test_a_changed_published_offset_fails_the_comparison():
+    rows = {k: list(offsets) for k, offsets in PUBLISHED.items()}
+    rows[4][2] = (1, 0, 0, 1, 0, 0, 1)      # was 1000100
+    assert rule_mismatches(rows) == [(4, n) for n in range(1, 21)]
+
+
+# Every dominant weight with coordinate sum at most 3.
+SMALL_DOMINANT = [w for w in itertools.product(range(4), repeat=7)
+                  if sum(w) <= 3]
+
+
+def test_every_small_product_with_lambda_7_is_the_minuscule_rule(table):
+    assert len(SMALL_DOMINANT) == 120
+    for m in SMALL_DOMINANT:
+        assert cg_decompose(m, L[6], table).terms == minuscule_series(m), m
 
 
 def test_quadratic_roundtrip(corpus, table):
