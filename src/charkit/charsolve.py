@@ -31,10 +31,12 @@ for sparse triangular solves, Anderson & Saad 1989), on the operator's
 rows one block of whole levels at a time (``Restriction.levels``).  A
 block is built when the solve first reaches it; a solve on its own
 support drops it after the block's last level, and a decomposition keeps
-it for its next constituent.  Each level divides its nonzero numerators by
-their gaps at once, refusing a gap <= 0 or a remainder at the same weight
-and with the same error as the walk by positions, then scatters the rows
-whose coefficient is nonzero into the numerators below with ``np.add.at``.
+it for its next constituent.  A level's nonzero numerators are divided
+one by one on Python ints, as the walk by positions divides them, by gaps
+from one slice of ``Levels.eps``, so a refusal comes at the same weight
+with the same error; its rows, one contiguous slice of its block, are
+then scattered into the numerators below with ``np.add.at``, a member
+without a numerator with coefficient 0.
 
 The scatter runs on int64 limbs.  Each coefficient is split into signed
 limbs of L bits, C = sum over t of C_t * 2**(t L) with |C_t| < 2**L, and
@@ -47,8 +49,8 @@ S_max, each limb sum stays below s * 2**L * S_max, which is below 2**62 for
 
 (``Levels.limb_bits``; at least 28 for any support the weight keys hold,
 35 at 24 lambda_7), and no int64 product or sum can overflow.  A level's
-numerators are recombined from their limbs in int64 where their limbs'
-largest magnitudes allow it, and as Python ints otherwise.  Coefficients
+numerators are recombined from their limbs as Python ints, so
+coefficients pass between levels only as Python ints.  Coefficients
 stay near 20 bits at 24 lambda_7, one limb, and reach 44 bits at 48
 lambda_7, two.  An operator whose images might not fit int64 (L < 1) is
 solved position by position instead.
@@ -58,10 +60,10 @@ weights, and the walk by positions below, so set-up, decompositions,
 Method 2 and every small solve stay on Python ints without numpy, whose
 import a process pays on its first level solve.  Measured cold, one
 process per solve, support built first (median of 7; Python 3.11, numpy
-2.4, 2 shared CPUs), by positions against by levels: 0.25 s against
-0.13 s at 3 102 weights, 0.38 s against 0.14 s at 5 185, and 1.06 s
-against 0.24 s at 13 081.  The two cost about the same near 1 600 to
-1 800 weights, below the threshold.
+2.4, 2 shared CPUs), by positions against by levels: 0.24 s against
+0.13 s at 3 102 weights, 0.31 s against 0.11 s at 5 185, and 1.08 s
+against 0.20 s at 13 081.  The two cost about the same at 1 780 weights
+(0.08 to 0.11 s each), and levels win from 2 068 on, below the threshold.
 
 Method 2 multiplies out one annihilator per distinct eigenvalue below m,
 
@@ -330,94 +332,79 @@ def _solve_levels(m, support, p, keep=True):
     if bits < 1:    # images past int64
         return _solve_positions(m, support, p)
     weights = support.weights
-    eps = levels.eps
     blocks = levels.blocks
     eps_m = eigenvalue(m)
     # acc[t] holds limb t of the numerators, in units of 2**(t * bits)
     acc = [np.zeros(len(weights), dtype=np.int64)]
     k = -1      # the block in hand: none yet
-    # p's level holds no other weight below m, so its numerators stay 0
+    # p's level holds no other weight below m: only m's row is scattered
     cuts = [p] + levels.cuts[bisect.bisect_right(levels.cuts, p):]
-    i, c = np.array([p]), np.ones(1, dtype=np.int64)
+    c = [1]
     coeffs = {m: 1}
     for a, b in zip(cuts, cuts[1:]):
         if a > p:
             i, num = _numerators(acc, a, b, bits)
-            if not i.size:
+            if not i:
                 continue
-            i += a
-            gap = eps_m - eps[i]
-            if isinstance(num, list):   # past int64: on Python ints
-                c = values = [_divide(m, weights[j], x, g) for j, x, g
-                              in zip(i.tolist(), num, gap.tolist())]
-            else:
-                c, rem = np.divmod(num, np.maximum(gap, 1))
-                if rem.any() or gap.min() <= 0:
-                    # refused by the same check, at the same weight
-                    j = ((gap <= 0) | (rem != 0)).argmax()
-                    _divide(m, weights[i[j]], int(num[j]), int(gap[j]))
-                values = c.tolist()
-            coeffs.update(zip(map(weights.__getitem__, i.tolist()), values))
+            gaps = (eps_m - levels.eps[a:b]).tolist()
+            c = [0] * (b - a)
+            for j, x in zip(i, num):
+                gap = gaps[j]
+                q, rem = divmod(x, gap) if gap > 0 else (0, 1)
+                if rem:
+                    _divide(m, weights[a + j], x, gap)
+                c[j] = q
+                coeffs[weights[a + j]] = q
         if blocks[k + 1] <= a:
-            rows = None     # let the last block go before the next is built
+            # let the last block go before the next is built
+            rows = start = target = value = None
             k = bisect.bisect_right(blocks, a) - 1
             rows = levels.block(k, keep)
         start, target, value = rows
-        r = i - blocks[k]
-        lo = start[r]
-        counts = start[r + 1] - lo
-        # the entries of the rows r, one run per row
-        at = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        at += np.arange(len(at))
-        target, value = target[at], value[at]
+        # the rows of positions a .. a + len(c), one run of entries
+        r = a - blocks[k]
+        counts = np.diff(start[r:r + len(c) + 1])
+        at = slice(start[r], start[r + len(c)])
         limbs = _limbs(c, bits)
         acc += [np.zeros_like(acc[0]) for _ in limbs[len(acc):]]
         for x, limb in zip(acc, limbs):
-            np.add.at(x, target, value * np.repeat(limb, counts))
+            np.add.at(x, target[at], value[at] * np.repeat(limb, counts))
     return coeffs
 
 
 def _numerators(acc, a, b, bits):
     """The nonzero numerators of positions a..b, from their limbs in
-    ``acc``: their offsets from a, and their values as an int64 array, or
-    as a list of ints where int64 cannot hold them."""
-    import numpy as np
-
-    if len(acc) == 1:
-        num = acc[0][a:b]
-        i = num.nonzero()[0]
-        return i, num[i]
+    ``acc``: their offsets from a and their values, as lists of ints."""
     parts = [x[a:b] for x in acc]
-    i = np.any(parts, axis=0).nonzero()[0]
-    parts = [x[i] for x in parts]
-    if sum(int(np.abs(x).max(initial=0)) << (t * bits)
-           for t, x in enumerate(parts)) < 2 ** 63:
-        num = parts[0]
-        for t, x in enumerate(parts[1:], 1):
-            num = num + (x << (t * bits))
-        nz = num.nonzero()[0]   # limbs can cancel
-        return i[nz], num[nz]
-    num = [sum(x << (t * bits) for t, x in enumerate(column))
-           for column in zip(*(x.tolist() for x in parts))]
-    nz = [j for j, x in enumerate(num) if x]
-    return i[nz], [num[j] for j in nz]
+    i = parts[0] != 0
+    for x in parts[1:]:
+        i |= x != 0
+    i = i.nonzero()[0]
+    num = parts[0][i].tolist()
+    for t, x in enumerate(parts[1:], 1):
+        num = [y + (z << (t * bits)) for y, z in zip(num, x[i].tolist())]
+    i = i.tolist()
+    if 0 in num:    # limbs can cancel
+        i, num = [j for j, x in zip(i, num) if x], [x for x in num if x]
+    return i, num
 
 
 def _limbs(c, bits):
-    """The int64 array or list of ints c as signed int64 limbs of ``bits``
-    bits, least significant first: c = sum over t of limb t << (t * bits),
-    each |limb| below 2**bits."""
+    """The list of ints c as signed int64 limbs of ``bits`` bits, least
+    significant first: c = sum over t of limb t << (t * bits), each |limb|
+    below 2**bits.  The split runs on numpy where int64 holds every c."""
     import numpy as np
 
-    top = max(map(abs, c)) if isinstance(c, list) else int(np.abs(c).max())
+    top = max(map(abs, c))
     count = max(1, -(-top.bit_length() // bits))
-    if count == 1:
-        return [np.asarray(c, dtype=np.int64)]
     mask = (1 << bits) - 1
-    if isinstance(c, list):
+    if top >> 63:
         sign = np.array([(x > 0) - (x < 0) for x in c], dtype=np.int64)
         return [sign * np.array([(abs(x) >> (t * bits)) & mask for x in c],
                                 dtype=np.int64) for t in range(count)]
+    c = np.array(c, dtype=np.int64)
+    if count == 1:
+        return [c]
     sign, mag = np.sign(c), np.abs(c)
     return [sign * ((mag >> (t * bits)) & mask) for t in range(count)]
 

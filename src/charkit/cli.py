@@ -11,7 +11,9 @@ verify CORPUS         re-derive a fixture corpus and report pass/fail
 
 Weights are seven digits (``0000002``) or comma-separated (``0,...,12``).
 ``series-family`` and ``verify quadratic`` compare ``cg_decompose`` with
-its reference here.  Argument errors are refused before the operator is built.
+its reference here, and ``cg`` with a factor lambda_7 refuses a series
+that differs from ``minuscule_series`` of the other factor.  Argument
+errors are refused before the operator is built.
 Exit status: 0 on success; 1 on a verification failure or on a failed
 internal invariant (a one-line ``error:`` on stderr); 2 on usage errors,
 among them a cache directory that cannot be created or written (an
@@ -179,6 +181,14 @@ def cmd_cg(args):
     m, n = args.weights
     series = cg_decompose(m, n, table)
     label = f"chi_{fixtures.format_weight(m)} * chi_{fixtures.format_weight(n)}"
+    if FUNDAMENTAL_WEIGHTS[6] in (m, n):    # the minuscule rule certifies it
+        rule = minuscule_series(n if m == FUNDAMENTAL_WEIGHTS[6] else m)
+        diffs = _series_diffs(series.terms, rule)
+        if diffs:
+            w, got, want = diffs[0]
+            raise DecompositionError(
+                f"{label}: multiplicity {got} at {fixtures.format_weight(w)}, "
+                f"the minuscule rule gives {want}")
     return _emit_series(args, [m, n], series, label)
 
 

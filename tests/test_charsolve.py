@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from charkit import charsolve, fixtures
+from charkit import charsolve, csmodel, fixtures
 from charkit.charsolve import CharacterTable, IntegralityError, ZeroGapError
 from charkit.csmodel import Delta1Operator, StructuralViolationError
 from charkit.lie_core import (
@@ -382,13 +382,23 @@ def test_level_solve_matches_the_position_solve(operator, m):
 
 def test_level_solve_from_inside_a_shared_support(operator):
     # As a decomposition solves its constituents: on the top weight's
-    # support, from each constituent's own position.
-    support = operator.restrict(dominant_weights_below((0, 0, 0, 0, 2, 2, 2)))
-    n = len(support.weights)
-    for p in list(range(1, n, 23)) + [n - 2, n - 1]:
-        by_positions, by_levels = solved_both_ways(support.weights[p],
-                                                   support)
-        assert by_levels == by_positions
+    # support, from each constituent's own position.  Each level's rows
+    # are scattered as one slice, so the members of a level that are not
+    # below the constituent ride along with coefficient 0; a narrow limb
+    # width spreads the others over several limbs.
+    weights = dominant_weights_below((0, 0, 0, 0, 2, 2, 2))
+    n = len(weights)
+    for bits in (None, 3):
+        support = operator.restrict(weights)
+        if bits:
+            support.levels().limb_bits = bits
+        top = 0
+        for p in list(range(1, n, 23)) + [n - 2, n - 1]:
+            by_positions, by_levels = solved_both_ways(weights[p], support)
+            assert by_levels == by_positions
+            assert p == n - 1 or len(by_levels) < n - p
+            top = max([top] + [abs(c) for _, c in by_levels])
+        assert top.bit_length() == 5    # two limbs of 3 bits
 
 
 def test_a_support_above_the_threshold_is_solved_by_levels(operator,
@@ -444,19 +454,18 @@ def test_numerators_past_int64_are_python_ints():
 
     bits = 30
     want = [5, -(2 ** 70) + 3, 0, 2 ** 64, 7 << 30]
-    limbs = charsolve._limbs([x for x in want if x], bits)
+    limbs = charsolve._limbs(want, bits)
     assert len(limbs) == 3 and all(x.dtype == np.int64 for x in limbs)
     assert all(int(np.abs(x).max()) < 2 ** bits for x in limbs)
     acc = [np.zeros(len(want) + 2, dtype=np.int64) for _ in limbs]
     for x, limb in zip(acc, limbs):
-        x[[2, 3, 5, 6]] = limb
+        x[2:2 + len(want)] = limb
     i, num = charsolve._numerators(acc, 1, len(want) + 2, bits)
-    assert i.tolist() == [1, 2, 4, 5] and num == [x for x in want if x]
-    # within int64, the numerators stay an int64 array, with limbs that
-    # cancel left out
+    assert i == [1, 2, 4, 5] and num == [x for x in want if x]
+    assert all(type(x) is int for x in i + num)
+    # limbs that cancel are left out, within int64 as past it
     acc = [np.array([3, 2 ** bits, 0]), np.array([0, -1, 2])]
-    i, num = charsolve._numerators(acc, 0, 3, bits)
-    assert i.tolist() == [0, 2] and num.tolist() == [3, 2 << bits]
+    assert charsolve._numerators(acc, 0, 3, bits) == ([0, 2], [3, 2 << bits])
 
 
 def test_level_solve_on_python_int_images(operator):
@@ -488,6 +497,28 @@ def test_a_standalone_level_solve_drops_its_blocks(operator):
     finally:
         tracemalloc.stop()
     assert peak < 8.5 * 2 ** 20
+
+
+def test_a_standalone_level_solve_holds_one_block_at_a_time(operator,
+                                                            monkeypatch):
+    # 24 lambda_7 (13 081 weights, 13 blocks): when the solve builds a
+    # block, nothing of the block before it is alive any more.
+    import weakref
+
+    build = csmodel.Levels.block
+    built, held, alive = [], [], []
+
+    def block(self, k, keep=True):
+        alive.append(sum(ref() is not None for ref in held))
+        rows = build(self, k, keep)
+        built.append(k)
+        held[:] = [weakref.ref(rows[1]), weakref.ref(rows[2])]
+        return rows
+
+    monkeypatch.setattr(csmodel.Levels, "block", block)
+    fresh_table(operator).character_m1((0, 0, 0, 0, 0, 0, 24))
+    assert built == list(range(13))
+    assert alive == [0] * 13
 
 
 def test_level_solve_refuses_a_corrupted_operator(operator):

@@ -7,6 +7,8 @@ from charkit import cli, fixtures, lie_core
 from charkit.cli import main
 from charkit.polyring import MultiPoly
 
+from test_cli_corpus import tamper
+
 
 def run(capsys, *argv):
     code = main(["--no-cache", *argv])
@@ -52,6 +54,35 @@ def test_cg_json(capsys):
     assert series == {(0, 0, 0, 0, 0, 0, 2): 1, (1, 0, 0, 0, 0, 0, 0): 1,
                       (0, 0, 0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0, 0, 0): 1}
     assert sum(item["mult"] for item in doc["series"]) == 4
+
+
+def test_cg_checks_a_lambda_7_factor_against_the_minuscule_rule(monkeypatch,
+                                                                capsys):
+    rule = cli.minuscule_series
+    asked = []
+    monkeypatch.setattr(cli, "minuscule_series",
+                        lambda m: asked.append(m) or rule(m))
+    for factors, other in [(("0000001", "0010001"), [(0, 0, 1, 0, 0, 0, 1)]),
+                           (("0010001", "0000001"), [(0, 0, 1, 0, 0, 0, 1)]),
+                           (("0000001", "0000001"), [(0, 0, 0, 0, 0, 0, 1)]),
+                           (("0000002", "0000010"), [])]:
+        asked.clear()
+        code, out, err = run(capsys, "cg", *factors)
+        assert (code, err, asked) == (0, "", other)
+        assert out.startswith("# chi_")
+
+
+@pytest.mark.parametrize("factors", [("0000001", "0000002"),
+                                     ("0000002", "0000001")])
+def test_cg_refuses_a_series_off_the_minuscule_rule(monkeypatch, capsys,
+                                                   factors):
+    # The rule's row lambda_7 of 2 lambda_7's series moved to 2 lambda_7:
+    # the computed series has the one and not the other.
+    tamper(monkeypatch, "family")
+    code, out, err = run(capsys, "cg", *factors)
+    assert (code, out) == (1, "")
+    assert err == (f"error: chi_{factors[0]} * chi_{factors[1]}: "
+                   f"multiplicity 1 at 0000001, the minuscule rule gives 0\n")
 
 
 def test_monomial_cg(capsys):

@@ -43,6 +43,12 @@ CORPUS = [
      "7a85873ba94cfe625507208492aa88ddc5453934", EMPTY, BOOTSTRAP),
     ("--format json cg 0000012 0010001", 0,
      "d81744ac75e474350af5fec32c2a13a1fc67ba16", EMPTY, BOOTSTRAP),
+    # A factor lambda_7: the series is checked against the minuscule rule.
+    ("cg 1000100 0000001", 0,
+     "287010c4cf6539546d1f13cae6137ff509808e0a", EMPTY, BOOTSTRAP),
+    ("--format json cg 0000001 0,0,0,0,0,0,12", 0,
+     "aa9a6ae20549bcc2170fd139abba0fbf3a026ccb", EMPTY,
+     (108, "0460cb17e53e400bca9eddd492697f7450a38249")),
     ("monomial-cg 0003000", 0,
      "4d259b60eeb98e2911759409f775aeb81a8999f5", EMPTY, BOOTSTRAP),
     ("--format json monomial-cg 0001001", 0,
@@ -120,14 +126,18 @@ def test_corpus_command_is_byte_identical(tmp_path, capsys, args, code,
     assert cache_digest(path) == cache
 
 
-# The failing paths of the two commands that compare a computed series with
-# a reference, forced by tampering with the reference: (arguments after
+# The failing paths of the three commands that compare a computed series
+# with a reference, forced by tampering with the reference: (arguments after
 # --no-cache, tampered reference, exit code, stdout sha1, stderr sha1).
 FAIL_PATHS = [
     ("series-family 7 2", "family", 1,
      "2810ced492ff64a152558af813055ec4504bf8bd", EMPTY),
     ("--format json series-family 7 2", "family", 1,
      "a6a34caf784873546dc63cc710738a41433487f8", EMPTY),
+    ("cg 0000001 0000002", "family", 1, EMPTY,
+     "4f91b37c4321efb27b81a22fcc99a93bd42ac50c"),
+    ("--format json cg 0000001 0000002", "family", 1, EMPTY,
+     "4f91b37c4321efb27b81a22fcc99a93bd42ac50c"),
     ("verify quadratic", "quadratic", 1,
      "1d66d50160417192b8503f278c5a6e281c84726d", EMPTY),
     ("--format json verify quadratic", "quadratic", 1,

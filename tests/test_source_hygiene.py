@@ -34,6 +34,9 @@ another's, neither as an attribute of an imported module
 (``fixtures._integer``) nor through ``from .x import _name``.
 A bad input is refused, never warned about and read on: no library module
 imports ``warnings``.
+Method 1 divides only on Python ints: ``charsolve`` names no numpy
+division (``divmod``, ``floor_divide`` or ``remainder`` as an attribute,
+or imported from numpy), so the builtin ``divmod`` is its one division.
 No floating point enters the library: no module holds a float or complex
 constant, names ``float`` or ``complex`` (or a numpy ``float*``/``complex*``
 type), or imports ``math`` or ``cmath``.
@@ -444,6 +447,41 @@ def test_a_warnings_import_is_caught():
               "    import warnings\n"
               "    warn_empty = True\n")
     assert warnings_imports(source) == [1, 2, 3, 6]
+
+
+NUMPY_DIVISION = ("divmod", "floor_divide", "remainder")
+
+
+def numpy_divisions(source):
+    """Every numpy division in ``source``, as sorted ``lineno: what``
+    strings: one of ``NUMPY_DIVISION`` as an attribute, or imported from
+    numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_DIVISION:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "numpy"):
+            found += [f"{node.lineno}: from {node.module} import {alias.name}"
+                      for alias in node.names
+                      if alias.name in NUMPY_DIVISION]
+    return sorted(found)
+
+
+def test_method_1_divides_only_on_python_ints():
+    assert numpy_divisions((SRC / "charsolve.py").read_text()) == []
+
+
+def test_a_numpy_division_is_caught():
+    source = ("import numpy as np\n"
+              "from numpy import floor_divide, add\n"
+              "q, rem = divmod(num, gap)\n"
+              "c, rem = np.divmod(num, np.maximum(gap, 1))\n"
+              "c = numpy.floor_divide(num, gap) + num // gap\n"
+              "bad = np.remainder(num, gap).any() or num % gap\n")
+    assert numpy_divisions(source) == [
+        "2: from numpy import floor_divide", "4: np.divmod",
+        "5: numpy.floor_divide", "6: np.remainder"]
 
 
 def chi_line_builders(source):
