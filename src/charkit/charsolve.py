@@ -59,25 +59,48 @@ The level solve runs for supports of at least ``LEVEL_SOLVE_MIN_SUPPORT``
 weights, and the walk by positions below, so set-up, decompositions,
 Method 2 and every small solve stay on Python ints without numpy, whose
 import a process pays on its first level solve.  Measured cold, one
-process per solve, support built first (median of 7; Python 3.11, numpy
-2.4, 2 shared CPUs), by positions against by levels: 0.24 s against
-0.13 s at 3 102 weights, 0.31 s against 0.11 s at 5 185, and 1.08 s
-against 0.20 s at 13 081.  The two cost about the same at 1 780 weights
-(0.08 to 0.11 s each), and levels win from 2 068 on, below the threshold.
+process per solve, support built first, numpy's import counted (median of
+7; Python 3.11, numpy 2.4, 2 shared CPUs), by positions against by levels:
+0.058 s against 0.079 s at 1 581 weights, 0.071 s against 0.072 s at
+1 780, 0.084 s against 0.071 s at 2 068, and 0.139 s against 0.076 s at
+3 102; earlier, 1.08 s against 0.20 s at 13 081.  The two cost the same
+near 1 780 weights, levels win from 2 068 on, and the threshold sits
+between.
 
 Method 2 multiplies out one annihilator per distinct eigenvalue below m,
 
     P = prod_e (D - e) z^m,    e in {eps_mu : mu < m},
 
 which kills every constituent of z^m except chi_m itself and scales it by
-prod_e (eps_m - e); the quotient by that scalar is checked exactly.  z^m
-is an integer combination of the characters chi_mu with mu <= m, and D is
-diagonal on them, so one factor (D - e) removes every constituent of
-eigenvalue e at once; a second factor for the same eigenvalue would only
-multiply the result, and so the scale, by eps_m - e again.  Every
-factor maps the span of the dominant monomials below m to itself, so
-every row on that support is read once, and each factor is one pass of
-exact integer arithmetic over a coefficient list indexed by the support.
+prod_e (eps_m - e).  z^m is an integer combination of the characters
+chi_mu with mu <= m, and D is diagonal on them, so one factor (D - e)
+removes every constituent of eigenvalue e at once.  The factors come in
+order of first appearance along the support, and each touches only the
+positions not yet settled.  Let f be the first position whose eigenvalue
+is not applied yet.  A row sends its monomial only to itself and to later
+positions, so the product on the positions before f moves under the
+operator's leading block on them alone.  An off-diagonal term of that
+block joins two weights one strictly below the other, whose eigenvalues
+differ, since the eigenvalue rises strictly along the dominance order: the
+block is triangular by eigenvalue with scalar diagonal blocks, if every
+row's diagonal is its weight's eigenvalue, and so diagonalizable.  Every
+eigenvalue of the block but eps_m is applied, which leaves the product
+there s * chi_m, s the product of the gaps so far, and each later factor
+multiplies it by its own gap.  So a position is divided exactly by s as
+the frontier passes it.  That refuses at the same first weight, with the
+same message, as dividing the whole product by the whole scale at the end:
+P[j] / scale = P_k[j] / s_k for a position j settled after the k-th
+factor, P_k the product and s_k the scale then.  A settled position's row,
+times its coefficient, is added once into a list w of settled
+contributions, and a later factor reads s * w[j] in place of the settled
+rows, so it reads only the rows and entries at or after f.  Method 1 never
+reads the diagonal, so Method 2 certifies it as it settles each position,
+a missing diagonal term reading as 0, as for the zero weight; a wrong top
+diagonal is refused with the scale the whole product would give the top
+monomial.  Every row on the support is read once.  On the nine Method-2
+weights of the seed-1 verify benchmark pass (supports 95 to 210), the
+entries and row terms a solve touches fall to 0.36-0.41 of those of one
+full pass per factor.
 """
 
 from __future__ import annotations
@@ -97,7 +120,7 @@ from . import fixtures
 
 # Method 1 runs level by level on numpy arrays (``_solve_levels``) for
 # supports of at least this many weights, and position by position below.
-LEVEL_SOLVE_MIN_SUPPORT = 3000
+LEVEL_SOLVE_MIN_SUPPORT = 2000
 
 
 class IntegralityError(ArithmeticError):
@@ -233,41 +256,62 @@ class CharacterTable:
     def character_m2(self, m):
         """Solve for chi_m by the annihilator product (Method 2).
 
-        Every row of m's own ``Restriction`` (``_support``) is read once,
-        and the product runs on a list of coefficients over its positions.
         One factor (D - e) is applied per distinct eigenvalue e of the
         dominant weights strictly below m, in order of first appearance
-        along the support; the top coefficient must come out as the
-        product of the gaps eps_m - e, which then divides every coefficient
-        exactly.
+        along m's own ``Restriction`` (``_support``), on a list of
+        coefficients over its positions.  A position is settled as soon as
+        the eigenvalues of every position up to it are applied: its
+        coefficient in chi_m is then the product's divided exactly by the
+        product of the gaps eps_m - e so far, and its row, times that
+        coefficient, is added once into the contributions of the settled
+        positions, which every later factor reads scaled by the gaps.  So a
+        factor reads only the rows and entries at or after the first
+        position not yet settled (module docstring).  Settling a position
+        certifies that its row's diagonal is its eigenvalue; a wrong top
+        diagonal is refused first, as the scale the whole product would
+        give the top monomial.
         """
         m = tuple(m)
         require_dominant(m)
         support = self._support(m)
         weights = support.weights
-        row = support.row
-        rows = [list(zip(*row(i))) for i in range(len(weights))]
-        eps_m = eigenvalue(m)
-        poly = [0] * len(weights)
-        poly[0] = 1
+        rows = [support.row(i) for i in range(len(weights))]
+        eps = support.eigenvalues()
+        eps_m = eps[0]
+        top = _diagonal(rows[0], 0)
+        if top != eps_m:
+            x = y = 1
+            for e in dict.fromkeys(eps[1:]):
+                x, y = x * (top - e), y * (eps_m - e)
+            if x != y:
+                raise IntegralityError(
+                    f"character {m}: annihilator product scales the top "
+                    f"monomial by {x}, expected {y}")
+        product = [1] + [0] * (len(weights) - 1)
+        settled = [0] * len(weights)
+        applied = {eps_m}
         scale = 1
-        for e in dict.fromkeys(eigenvalue(mu) for mu in weights[1:]):
-            poly = _apply_factor(rows, poly, e)
-            scale *= eps_m - e
-        if poly[0] != scale:
-            raise IntegralityError(
-                f"character {m}: annihilator product scales the top "
-                f"monomial by {poly[0]}, expected {scale}")
         out = {}
-        for n, c in zip(weights, poly):
-            if not c:
-                continue
-            q, rem = divmod(c, scale)
+        for f, (mu, row, e) in enumerate(zip(weights, rows, eps)):
+            if e not in applied:
+                # the factor order: e first appears at f
+                product = _apply_factor(rows, product, settled, scale, e, f)
+                scale *= eps_m - e
+                applied.add(e)
+            d = _diagonal(row, f)
+            if d != e:
+                raise IntegralityError(
+                    f"character {m}: the operator sends z^{mu} to itself "
+                    f"with {d}, not with its eigenvalue {e}")
+            c, rem = divmod(product[f], scale)
             if rem:
                 raise IntegralityError(
-                    f"character {m}: coefficient of z^{n} is not an "
+                    f"character {m}: coefficient of z^{mu} is not an "
                     f"integer after normalization")
-            out[n] = q
+            if c:
+                out[mu] = c
+                for j, s in zip(*row):
+                    settled[j] += c * s
         return MultiPoly(out, _clean_input=False)
 
     def _support(self, m):
@@ -409,12 +453,28 @@ def _limbs(c, bits):
     return [sign * ((mag >> (t * bits)) & mask) for t in range(count)]
 
 
-def _apply_factor(rows, poly, e):
-    """(D - e) applied to ``poly``, a list of coefficients over the
-    positions of the restricted operator ``rows``."""
-    out = [-e * c for c in poly]
-    for c, row in zip(poly, rows):
+def _diagonal(row, i):
+    """The coefficient the row of position i sends its own monomial to
+    itself with; 0 when the row has no such term."""
+    targets, values = row
+    return values[targets.index(i)] if i in targets else 0
+
+
+def _apply_factor(rows, product, settled, scale, e, f):
+    """(D - e) applied to ``product``, a list of coefficients over the
+    positions of the restricted operator ``rows``, at positions f on.
+
+    Every position before f is settled, and its part of the product is
+    scale times chi_m there, so the rows before f add ``scale`` times
+    ``settled`` and are not read.  The positions before f of the list
+    returned hold 0.
+    """
+    out = [0] * f + [scale * w - e * c
+                     for w, c in zip(settled[f:], product[f:])]
+    for i in range(f, len(product)):
+        c = product[i]
         if c:
-            for j, s in row:
+            targets, values = rows[i]
+            for j, s in zip(targets, values):
                 out[j] += c * s
     return out

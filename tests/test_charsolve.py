@@ -111,9 +111,9 @@ def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
     calls = []
     apply_factor = charsolve._apply_factor
 
-    def counted(rows, poly, e):
+    def counted(rows, product, settled, scale, e, f):
         calls.append(e)
-        return apply_factor(rows, poly, e)
+        return apply_factor(rows, product, settled, scale, e, f)
 
     monkeypatch.setattr(charsolve, "_apply_factor", counted)
     t = fresh_table(operator)
@@ -121,6 +121,124 @@ def test_m2_applies_one_factor_per_distinct_eigenvalue(operator, monkeypatch,
     assert len(calls) == len(distinct)
     monkeypatch.undo()
     assert chi == t.character_m1(m)
+
+
+def literal_m2(operator, m):
+    """Method 2 as the literal product: every factor (D - e) applied to
+    every position, each row read once up front, and every coefficient
+    divided by the product of the gaps at the end."""
+    support = fresh_table(operator)._support(m)
+    weights = support.weights
+    rows = [list(zip(*support.row(i))) for i in range(len(weights))]
+    eps_m = eigenvalue(m)
+    poly = [1] + [0] * (len(weights) - 1)
+    scale = 1
+    for e in dict.fromkeys(eigenvalue(mu) for mu in weights[1:]):
+        out = [-e * c for c in poly]
+        for c, row in zip(poly, rows):
+            if c:
+                for j, s in row:
+                    out[j] += c * s
+        poly = out
+        scale *= eps_m - e
+    if poly[0] != scale:
+        raise IntegralityError(
+            f"character {m}: annihilator product scales the top "
+            f"monomial by {poly[0]}, expected {scale}")
+    out = {}
+    for n, c in zip(weights, poly):
+        if not c:
+            continue
+        q, rem = divmod(c, scale)
+        if rem:
+            raise IntegralityError(
+                f"character {m}: coefficient of z^{n} is not an "
+                f"integer after normalization")
+        out[n] = q
+    return MultiPoly(out)
+
+
+def m2_outcome(solve, *args):
+    """The text of the character ``solve`` returns, or its refusal."""
+    try:
+        return solve(*args).to_text()
+    except IntegralityError as err:
+        return f"refused: {err}"
+
+
+@pytest.mark.parametrize("m", [
+    # the Method-2 weights of the seed-1 verify benchmark pass
+    (1, 0, 0, 0, 1, 2, 0), (0, 0, 0, 0, 0, 4, 0), (0, 0, 0, 1, 1, 1, 0),
+    (0, 0, 0, 0, 1, 0, 5), (2, 0, 1, 0, 0, 1, 1), (1, 0, 0, 0, 1, 1, 2),
+    (0, 1, 0, 0, 0, 0, 7), (1, 3, 0, 0, 0, 0, 2), (1, 0, 1, 1, 0, 0, 2),
+    (0, 0, 0, 0, 2, 2, 2), (0, 0, 0, 0, 0, 0, 6), ZERO_WEIGHT])
+def test_m2_matches_the_literal_product(operator, m):
+    got = fresh_table(operator).character_m2(m)
+    assert got.to_text() == literal_m2(operator, m).to_text()
+
+
+def off_diagonal_terms(a):
+    """Every (pair, term) of ``a`` but the pairs' top terms z_j z_k, in
+    order: the terms whose coefficients sit off the operator's diagonal."""
+    terms = []
+    for (j, k), poly in sorted(a.items()):
+        top = MultiPoly.variable(j) * MultiPoly.variable(k)
+        terms += [((j, k), e) for e in sorted(poly.terms)
+                  if e not in top.terms]
+    return terms
+
+
+def test_m2_refuses_perturbed_operators_as_the_literal_product(operator):
+    # Every 13th of the 401 off-diagonal terms, one at a time, off by one:
+    # each top gets the literal product's polynomial or its refusal, with
+    # the same message at the same weight.
+    a = operator.a
+    terms = off_diagonal_terms(a)
+    assert len(terms) == 401
+    tops = [(0, 0, 0, 0, 0, 0, 6), (0, 1, 0, 0, 0, 1, 0),
+            (2, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 4, 0),
+            (1, 0, 0, 0, 0, 0, 3)]
+    refused = dict.fromkeys(tops, 0)
+    for pair, term in terms[::13]:
+        op = Delta1Operator({**a, pair: a[pair] + MultiPoly({term: 1})})
+        for m in tops:
+            got = m2_outcome(fresh_table(op).character_m2, m)
+            assert got == m2_outcome(literal_m2, op, m), (pair, term, m)
+            refused[m] += got.startswith("refused: ")
+    assert all(refused.values())
+    assert refused[(0, 0, 0, 0, 0, 0, 6)] < len(terms[::13])
+
+
+def test_m2_refuses_a_wrong_top_diagonal_as_the_literal_product(operator):
+    # z7^2 in a_77 one more: the operator sends z7^3 to itself with its
+    # eigenvalue plus 3 * 2, and the refusal names the literal scale.
+    a = operator.a
+    a[(7, 7)] = a[(7, 7)] + MultiPoly({(0, 0, 0, 0, 0, 0, 2): 1})
+    op = Delta1Operator(a)
+    m = (0, 0, 0, 0, 0, 0, 3)
+    got = m2_outcome(fresh_table(op).character_m2, m)
+    assert got == m2_outcome(literal_m2, op, m)
+    assert got.startswith(f"refused: character {m}: annihilator product "
+                          f"scales the top monomial by ")
+
+
+def test_m2_refuses_a_wrong_lower_diagonal_at_its_weight(operator):
+    # z6*z7 in a_67 one more: the top z7^3 keeps its diagonal, and z6*z7
+    # is sent to itself with its eigenvalue plus 2.  The literal product
+    # refuses the same weight as not integral.
+    a = operator.a
+    a[(6, 7)] = a[(6, 7)] + MultiPoly({(0, 0, 0, 0, 0, 1, 1): 1})
+    op = Delta1Operator(a)
+    m, mu = (0, 0, 0, 0, 0, 0, 3), (0, 0, 0, 0, 0, 1, 1)
+    eps = eigenvalue(mu)
+    with pytest.raises(IntegralityError) as err:
+        fresh_table(op).character_m2(m)
+    assert str(err.value) == (
+        f"character {m}: the operator sends z^{mu} to itself with "
+        f"{eps + 2}, not with its eigenvalue {eps}")
+    assert m2_outcome(literal_m2, op, m) == (
+        f"refused: character {m}: coefficient of z^{mu} is not an integer "
+        f"after normalization")
 
 
 @pytest.mark.parametrize("method", ["character_m1", "character_m2"],
@@ -403,7 +521,7 @@ def test_level_solve_from_inside_a_shared_support(operator):
 
 def test_a_support_above_the_threshold_is_solved_by_levels(operator,
                                                           monkeypatch):
-    m = (0, 0, 0, 0, 0, 0, 18)
+    m = (1, 0, 0, 0, 0, 0, 15)
     support = fresh_table(operator)._support(m)
     assert 0 <= len(support.weights) - charsolve.LEVEL_SOLVE_MIN_SUPPORT < 200
     want = list(charsolve._solve_positions(m, support, 0).items())
