@@ -95,9 +95,8 @@ times its coefficient, is added once into a list w of settled
 contributions, and a later factor reads s * w[j] in place of the settled
 rows, so it reads only the rows and entries at or after f.  Method 1 never
 reads the diagonal, so Method 2 certifies it as it settles each position,
-a missing diagonal term reading as 0, as for the zero weight; a wrong top
-diagonal is refused with the scale the whole product would give the top
-monomial.  Every row on the support is read once.  On the nine Method-2
+the top first, a missing diagonal term reading as 0, as for the zero
+weight.  Every row on the support is read once.  On the nine Method-2
 weights of the seed-1 verify benchmark pass (supports 95 to 210), the
 entries and row terms a solve touches fall to 0.36-0.41 of those of one
 full pass per factor.
@@ -139,8 +138,8 @@ class CharacterTable:
     characters asked for by name are persisted as canonical ``chi`` fixture
     lines (one file per weight), so repeated CLI invocations and long
     corpus runs reuse earlier work; a decomposition's constituents stay in
-    memory (``character``).  No lock guards the memory cache: each
-    insertion is one dict store.
+    memory, unless its support is large (``character``).  No lock guards
+    the memory cache: each insertion is one dict store.
     """
 
     def __init__(self, operator):
@@ -209,7 +208,10 @@ class CharacterTable:
         a decomposition's constituent path: the solve runs on it, sharing
         its rows of the operator, and the result stays in memory, since
         solving again on the shared rows costs less than parsing the text.
-        A character already in memory is never written.
+        On a support of at least ``LEVEL_SOLVE_MIN_SUPPORT`` weights it is
+        not kept at all: one decomposition reads each constituent once,
+        and a large one's constituents would hold most of its memory.  A
+        character already in memory is never written.
         """
         m = tuple(m)
         require_dominant(m)
@@ -220,6 +222,9 @@ class CharacterTable:
         prov = "disk"
         if chi is None:
             chi, prov = self.character_m1(m, support), "method-1"
+        if (support is not None
+                and len(support.weights) >= LEVEL_SOLVE_MIN_SUPPORT):
+            return chi
         self._cache[m] = chi
         self._provenance[m] = prov
         if prov != "disk" and support is None:
@@ -267,9 +272,7 @@ class CharacterTable:
         positions, which every later factor reads scaled by the gaps.  So a
         factor reads only the rows and entries at or after the first
         position not yet settled (module docstring).  Settling a position
-        certifies that its row's diagonal is its eigenvalue; a wrong top
-        diagonal is refused first, as the scale the whole product would
-        give the top monomial.
+        certifies that its row's diagonal is its eigenvalue.
         """
         m = tuple(m)
         require_dominant(m)
@@ -278,15 +281,6 @@ class CharacterTable:
         rows = [support.row(i) for i in range(len(weights))]
         eps = support.eigenvalues()
         eps_m = eps[0]
-        top = _diagonal(rows[0], 0)
-        if top != eps_m:
-            x = y = 1
-            for e in dict.fromkeys(eps[1:]):
-                x, y = x * (top - e), y * (eps_m - e)
-            if x != y:
-                raise IntegralityError(
-                    f"character {m}: annihilator product scales the top "
-                    f"monomial by {x}, expected {y}")
         product = [1] + [0] * (len(weights) - 1)
         settled = [0] * len(weights)
         applied = {eps_m}
@@ -298,7 +292,8 @@ class CharacterTable:
                 product = _apply_factor(rows, product, settled, scale, e, f)
                 scale *= eps_m - e
                 applied.add(e)
-            d = _diagonal(row, f)
+            targets, values = row
+            d = values[targets.index(f)] if f in targets else 0
             if d != e:
                 raise IntegralityError(
                     f"character {m}: the operator sends z^{mu} to itself "
@@ -310,7 +305,7 @@ class CharacterTable:
                     f"integer after normalization")
             if c:
                 out[mu] = c
-                for j, s in zip(*row):
+                for j, s in zip(targets, values):
                     settled[j] += c * s
         return MultiPoly(out, _clean_input=False)
 
@@ -321,24 +316,21 @@ class CharacterTable:
         return self.operator.restrict(dominant_weights_below(m))
 
 
-def _divide(m, mu, num, gap):
-    """The coefficient of z^mu in chi_m, num / gap, refused unless the gap
-    is positive and the division exact."""
+def _refuse(m, mu, num, gap):
+    """Refuse num / gap as the coefficient of z^mu in chi_m: the gap is not
+    positive, or the division is not exact."""
     if gap <= 0:
         raise ZeroGapError(f"eigenvalue gap {gap} for {mu} below {m}")
-    c, rem = divmod(num, gap)
-    if rem:
-        raise IntegralityError(
-            f"character {m}: coefficient of z^{mu} is {num}/{gap}, not an "
-            f"integer")
-    return c
+    raise IntegralityError(
+        f"character {m}: coefficient of z^{mu} is {num}/{gap}, not an "
+        f"integer")
 
 
 def _solve_positions(m, support, p):
     """Method 1 one position at a time, on the support's ``row``s and
     ``eigenvalues``; the coefficients of chi_m as {weight: C}, in position
     order.  The exact division is inline; a failed one is refused by
-    ``_divide``."""
+    ``_refuse``."""
     row = support.row
     weights = support.weights
     eps = support.eigenvalues()
@@ -354,7 +346,7 @@ def _solve_positions(m, support, p):
         gap = eps_m - eps[i]
         c, rem = divmod(num, gap) if gap > 0 else (0, 1)
         if rem:
-            _divide(m, weights[i], num, gap)
+            _refuse(m, weights[i], num, gap)
         coeffs[weights[i]] = c
         targets, values = row(i)
         for j, s in zip(targets, values):
@@ -396,7 +388,7 @@ def _solve_levels(m, support, p, keep=True):
                 gap = gaps[j]
                 q, rem = divmod(x, gap) if gap > 0 else (0, 1)
                 if rem:
-                    _divide(m, weights[a + j], x, gap)
+                    _refuse(m, weights[a + j], x, gap)
                 c[j] = q
                 coeffs[weights[a + j]] = q
         if blocks[k + 1] <= a:
@@ -451,13 +443,6 @@ def _limbs(c, bits):
         return [c]
     sign, mag = np.sign(c), np.abs(c)
     return [sign * ((mag >> (t * bits)) & mask) for t in range(count)]
-
-
-def _diagonal(row, i):
-    """The coefficient the row of position i sends its own monomial to
-    itself with; 0 when the row has no such term."""
-    targets, values = row
-    return values[targets.index(i)] if i in targets else 0
 
 
 def _apply_factor(rows, product, settled, scale, e, f):

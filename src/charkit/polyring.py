@@ -78,8 +78,6 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({} if other == 0 else {ZERO_EXPS: other})
         return NotImplemented
 
     def __len__(self):

@@ -13,7 +13,9 @@ in memory yet is solved by Method 1 on that ``Restriction``, from its own
 position, so its downset is never enumerated again and each row of the
 operator is read at most once per decomposition.  Constituents neither
 read nor write the disk cache, and stay in memory only: solving one again
-on the shared rows costs less than parsing its text.  The factors of
+on the shared rows costs less than parsing its text.  On a top weight's
+support of at least ``LEVEL_SOLVE_MIN_SUPPORT`` weights they are not kept
+at all (``CharacterTable.character``).  The factors of
 ``cg_decompose`` are characters asked for by name, so they go through the
 disk cache when one is attached.  Each decomposition refuses
 a top weight outside the operator's range (``require_in_range``), then

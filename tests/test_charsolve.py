@@ -209,17 +209,22 @@ def test_m2_refuses_perturbed_operators_as_the_literal_product(operator):
     assert refused[(0, 0, 0, 0, 0, 0, 6)] < len(terms[::13])
 
 
-def test_m2_refuses_a_wrong_top_diagonal_as_the_literal_product(operator):
+def test_m2_refuses_a_wrong_top_diagonal_at_the_top(operator):
     # z7^2 in a_77 one more: the operator sends z7^3 to itself with its
-    # eigenvalue plus 3 * 2, and the refusal names the literal scale.
+    # eigenvalue plus 3 * 2.  Method 2 refuses it at the top, before any
+    # factor, as it refuses a wrong lower diagonal at its weight; the
+    # literal product refuses it too, by the scale of the top monomial.
     a = operator.a
     a[(7, 7)] = a[(7, 7)] + MultiPoly({(0, 0, 0, 0, 0, 0, 2): 1})
     op = Delta1Operator(a)
     m = (0, 0, 0, 0, 0, 0, 3)
-    got = m2_outcome(fresh_table(op).character_m2, m)
-    assert got == m2_outcome(literal_m2, op, m)
-    assert got.startswith(f"refused: character {m}: annihilator product "
-                          f"scales the top monomial by ")
+    eps = eigenvalue(m)
+    assert m2_outcome(fresh_table(op).character_m2, m) == (
+        f"refused: character {m}: the operator sends z^{m} to itself with "
+        f"{eps + 6}, not with its eigenvalue {eps}")
+    assert m2_outcome(literal_m2, op, m).startswith(
+        f"refused: character {m}: annihilator product scales the top "
+        f"monomial by ")
 
 
 def test_m2_refuses_a_wrong_lower_diagonal_at_its_weight(operator):

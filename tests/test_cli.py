@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from charkit import cli, fixtures, lie_core
+from charkit.charsolve import CharacterTable
 from charkit.cli import main
 from charkit.polyring import MultiPoly
 
@@ -35,6 +36,23 @@ def test_character_method_both(capsys):
     code, out, _ = run(capsys, "character", "--method", "both", "1000001")
     assert code == 0
     assert out.strip() == "1*z1*z7 -1*z7 -1*z2"
+
+
+def test_character_method_both_reports_a_disagreement(monkeypatch, capsys):
+    # A Method 2 one off on the constant of lambda_1 + lambda_7 only: that
+    # weight is named on stderr and not printed, the next one is printed.
+    character_m2 = CharacterTable.character_m2
+
+    def one_off(self, m):
+        chi = character_m2(self, m)
+        return chi + MultiPoly.one() if m == (1, 0, 0, 0, 0, 0, 1) else chi
+
+    monkeypatch.setattr(CharacterTable, "character_m2", one_off)
+    code, out, err = run(capsys, "character", "--method", "both",
+                         "1000001", "0000002")
+    assert code == 1
+    assert out == "1*z7^2 -1*z6 -1*z1 -1\n"
+    assert err == "METHOD DISAGREEMENT for 1000001\n"
 
 
 def test_dim(capsys):

@@ -94,6 +94,8 @@ CORPUS = [
      "1febdda1d73a50083e51863bd13dc861f693124e", BOOTSTRAP),
     ("dim 0001000 0,0,0,0,0,0,24", 0,
      "37696632e5173e9956ca367d30cdd36a1b209cc4", EMPTY, (0, EMPTY)),
+    ("--format json dim 0001000 0,0,0,0,0,0,24", 0,
+     "f44545c71f37964caa36b407369fe4121543c69e", EMPTY, (0, EMPTY)),
     # Argument errors are refused before the operator is built.
     ("series-family 0 2", 2, EMPTY,
      "f4ef6498c61cb9ffb69491b20f2319d0ba1f96fc", (0, EMPTY)),

@@ -344,6 +344,40 @@ def test_incomplete_corpus_raises_named_error(corpus):
         build_a(broken)
 
 
+def test_a_corpus_without_all_28_pairs_is_refused(corpus):
+    series = {pair: ser for pair, ser in corpus.series.items()
+              if pair != (3, 5)}
+    broken = QuadraticCorpus(series=series,
+                             second_order_chars=corpus.second_order_chars)
+    with pytest.raises(ValueError, match="must contain all 28 pairs"):
+        broken.validate()
+
+
+def test_a_top_weight_that_does_not_occur_once_is_refused(corpus):
+    # cg 6 7 with its top lambda_6 + lambda_7 twice
+    top = (0, 0, 0, 0, 0, 1, 1)
+    series = {**corpus.series, (6, 7): {**corpus.series[(6, 7)], top: 2}}
+    broken = QuadraticCorpus(series=series,
+                             second_order_chars=corpus.second_order_chars)
+    with pytest.raises(ValueError) as refused:
+        broken.validate()
+    assert str(refused.value) == (
+        "series 6 7: top weight must occur once, got 2")
+
+
+def test_a_non_integral_a_jk_is_refused(corpus):
+    # One more lambda_7 in cg 7 7 adds eps_7 * z7 = 57 * z7 to twice a_77,
+    # an odd coefficient.
+    series = {**corpus.series,
+              (7, 7): {**corpus.series[(7, 7)], L[6]: 1}}
+    broken = QuadraticCorpus(series=series,
+                             second_order_chars=corpus.second_order_chars)
+    with pytest.raises(ArithmeticError) as refused:
+        build_a(broken)
+    assert str(refused.value) == (
+        "a_77 reconstruction is not an integer polynomial")
+
+
 def test_incomplete_operator_raises():
     op = Delta1Operator()
     op.register_pair(7, 7, MultiPoly.from_text("3*z7^2 -4*z6 -24*z1 -60"))

@@ -89,6 +89,8 @@ MALFORMED = {
          "'0000000:+1': invalid literal for int() with base 10: '+1'"),
         ("pair", "cg 1 1_0 = 0000000:1",
          "invalid literal for int() with base 10: '1_0'"),
+        ("pair-low", "cg 0 7 = 0000000:1", "bad pair 0 7"),
+        ("pair-high", "cg 1 8 = 0000000:1", "bad pair 1 8"),
     ]),
     "mcg": (load_mcg_file, [
         ("tag", "cg 0000002 = 0000002:1", "expected 'mcg', got 'cg'"),
@@ -137,6 +139,17 @@ def test_chi_corruption_detected(tmp_path):
     p.write_text("chi 0000002 = 1*z7^2 -1*z6 -1*z1 -2\n")
     with pytest.raises(FixtureCorruptError):
         load_chi_file(p)
+
+
+def test_a_chi_without_a_unit_leading_coefficient_is_refused(tmp_path):
+    # 2*z7 - 56 evaluates to the dimension 56 of lambda_7, so only the
+    # leading coefficient gives it away.
+    p = tmp_path / "bad.txt"
+    p.write_text("chi 0000001 = 2*z7 -56\n")
+    with pytest.raises(FixtureCorruptError) as refused:
+        load_chi_file(p)
+    assert str(refused.value) == (
+        f"{p}:1: character 0000001 lacks unit leading coefficient")
 
 
 def test_a_file_with_no_entries_is_refused(tmp_path):

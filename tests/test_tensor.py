@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from charkit import fixtures
-from charkit.charsolve import CharacterTable
+from charkit.charsolve import LEVEL_SOLVE_MIN_SUPPORT, CharacterTable
 from charkit.csmodel import Delta1Operator
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, NonDominantError,
@@ -175,12 +175,54 @@ def test_a_decomposition_reads_each_row_once(operator, monkeypatch):
     assert set(calls) <= set(downset)
 
 
+def test_a_small_decomposition_keeps_its_constituents(operator):
+    top = (1, 0, 0, 0, 0, 0, 1)
+    assert len(dominant_weights_below(top)) < LEVEL_SOLVE_MIN_SUPPORT
+    t = CharacterTable(operator)
+    series = cg_decompose(L[0], L[6], t)
+    assert all(t.provenance(mu) == "method-1" for mu in series.terms)
+
+
+def test_a_large_decomposition_keeps_no_constituent(operator):
+    # The top lambda_1 + 15 lambda_7 has 2 068 weights below it: only the
+    # factors, asked for by name, stay in the table.
+    m, n = L[0], (0, 0, 0, 0, 0, 0, 15)
+    top = (1, 0, 0, 0, 0, 0, 15)
+    assert len(dominant_weights_below(top)) == 2068
+    t = CharacterTable(operator)
+    series = cg_decompose(m, n, t)
+    assert top in series.terms
+    assert {mu for mu in series.terms if t.provenance(mu)} <= {m, n}
+    assert t.provenance(m) == t.provenance(n) == "method-1"
+
+
 def test_decomposition_error_on_corrupted_character(operator):
     t = CharacterTable(operator)
     bad = MultiPoly.from_text("1*z7^2 -1*z6 -1*z1 -2")  # wrong constant
     t.seed((0, 0, 0, 0, 0, 0, 2), bad)
     with pytest.raises(DecompositionError):
         cg_decompose(L[6], L[6], t)
+
+
+@pytest.mark.parametrize("bad, message", [
+    # a term z1^5 above lambda_7: the product's terms off the downset of
+    # z7^2 are never subtracted, while the series and its dimension sum
+    # come out right
+    (MultiPoly.variable(7) + MultiPoly({(5, 0, 0, 0, 0, 0, 0): 1}),
+     "nonzero residual after decomposing below (0, 0, 0, 0, 0, 0, 2): "
+     "[(5, 0, 0, 0, 0, 0, 1), (10, 0, 0, 0, 0, 0, 0)] ..."),
+    # z7 twice over: the product is four times z7^2's, and the top's
+    # multiplicity is refused ahead of the dimension sum
+    (2 * MultiPoly.variable(7),
+     "top weight (0, 0, 0, 0, 0, 0, 2) has multiplicity 4, not 1"),
+], ids=["residual", "top"])
+def test_a_corrupted_factor_is_refused_by_its_certificate(operator, bad,
+                                                          message):
+    t = CharacterTable(operator)
+    t.seed(L[6], bad)
+    with pytest.raises(DecompositionError) as refused:
+        cg_decompose(L[6], L[6], t)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("exps", [(0, 0, 0, 0, 0, 2),
