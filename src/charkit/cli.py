@@ -30,7 +30,9 @@ import sys
 from . import fixtures
 from .charsolve import IntegralityError, ZeroGapError
 from .csmodel import QuadraticCorpus, StructuralViolationError, build_a
-from .lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, RANK, weyl_dim
+from .lie_core import (
+    FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS, RANK, InvariantError, weyl_dim,
+)
 from .oracle import (
     OracleRefusal, freudenthal, minuscule_series, require_trials, torus_check,
 )
@@ -39,7 +41,7 @@ from .tensor import DecompositionError, cg_decompose, monomial_decompose
 
 # Failures of a self-check or of the oracle's work ceiling: exit 1.
 INVARIANT_ERRORS = (DecompositionError, IntegralityError, ZeroGapError,
-                    StructuralViolationError, OracleRefusal)
+                    StructuralViolationError, OracleRefusal, InvariantError)
 
 DEFAULT_CACHE = ".charcache"
 

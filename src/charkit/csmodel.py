@@ -68,8 +68,8 @@ from dataclasses import dataclass, field
 
 from .lie_core import (
     CARTAN_AINV2, KEY_MAX, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT,
-    FUNDAMENTAL_WEIGHTS, MonomialRangeError, eigenvalue, is_below,
-    key_weight, weight_key,
+    FUNDAMENTAL_WEIGHTS, InvariantError, MonomialRangeError, eigenvalue,
+    is_below, key_weight, weight_key,
 )
 from .charsolve import CharacterTable
 from .polyring import MultiPoly
@@ -486,7 +486,9 @@ def _pair_order():
     pairs = [(j, k) for j in range(1, 8) for k in range(j, 8)]
     key = {p: TWO_RHO_ALPHA[p[0] - 1] + TWO_RHO_ALPHA[p[1] - 1]
            for p in pairs}
-    assert len(set(key.values())) == 28
+    if len(set(key.values())) != 28:
+        raise InvariantError("the 28 fundamental pair heights are not "
+                             "pairwise distinct")
     return sorted(pairs, key=key.get)
 
 
@@ -529,5 +531,6 @@ def build_a(corpus):
             halved[e] = q
         op.register_pair(j, k, MultiPoly(halved))
     a = op.a
-    assert len(a) == 28
+    if len(a) != 28:
+        raise InvariantError(f"{len(a)} a_jk polynomials built, not 28")
     return a, op, table

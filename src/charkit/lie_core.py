@@ -71,6 +71,10 @@ class MonomialRangeError(ValueError):
     """A weight or monomial does not fit the weight keys."""
 
 
+class InvariantError(ArithmeticError):
+    """An exact identity that a computed quantity must satisfy fails."""
+
+
 # A weight key has seven 9-bit fields, mu_1 most significant, each a
 # coordinate in 0..KEY_MAX under a guard bit that a key leaves clear: it is
 # linear, in lexicographic order and below 2**62, so int64 holds it.
@@ -190,7 +194,9 @@ def _weyl_dim(m):
     for h, r in _ROOT_HEIGHTS:
         num *= h + sum(map(operator.mul, r, m))
     q, rem = divmod(num, _HEIGHT_PRODUCT)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"Weyl's dimension product for {m} is not "
+                             f"divisible by the product of the heights")
     return q
 
 

@@ -10,15 +10,19 @@ representation.
 A weight system is a sum over the Weyl orbits of its dominant weights.
 Orbit sizes come in closed form from Macdonald's product over the
 positive roots (``_orbit_size``), so ``freudenthal`` walks no orbit and
-imports no numpy.  On the torus side each random point set of (F_P^*)^7
-is one cached entry (``_point_set``): the points, a memo of orbit sums
-and the fundamental characters there.  A dominant weight's orbit is
-walked (``weyl_orbit``, on int64 rows) and summed mod P at every point
-once, the first time any system needs it; a system's direct sum is then
-mult times orbit sum over its dominant weights.  numpy is imported only
-by that walk and sum, when first needed.  ``minuscule_series``, the tensor
+imports no numpy; its root-string lookups read a memoized
+``dominant_representative``.  On the torus side each random point set of
+(F_P^*)^7 is one cached entry (``_point_set``): the points, a memo of
+orbit sums and the fundamental characters there.  The dominant weights a
+system needs that the memo lacks are walked together by ``weyl_orbit``,
+the one orbit walk, which carries y^u at every point from each orbit
+element to its children and sums it per orbit mod P; a system's direct sum
+is then mult times orbit sum over its dominant weights.  The values ride
+the walk, so a new point set walks its orbits again.  numpy is imported
+only by that walk, when first needed.  ``minuscule_series``, the tensor
 rule of the minuscule lambda_7, finds its 56 weights by their norm, with no
-orbit walk, on its first call.
+orbit walk, on its first call.  A failed certificate (an orbit size,
+a multiplicity, a total or the minuscule count) raises ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 
 from .lie_core import (
     RANK, CARTAN_A, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS, POSITIVE_ROOTS_FUND,
-    bilinear2, dominant_weights_below, is_below, require_dominant, weyl_dim,
+    InvariantError, bilinear2, dominant_weights_below, is_below,
+    require_dominant, weyl_dim,
 )
 
 # Largest dimension the oracle accepts; above every fundamental (365750).
@@ -42,7 +47,14 @@ class OracleRefusal(RuntimeError):
 
 
 def dominant_representative(w):
-    """The dominant weight in the Weyl orbit of w, by sorting reflections."""
+    """The dominant weight in the Weyl orbit of w, by sorting reflections.
+    Memoized per weight: Freudenthal's string lookups meet each weight
+    several times."""
+    return _dominant_representative(tuple(w))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _dominant_representative(w):
     w = list(w)
     while True:
         for i in range(RANK):
@@ -54,46 +66,6 @@ def dominant_representative(w):
                 break
         else:
             return tuple(w)
-
-
-def weyl_orbit(weights):
-    """The Weyl orbits of a list of weights, walked together.
-
-    Returns (rows, owner): an int64 array with one row per orbit element,
-    each exactly once, its dominant representatives first in input order,
-    and for each row the index in ``weights`` of the weight whose orbit
-    holds it; a non-dominant weight gives its orbit too.
-
-    Every non-dominant weight u of an orbit has one parent s_i u, where i
-    is the first index with u_i < 0; the parent is higher, so following
-    parents ends at the dominant representative.  The walk goes down that
-    tree one level at a time for all orbits at once: a child s_i v (for
-    v_i > 0) is accepted only if no coordinate of it before index i is
-    negative, which generates each orbit element once with no membership
-    test.  Orbit sizes are bounded by the ambient representation
-    dimension, so no global Weyl-group enumeration is ever needed.
-    """
-    import numpy as np
-
-    cartan = np.array(CARTAN_A, dtype=np.int64)
-    level = np.array([dominant_representative(w) for w in weights],
-                     dtype=np.int64).reshape(-1, RANK)
-    owner = np.arange(len(level))
-    levels, owners = [level], [owner]
-    while len(level):
-        kids, kid_owners = [], []
-        for i in range(RANK):
-            up = level[:, i] > 0
-            v = level[up]
-            u = v - v[:, i, None] * cartan[i]
-            keep = (u[:, :i] >= 0).all(axis=1)
-            kids.append(u[keep])
-            kid_owners.append(owner[up][keep])
-        level = np.concatenate(kids)
-        owner = np.concatenate(kid_owners)
-        levels.append(level)
-        owners.append(owner)
-    return np.concatenate(levels), np.concatenate(owners)
 
 
 @functools.cache
@@ -114,7 +86,9 @@ def _orbit_size(zero_pattern):
             num *= height + 1
             den *= height
     size, rem = divmod(num, den)
-    assert rem == 0, (zero_pattern, num, den)
+    if rem:
+        raise InvariantError(f"orbit size {num}/{den} of zero pattern "
+                             f"{zero_pattern} is not an integer")
     return size
 
 
@@ -171,18 +145,23 @@ def _freudenthal(m):
             nu = mu
             while True:
                 nu = tuple(a + b for a, b in zip(nu, alpha))
-                mult = mults.get(dominant_representative(nu), 0)
+                mult = mults.get(_dominant_representative(nu), 0)
                 if mult == 0:
                     break
                 total += mult * bilinear2(nu, alpha)
         q, rem = divmod(2 * total, denom)
-        assert rem == 0 and q > 0, (m, mu, total, denom)
+        if rem or q <= 0:
+            raise InvariantError(
+                f"Freudenthal multiplicity of {mu} in representation {m} "
+                f"is {2 * total}/{denom}, not a positive integer")
         mults[mu] = q
     orbit_sizes = {w: _orbit_size(tuple(int(x > 0) for x in w))
                    for w in mults}
     system = WeightSystem(highest=m, dominant_mults=mults,
                           orbit_sizes=orbit_sizes)
-    assert system.total() == dim
+    if system.total() != dim:
+        raise InvariantError(f"the weights of representation {m} number "
+                             f"{system.total()}, not its dimension {dim}")
     return system
 
 
@@ -194,7 +173,9 @@ def _minuscule_weights():
     norm = bilinear2(top, top)
     weights = tuple(w for w in itertools.product((-1, 0, 1), repeat=RANK)
                     if is_below(w, top) and bilinear2(w, w) == norm)
-    assert len(weights) == weyl_dim(top), len(weights)
+    if len(weights) != weyl_dim(top):
+        raise InvariantError(f"{len(weights)} weights of V(lambda_7) found, "
+                             f"not its dimension {weyl_dim(top)}")
     return weights
 
 
@@ -211,6 +192,89 @@ def minuscule_series(m):
 # --------------------------------------------------------------- torus side
 
 P = 2**31 - 1  # prime, and a product of two residues fits in int64
+
+
+def _monomial(y, exps):
+    """y^exps mod P at one point y, negative exponents included."""
+    value = 1
+    for yi, e in zip(y, exps):
+        value = value * pow(yi, e, P) % P
+    return value
+
+
+def _powers(bases, top):
+    """An int64 table of bases**c mod P for c = 0..top, indexed [c, ...]."""
+    import numpy as np
+
+    table = np.empty((top + 1, *bases.shape), dtype=np.int64)
+    table[0] = 1
+    for c in range(1, top + 1):
+        table[c] = table[c - 1] * bases % P
+    return table
+
+
+def weyl_orbit(weights, points):
+    """The Weyl orbits of a list of weights, walked together, with the sum
+    of y^u mod P over each orbit at each of ``points``.
+
+    Returns (rows, owner, sums): an int64 array with one row per orbit
+    element, each exactly once, its dominant representatives first in
+    input order; for each row the index in ``weights`` of the weight whose
+    orbit holds it (a non-dominant weight gives its orbit too); and an
+    int64 array whose row k holds the orbit sum of ``weights[k]`` mod P at
+    every point.
+
+    Every non-dominant weight u of an orbit has one parent v = s_i u, where
+    i is the first index with u_i < 0; the parent is higher, so following
+    parents ends at the dominant representative.  The walk goes down that
+    tree one level at a time for all orbits at once, in one step per
+    level: every (row v, i) with v_i > 0 gives u = v - v_i alpha_i, kept
+    when no coordinate of u before index i is negative.  Since u_i = -v_i,
+    that is when i is u's first negative coordinate, so each orbit element
+    comes out once with no membership test.
+
+    The value y^u rides the walk: a child's is its parent's times
+    (y^-alpha_i)^(v_i), one int64 multiply-mod for all points, read from a
+    table ``step[c, i]`` of those factors; the roots' values come from a
+    table of powers per coordinate.  Both tables stop at the largest
+    coordinate of an orbit of dominant w, (w, theta) for the highest root
+    theta.  Each level's values, all below 2^31, are added per owner in
+    int64: an orbit has at most |W| < 2^22 elements, so its sum stays below
+    2^53.  Orbit sizes are bounded by the ambient representation
+    dimension, so no global Weyl-group enumeration is ever needed.
+    """
+    import numpy as np
+
+    cartan = np.array(CARTAN_A, dtype=np.int64)
+    level = np.array([dominant_representative(w) for w in weights],
+                     dtype=np.int64).reshape(-1, RANK)
+    owner = np.arange(len(level))
+    y = np.array(points, dtype=np.int64).reshape(-1, RANK)
+    # y^-alpha_i at each point; alpha_i is row i of the Cartan matrix
+    down = np.array([[_monomial(p, [-a for a in alpha]) for alpha in CARTAN_A]
+                     for p in points], dtype=np.int64).reshape(-1, RANK)
+    theta = np.array(POSITIVE_ROOTS[-1])  # the highest root
+    top = int((level @ theta).max(initial=0))
+    step = _powers(down.T, top)  # step[c, i] = (y^-alpha_i)^c
+    power = _powers(y.T, top)    # power[c, i] = y_i^c
+    value = np.ones((len(level), len(y)), dtype=np.int64)
+    for i in range(RANK):
+        value = value * power[level[:, i], i] % P
+    sums = np.zeros_like(value)
+    levels, owners = [level], [owner]
+    while len(level):
+        np.add.at(sums, owner, value)
+        parent, i = np.nonzero(level > 0)
+        c = level[parent, i]
+        kids = level[parent] - c[:, None] * cartan[i]
+        keep = (kids < 0).argmax(axis=1) == i
+        parent, i, c = parent[keep], i[keep], c[keep]
+        level = kids[keep]
+        owner = owner[parent]
+        value = value[parent] * step[c, i] % P
+        levels.append(level)
+        owners.append(owner)
+    return np.concatenate(levels), np.concatenate(owners), sums % P
 
 
 # Point sets kept per process, each in one entry with its orbit-sum memo
@@ -235,31 +299,10 @@ def _point_set(trials, seed):
 
 def _orbit_sums(dominant, points):
     """For each of a list of dominant weights, the sum of y^mu mod P over
-    its Weyl orbit at each point y, from one ``weyl_orbit`` of them all.
-
-    At each point y^mu is a product of seven lookups, one in an int64
-    table of y_i^e per coordinate i; the residues are then put in owner
-    order (one stable argsort, made once) and each orbit's are added in
-    int64 by ``np.add.reduceat`` (an orbit has at most |W| < 2^22
-    elements, each below 2^31).
-    """
-    import numpy as np
-
-    weights, owner = weyl_orbit(dominant)
-    order = np.argsort(owner, kind="stable")
-    starts = np.searchsorted(owner[order], np.arange(len(dominant)))
-    lows = weights.min(axis=0)
-    weights -= lows  # each column now indexes its table of powers
-    exponents = [range(lo, lo + top + 1) for lo, top in
-                 zip(lows.tolist(), weights.max(axis=0).tolist())]
-    sums = []
-    for y in points:
-        value = 1
-        for column, yi, exps in zip(weights.T, y, exponents):
-            powers = [pow(yi, e, P) for e in exps]
-            value = value * np.array(powers, np.int64)[column] % P
-        sums.append((np.add.reduceat(value[order], starts) % P).tolist())
-    return list(zip(*sums))
+    its Weyl orbit at each point y, as a tuple of ints: the sums that one
+    ``weyl_orbit`` of them all carries down its levels."""
+    _, _, sums = weyl_orbit(dominant, points)
+    return list(map(tuple, sums.tolist()))
 
 
 def _direct_values(system, points, memo):

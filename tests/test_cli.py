@@ -3,7 +3,12 @@ import warnings
 
 import pytest
 
-from charkit import cli, fixtures, lie_core
+import os
+import pathlib
+import subprocess
+import sys
+
+from charkit import cli, fixtures, lie_core, oracle
 from charkit.charsolve import CharacterTable
 from charkit.cli import main
 from charkit.polyring import MultiPoly
@@ -180,6 +185,43 @@ def test_support_escape_is_a_one_line_error(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err == ("error: term z^(0, 0, 0, 1, 0, 0, 0) of a_77 is not below "
                    "lambda_7 + lambda_7 = (0, 0, 0, 0, 0, 0, 2)\n")
+
+
+FREUDENTHAL_REFUSAL = (
+    "error: Freudenthal multiplicity of (0, 0, 0, 0, 0, 0, 0) in "
+    "representation (1, 0, 0, 0, 0, 0, 0) is 630/72, not a positive "
+    "integer\n")
+
+
+def test_a_failed_freudenthal_certificate_is_a_one_line_error(monkeypatch,
+                                                              capsys):
+    # One more on every inner product: the multiplicity of 0 in the
+    # adjoint is no longer an integer.  The certificate raises, so the user
+    # gets exit 1 and one line.
+    real = oracle.bilinear2
+    monkeypatch.setattr(oracle, "bilinear2", lambda a, b: real(a, b) + 1)
+    oracle._freudenthal.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "oracle", "--trials", "3")
+    finally:
+        oracle._freudenthal.cache_clear()
+    assert (code, out, err) == (1, "", FREUDENTHAL_REFUSAL)
+
+
+def test_a_failed_certificate_survives_optimized_python():
+    # ``python -O`` strips assert statements; the certificates are raised.
+    script = ("import sys\n"
+              "from charkit import cli, oracle\n"
+              "real = oracle.bilinear2\n"
+              "oracle.bilinear2 = lambda a, b: real(a, b) + 1\n"
+              "sys.exit(cli.main(['--no-cache', 'verify', 'oracle',\n"
+              "                   '--trials', '3']))\n")
+    src = pathlib.Path(__file__).parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (1, "", FREUDENTHAL_REFUSAL)
 
 
 PACKED_RANGE = ("error: monomial (0, 0, 0, 0, 0, 0, 252) is outside the "

@@ -9,8 +9,8 @@ from charkit.csmodel import (
     OperatorIncompleteError, QuadraticCorpus, build_a,
 )
 from charkit.lie_core import (
-    FUNDAMENTAL_WEIGHTS, KEY_MAX, ZERO_WEIGHT, dominant_weights_below,
-    eigenvalue, is_below, key_weight, weight_height2,
+    FUNDAMENTAL_WEIGHTS, KEY_MAX, ZERO_WEIGHT, InvariantError,
+    dominant_weights_below, eigenvalue, is_below, key_weight, weight_height2,
 )
 from charkit.polyring import MultiPoly
 
@@ -376,6 +376,23 @@ def test_a_non_integral_a_jk_is_refused(corpus):
         build_a(broken)
     assert str(refused.value) == (
         "a_77 reconstruction is not an integer polynomial")
+
+
+def test_indistinct_pair_heights_are_refused(monkeypatch):
+    monkeypatch.setattr(csmodel, "TWO_RHO_ALPHA", (1,) * 7)
+    with pytest.raises(InvariantError, match="^the 28 fundamental pair "
+                       "heights are not pairwise distinct$"):
+        csmodel._pair_order()
+
+
+def test_an_operator_short_of_a_pair_is_refused(corpus, monkeypatch):
+    # The last pair in bootstrap order is needed by no other: left out,
+    # every other a_jk is built and the count certificate refuses.
+    order = csmodel._pair_order()
+    monkeypatch.setattr(csmodel, "_pair_order", lambda: order[:-1])
+    with pytest.raises(InvariantError,
+                       match="^27 a_jk polynomials built, not 28$"):
+        build_a(corpus)
 
 
 def test_incomplete_operator_raises():

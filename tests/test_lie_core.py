@@ -11,7 +11,7 @@ from charkit.lie_core import (
     POSITIVE_ROOTS, POSITIVE_ROOTS_FUND, RANK, TWO_RHO_ALPHA, ZERO_WEIGHT,
     dominant_weights_below, is_below,
     eigenvalue, key_weight, weight_height2, weight_key, weyl_dim,
-    MonomialRangeError, NonDominantError,
+    InvariantError, MonomialRangeError, NonDominantError,
 )
 
 L = FUNDAMENTAL_WEIGHTS
@@ -319,3 +319,18 @@ def test_weight_key_is_linear(a, b, c, root):
 @given(keyed, keyed)
 def test_weight_key_order_is_lexicographic(a, b):
     assert (weight_key(a) < weight_key(b)) == (a < b)
+
+
+def test_a_dimension_product_off_the_heights_is_refused(monkeypatch):
+    # 1009 divides no dimension's numerator at lambda_7 (the heights'
+    # product times 56).
+    lie_core._weyl_dim.cache_clear()
+    monkeypatch.setattr(lie_core, "_HEIGHT_PRODUCT",
+                        lie_core._HEIGHT_PRODUCT * 1009)
+    try:
+        with pytest.raises(InvariantError, match=r"^Weyl's dimension "
+                           r"product for \(0, 0, 0, 0, 0, 0, 1\) is not "
+                           r"divisible by the product of the heights$"):
+            weyl_dim(L[6])
+    finally:
+        lie_core._weyl_dim.cache_clear()

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -12,8 +13,8 @@ import pytest
 
 from charkit import cli, oracle
 from charkit.lie_core import (
-    CARTAN_A, FUNDAMENTAL_WEIGHTS, RANK, ZERO_WEIGHT, NonDominantError,
-    weyl_dim,
+    CARTAN_A, FUNDAMENTAL_WEIGHTS, POSITIVE_ROOTS, RANK, ZERO_WEIGHT,
+    InvariantError, NonDominantError, weyl_dim,
 )
 from charkit.oracle import (
     CEILING, OracleRefusal, dominant_representative, freudenthal,
@@ -54,9 +55,39 @@ SMALL_WEIGHTS = [w for w in itertools.product(range(3), repeat=RANK)
 def orbit_of(w):
     """The orbit of one weight as ``weyl_orbit`` walks it: a list of
     tuples, every row owned by the one weight."""
-    rows, owner = weyl_orbit([w])
+    rows, owner, sums = weyl_orbit([w], ())
     assert owner.tolist() == [0] * len(rows)
+    assert sums.shape == (1, 0)
     return [tuple(row) for row in rows.tolist()]
+
+
+def orbit_sum(orbit, y):
+    """sum(y^v) mod P over a collection of weights at the point y, from a
+    dict of y_i^e per coordinate i."""
+    top = max(abs(x) for v in orbit for x in v)
+    tables = [{e: pow(yi, e, oracle.P) for e in range(-top, top + 1)}
+              for yi in y]
+    total = 0
+    for v in orbit:
+        term = 1
+        for table, vi in zip(tables, v):
+            term = term * table[vi] % oracle.P
+        total += term
+    return total % oracle.P
+
+
+def reference_orbit_sum(mu, y):
+    """sum(y^v) mod P over the closure orbit of mu."""
+    return orbit_sum(closure_weyl_orbit(mu), y)
+
+
+def inverse(y):
+    """The point 1/y."""
+    return tuple(pow(yi, -1, oracle.P) for yi in y)
+
+
+# A point of (F_P^*)^7, drawn as the point sets draw theirs.
+POINT = tuple(random.Random(3).randrange(1, oracle.P) for _ in range(RANK))
 
 
 @pytest.mark.parametrize("w", SMALL_WEIGHTS, ids=lambda w: "".join(map(str, w)))
@@ -68,11 +99,46 @@ def test_weyl_orbit_lists_the_closure_once(w):
     assert orbit[0] == w
     pattern = tuple(int(x > 0) for x in w)
     assert oracle._orbit_size(pattern) == len(reference)
+    # The sums carried down the walk are the closure's at a point and at
+    # its inverse: -1 is in W, so an orbit has one sum at y and at 1/y.
+    rows, _, sums = weyl_orbit([w], [POINT, inverse(POINT)])
+    assert [tuple(row) for row in rows.tolist()] == orbit
+    want = orbit_sum(reference, POINT)
+    assert sums.tolist() == [[want, want]]
+
+
+def test_the_sums_carried_over_lambda_4_are_the_closure_sums():
+    # The largest fundamental orbit, at three points and their inverses,
+    # each summed over the closure on its own.
+    points = [tuple(random.Random(seed).randrange(1, oracle.P)
+                    for _ in range(RANK)) for seed in (4, 5, 6)]
+    points += [inverse(y) for y in points]
+    reference = closure_weyl_orbit(L[3])
+    assert len(reference) == 10080
+    _, _, sums = weyl_orbit([L[3]], points)
+    assert sums.tolist() == [[orbit_sum(reference, y) for y in points]]
+
+
+def test_a_joint_walk_carries_each_weight_its_own_sums():
+    # All 36 small weights and a non-dominant one in one walk: each owner's
+    # rows and sums are those of its weight walked alone.
+    weights = [*SMALL_WEIGHTS, (1, -2, 0, 1, 0, -1, 0)]
+    points = [POINT, inverse(POINT), (1,) * RANK]
+    rows, owner, sums = weyl_orbit(weights, points)
+    rows, owner = rows.tolist(), owner.tolist()
+    for k, w in enumerate(weights):
+        alone, _, alone_sums = weyl_orbit([w], points)
+        assert [r for r, o in zip(rows, owner) if o == k] == alone.tolist()
+        assert sums[k].tolist() == alone_sums[0].tolist()
+    # At y = 1 every term is 1: the sum is the orbit size.
+    assert sums[:, 2].tolist() == [oracle._orbit_size(
+        tuple(int(x > 0) for x in dominant_representative(w)))
+        for w in weights]
 
 
 def test_fundamental_orbit_sizes():
     # All seven walked together, each row owned by its fundamental.
-    rows, owner = weyl_orbit(L)
+    rows, owner, _ = weyl_orbit(L, ())
     assert np.bincount(owner).tolist() == [126, 576, 2016, 10080, 4032, 756,
                                            56]
     assert [tuple(row) for row in rows[:RANK].tolist()] == list(L)
@@ -85,7 +151,7 @@ def test_weyl_orbit_of_a_non_dominant_weight():
     assert set(orbit) == closure_weyl_orbit(w)
     assert orbit[0] == dominant_representative(w)
     # Beside its dominant representative, in one walk: the same orbit twice.
-    rows, owner = weyl_orbit([w, dominant_representative(w)])
+    rows, owner, _ = weyl_orbit([w, dominant_representative(w)], ())
     rows = [tuple(row) for row in rows.tolist()]
     for i in (0, 1):
         assert sorted(r for r, o in zip(rows, owner.tolist()) if o == i) == \
@@ -100,13 +166,13 @@ def test_orbit_size_is_the_walked_orbit_size(monkeypatch):
     small = [p for p in patterns if oracle._orbit_size(p) <= 10**5]
     assert len(small) == 50
     for p in small:
-        assert oracle._orbit_size(p) == len(weyl_orbit([p])[0]), p
+        assert oracle._orbit_size(p) == len(weyl_orbit([p], ())[0]), p
     assert oracle._orbit_size((1,) * RANK) == 2903040  # |W(E7)|
     assert oracle._orbit_size((0,) * RANK) == 1
     # The closed form walks nothing.
     oracle._orbit_size.cache_clear()
 
-    def walked(dominant):
+    def walked(dominant, points):
         raise AssertionError(f"orbit walk of {dominant}")
 
     monkeypatch.setattr(oracle, "weyl_orbit", walked)
@@ -121,7 +187,7 @@ def test_orbit_size_is_the_walked_orbit_size(monkeypatch):
 def test_expand_lists_every_orbit_with_its_multiplicity(w):
     system = freudenthal(w)
     dominant = list(system.dominant_mults)
-    weights, owner = weyl_orbit(dominant)
+    weights, owner, _ = weyl_orbit(dominant, ())
     rows = list(zip(*weights.T.tolist()))
     owners = owner.tolist()
     for i, mu in enumerate(dominant):
@@ -145,7 +211,7 @@ def test_expand_rows_are_distinct_and_carry_the_dimension(w):
     # the dominant weights is the dimension.
     system = freudenthal(w)
     dominant = list(system.dominant_mults)
-    weights, owner = weyl_orbit(dominant)
+    weights, owner, _ = weyl_orbit(dominant, ())
     assert len(weights) == len(np.unique(weights, axis=0))
     sizes = np.bincount(owner, minlength=len(dominant)).tolist()
     assert sizes == [system.orbit_sizes[mu] for mu in dominant]
@@ -177,6 +243,32 @@ def test_dominant_representative():
     assert rep in orbit_of(w)
 
 
+def reflection_loop(w):
+    """Reference: the dominant weight in the orbit of w, reflecting at the
+    last negative coordinate until none is left."""
+    w = tuple(w)
+    while min(w) < 0:
+        i = max(j for j in range(RANK) if w[j] < 0)
+        w = tuple(x - w[i] * a for x, a in zip(w, CARTAN_A[i]))
+    return w
+
+
+def test_memoized_dominant_representative_is_the_reflection_loop():
+    rng = random.Random(2)
+    sample = [tuple(rng.randint(-8, 8) for _ in range(RANK))
+              for _ in range(2000)]
+    assert [dominant_representative(w) for w in sample] == \
+        [reflection_loop(w) for w in sample]
+    # Asked again, and as a list, it answers the same.
+    assert [dominant_representative(list(w)) for w in sample[:100]] == \
+        [reflection_loop(w) for w in sample[:100]]
+    rows, _, _ = weyl_orbit([L[3]], ())
+    assert len(rows) == 10080
+    orbit = map(tuple, rows.tolist())
+    assert {dominant_representative(row) for row in orbit} == {L[3]}
+    assert oracle._dominant_representative.cache_info().maxsize == 1 << 16
+
+
 def test_freudenthal_minuscule_l7():
     ws = freudenthal(L[6])
     assert ws.dominant_mults == {L[6]: 1}
@@ -185,7 +277,7 @@ def test_freudenthal_minuscule_l7():
 
 
 def test_minuscule_weights_are_the_orbit_of_lambda_7():
-    rows, _ = weyl_orbit([L[6]])
+    rows, _, _ = weyl_orbit([L[6]], ())
     assert set(oracle._minuscule_weights()) == set(map(tuple, rows.tolist()))
     assert len(oracle._minuscule_weights()) == 56
 
@@ -284,17 +376,6 @@ def test_torus_catches_an_off_by_one_coefficient_at_every_point(table, m):
             assert torus_check(m, wrong) == 20, (e, step)
 
 
-def reference_orbit_sum(mu, y):
-    """sum(y^v) mod P over the closure orbit of mu, power by power."""
-    total = 0
-    for v in closure_weyl_orbit(mu):
-        term = 1
-        for yi, vi in zip(y, v):
-            term = term * pow(yi, vi, oracle.P) % oracle.P
-        total += term
-    return total % oracle.P
-
-
 @pytest.mark.parametrize("m", ORACLE_TARGETS,
                          ids=lambda w: "".join(map(str, w)))
 def test_orbit_sums_match_the_closure_at_the_points(m):
@@ -368,9 +449,9 @@ def test_verify_oracle_walks_each_dominant_weight_once(monkeypatch):
     walked = Counter()
     real = oracle.weyl_orbit
 
-    def counted(dominant):
+    def counted(dominant, points):
         walked.update(map(tuple, dominant))
-        return real(dominant)
+        return real(dominant, points)
 
     monkeypatch.setattr(oracle, "weyl_orbit", counted)
     assert cli.main(["--no-cache", "verify", "oracle", "--trials", "3"]) == 0
@@ -426,3 +507,40 @@ def test_freudenthal_results_are_shared_and_frozen():
     assert freudenthal(list(L[6])) is ws
     with pytest.raises(dataclasses.FrozenInstanceError):
         ws.highest = L[0]
+
+
+@pytest.fixture
+def fresh_oracle():
+    """Empty the oracle's memos before and after a test that perturbs what
+    they are computed from."""
+    memos = (oracle._orbit_size, oracle._freudenthal,
+             oracle._minuscule_weights, oracle._point_set)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_a_non_integral_orbit_size_is_refused(monkeypatch, fresh_oracle):
+    # A fake root of height 3 on lambda_7's coordinate: 56 * 4/3.
+    monkeypatch.setattr(oracle, "POSITIVE_ROOTS",
+                        (*POSITIVE_ROOTS, (0, 0, 0, 0, 1, 1, 1)))
+    with pytest.raises(InvariantError, match=r"^orbit size \d+/\d+ of zero "
+                       r"pattern \(0, 0, 0, 0, 0, 0, 1\) is not an integer$"):
+        oracle._orbit_size((0, 0, 0, 0, 0, 0, 1))
+
+
+def test_a_total_off_the_dimension_is_refused(monkeypatch, fresh_oracle):
+    monkeypatch.setattr(oracle, "_orbit_size", lambda pattern: 1)
+    with pytest.raises(InvariantError, match=r"^the weights of representation "
+                       r"\(1, 0, 0, 0, 0, 0, 0\) number 8, not its "
+                       r"dimension 133$"):
+        freudenthal(L[0])
+
+
+def test_a_wrong_minuscule_count_is_refused(monkeypatch, fresh_oracle):
+    monkeypatch.setattr(oracle, "weyl_dim", lambda m: 57)
+    with pytest.raises(InvariantError, match=r"^56 weights of V\(lambda_7\) "
+                       r"found, not its dimension 57$"):
+        minuscule_series(L[0])

@@ -32,6 +32,10 @@ and no other library module builds a ``chi`` line.
 A module's underscore names are its own: no library module reaches
 another's, neither as an attribute of an imported module
 (``fixtures._integer``) nor through ``from .x import _name``.
+A certificate is raised, never asserted: ``python -O`` strips an
+``assert``, and a failed one reaches the user as a traceback, not as one
+``error:`` line.  The only asserts in the library are ``lie_core._check``'s
+checks of its constant tables at import.
 A bad input is refused, never warned about and read on: no library module
 imports ``warnings``.
 Method 1 divides only on Python ints: ``charsolve`` names no numpy
@@ -330,6 +334,34 @@ def test_a_second_raise_site_is_caught():
               "raise Refused('at import')\n")
     assert raise_sites(source, "Refused") == [
         "Op.register", "Op.row.inner", "<module>"]
+
+
+def assert_sites(source):
+    """The qualified names of the functions in ``source`` that hold an
+    ``assert`` statement, one entry per statement."""
+    return scoped_sites(source, lambda node: isinstance(node, ast.Assert))
+
+
+def test_library_certificates_are_raised_not_asserted():
+    sites = {f"{p.name}:{site}" for p in sorted(SRC.glob("*.py"))
+             for site in assert_sites(p.read_text())}
+    assert sites == {"lie_core.py:_check"}
+
+
+def test_a_library_assert_is_caught():
+    source = ("def _check():\n"
+              "    assert len(ROOTS) == 63\n"
+              "def size(num, den):\n"
+              "    q, rem = divmod(num, den)\n"
+              "    assert rem == 0, (num, den)\n"
+              "    if rem:\n"
+              "        raise InvariantError(num)\n"
+              "class Table:\n"
+              "    def load(self):\n"
+              "        assert self.ok\n"
+              "assert RANK == 7\n")
+    assert assert_sites(source) == ["_check", "size", "Table.load",
+                                    "<module>"]
 
 
 PYTHON_FILES = sorted(SRC.glob("*.py")) + sorted(
