@@ -24,6 +24,25 @@ coefficient is nonzero.  The eps_mu are the restriction's own list
 (``Restriction.eigenvalues``), worked out once per restriction, so a
 decomposition's constituents share it.
 
+A decomposition on a support of fewer than ``LEVEL_SOLVE_MIN_SUPPORT``
+weights solves every constituent it does not hold in memory in one walk
+over the top's positions (``CharacterTable.solve_lanes``), one lane each,
+opened where the subtraction meets the constituent.  By Kronecker
+substitution (Kronecker 1882; Harvey, J. Symb. Comp. 2009) the lanes'
+numerators at a weight are one Python int, B bits a lane, so a row is
+pushed once for all lanes, one multiply-add per term.  A weight receives
+at most one term per key shift, 307 with the diagonal, so a push that
+keeps max |C| * max |S| over its row within (2**(B - 1) - 1) // 307
+leaves every lane exact; a walk whose push would not restarts at twice
+the width, from B = 32, and keeps nothing before it ends.  The first
+refusal, a lane's or a negative multiplicity, closes the walk to new
+lanes; the walk finishes the lanes opened before it and raises the
+refusal of the earliest-opened one that fails, or else the first.  That
+is the refusal of solving the constituents one after the other, as the
+characters, their term order and the series are that order's.  A
+standalone solve is the same walk with one lane, whose numerator is the
+int itself.
+
 Every off-diagonal term of a row lies strictly lower in height, so the
 numerators of one height level are complete once every higher level is
 solved: a large support is solved one level at a time (level scheduling
@@ -121,6 +140,10 @@ from . import fixtures
 # supports of at least this many weights, and position by position below.
 LEVEL_SOLVE_MIN_SUPPORT = 2000
 
+# The width in bits a walk of several lanes starts at (``_walk``); a walk
+# whose lanes would outgrow it starts again at twice the width.
+_LANE_BITS = 32
+
 
 class IntegralityError(ArithmeticError):
     """A character coefficient came out non-integral."""
@@ -156,6 +179,10 @@ class CharacterTable:
 
     def provenance(self, m):
         return self._provenance.get(tuple(m))
+
+    def in_memory(self, m):
+        """The character of m if the table holds it in memory, else None."""
+        return self._cache.get(tuple(m))
 
     def _disk_path(self, m):
         name = "-".join(str(x) for x in m)
@@ -205,13 +232,14 @@ class CharacterTable:
         Only characters asked for by name go through the disk: without a
         ``support`` the lookup runs memory, then disk, then Method 1 and a
         write.  ``support``, a ``Restriction`` with m among its weights, is
-        a decomposition's constituent path: the solve runs on it, sharing
-        its rows of the operator, and the result stays in memory, since
-        solving again on the shared rows costs less than parsing the text.
-        On a support of at least ``LEVEL_SOLVE_MIN_SUPPORT`` weights it is
-        not kept at all: one decomposition reads each constituent once,
-        and a large one's constituents would hold most of its memory.  A
-        character already in memory is never written.
+        a large decomposition's constituent path: the solve runs on it,
+        sharing its rows of the operator.  On a support of at least
+        ``LEVEL_SOLVE_MIN_SUPPORT`` weights the result is not kept at all:
+        one decomposition reads each constituent once, and a large one's
+        constituents would hold most of its memory; on a smaller one it
+        stays in memory.  A smaller decomposition solves its constituents
+        together instead (``solve_lanes``).  A character already in memory
+        is never written.
         """
         m = tuple(m)
         require_dominant(m)
@@ -242,7 +270,7 @@ class CharacterTable:
         no numerator leaves the weights below m.  A support of at least
         ``LEVEL_SOLVE_MIN_SUPPORT`` weights is walked one height level at
         a time on numpy arrays (``_solve_levels``), a smaller one position
-        by position (``_solve_positions``); both give the same character
+        by position (``_walk``, in one lane); both give the same character
         and refuse the same corrupted operator alike.
         """
         m = tuple(m)
@@ -255,8 +283,32 @@ class CharacterTable:
         if len(support.weights) >= LEVEL_SOLVE_MIN_SUPPORT:
             coeffs = _solve_levels(m, support, p, keep)
         else:
-            coeffs = _solve_positions(m, support, p)
+            coeffs = _walk(support, p)[0]
         return MultiPoly(coeffs, _clean_input=False)
+
+    def solve_lanes(self, support, start):
+        """Method 1 for the constituents a subtraction along ``support``
+        meets, all in one walk by positions from its top (``_walk``).
+
+        ``start()`` makes the subtraction's ``admit``, which opens a lane
+        at each constituent not in memory, once per walk: a walk whose
+        lanes outgrow their width starts again, from a fresh ``admit``, at
+        twice the width.  Once a walk ends, each lane's character is kept
+        in memory as a Method-1 solve; a refused walk keeps none.  Returns
+        the ``admit`` of the walk that ended.
+        """
+        bits = _LANE_BITS
+        while True:
+            admit = start()
+            lanes = _walk(support, 0, admit, bits)
+            if lanes is not None:
+                break
+            bits *= 2
+        for coeffs in lanes:
+            m = next(iter(coeffs))
+            self._cache[m] = MultiPoly(coeffs, _clean_input=False)
+            self._provenance[m] = "method-1"
+        return admit
 
     def character_m2(self, m):
         """Solve for chi_m by the annihilator product (Method 2).
@@ -316,48 +368,125 @@ class CharacterTable:
         return self.operator.restrict(dominant_weights_below(m))
 
 
-def _refuse(m, mu, num, gap):
-    """Refuse num / gap as the coefficient of z^mu in chi_m: the gap is not
-    positive, or the division is not exact."""
+def _refusal(m, mu, num, gap):
+    """The refusal of num / gap as the coefficient of z^mu in chi_m: the
+    gap is not positive, or the division is not exact."""
     if gap <= 0:
-        raise ZeroGapError(f"eigenvalue gap {gap} for {mu} below {m}")
-    raise IntegralityError(
+        return ZeroGapError(f"eigenvalue gap {gap} for {mu} below {m}")
+    return IntegralityError(
         f"character {m}: coefficient of z^{mu} is {num}/{gap}, not an "
         f"integer")
 
 
-def _solve_positions(m, support, p):
-    """Method 1 one position at a time, on the support's ``row``s and
-    ``eigenvalues``; the coefficients of chi_m as {weight: C}, in position
-    order.  The exact division is inline; a failed one is refused by
-    ``_refuse``."""
+def _walk(support, p, admit=None, bits=_LANE_BITS):
+    """Method 1 position by position from p, on the support's ``row``s
+    and ``eigenvalues``, for one character or for several at once, each
+    in its own lane; the coefficients of each lane's character as
+    {weight: C}, its top first, then in position order.
+
+    Without ``admit`` the one lane is weights[p]'s.  With it, p is 0 and
+    ``admit(i, total)`` is called at each position i once the lanes'
+    coefficients there are divided, ``total`` the sum over the lanes of
+    their multiplicities times those coefficients; it returns the
+    multiplicity of a lane that opens at i, with C = 1 there, or 0.
+
+    The lanes' numerators at a position sit in one Python int: lane k, a
+    signed number, in bits k * bits to (k + 1) * bits.  They are read with
+    a bias of 2**(bits - 1) per lane, then shifted and masked, and each is
+    divided by its own gap inline, a failed division refused by
+    ``_refusal``.  A row is pushed once, its coefficient the lanes'
+    coefficients packed the same way, one multiply-add per term.  A target
+    receives at most one term per key shift (307 for E7, the diagonal
+    included: ``Delta1Operator.shift_count``), so no lane's numerator
+    reaches 2**(bits - 1) while every push keeps max |C| * max |S| over
+    its row at most (2**(bits - 1) - 1) // 307.  A push past that returns
+    None at once, before any character is kept, and the caller walks
+    again at twice the width.  One lane needs neither bias nor bound: its
+    numerator is the int itself, and the walk is the plain recursion.
+
+    The first refusal, a lane's or one ``admit`` raises, closes the walk
+    to new lanes; the lanes opened before it are finished, and the walk
+    raises the refusal of the earliest-opened lane that fails, or else the
+    first one: the order in which solving the lanes one after the other
+    would refuse.
+    """
     row = support.row
     weights = support.weights
-    eps = support.eigenvalues()
-    eps_m = eigenvalue(m)
+    eps = None      # read when the first lane opens
     acc = [0] * len(weights)
-    coeffs = {m: 1}
-    for j, s in zip(*row(p)):
-        acc[j] += s
-    for i in range(p + 1, len(weights)):
-        num = acc[i]
-        if num == 0:
+    # each lane's coefficients, its top's eigenvalue and its multiplicity
+    lanes, tops, counts = [], [], []
+    if admit is None:   # one lane, with no bias and no bound
+        bits, half, mask, limit = 0, 0, -1, None
+    else:
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        limit = (half - 1) // support.operator.shift_count
+    bias = 0
+    alive = 0       # lanes 0 .. alive - 1 are being solved
+    refusal = failed = None
+    for i in range(p, len(weights)):
+        x = acc[i]
+        if not x and admit is None and i > p:
             continue
-        gap = eps_m - eps[i]
-        c, rem = divmod(num, gap) if gap > 0 else (0, 1)
-        if rem:
-            _refuse(m, weights[i], num, gap)
-        coeffs[weights[i]] = c
-        targets, values = row(i)
-        for j, s in zip(targets, values):
-            acc[j] += c * s
-    return coeffs
+        # the lanes' coefficients at i packed, their total and largest size
+        v = total = big = 0
+        if x and alive:
+            mu, e = weights[i], eps[i]
+            y = x + bias
+            for k in range(alive):
+                num = (y & mask) - half
+                y >>= bits
+                if num:
+                    gap = tops[k] - e
+                    c, rem = divmod(num, gap) if gap > 0 else (0, 1)
+                    if rem:
+                        failed = _refusal(next(iter(lanes[k])), mu, num, gap)
+                        refusal = refusal or failed
+                        alive = k       # no later lane's refusal comes first
+                        break
+                    lanes[k][mu] = c
+                    v += c << (k * bits)
+                    total += counts[k] * c
+                    if big < c or big < -c:
+                        big = abs(c)
+        if admit is None:
+            n = i == p
+        elif refusal is None:
+            try:
+                n = admit(i, total)
+            except ArithmeticError as err:
+                refusal, n = err, 0
+        else:
+            n = 0
+        if n:
+            mu = weights[i]
+            eps = eps or support.eigenvalues()
+            lanes.append({mu: 1})
+            tops.append(eigenvalue(mu))
+            counts.append(n)
+            bias += half << (alive * bits)
+            v += 1 << (alive * bits)
+            big = big or 1
+            alive += 1
+        if refusal is not None and not alive:
+            break
+        if v:
+            targets, values = row(i)
+            if limit is not None and big * max(
+                    map(abs, values), default=0) > limit:
+                return None
+            for j, s in zip(targets, values):
+                acc[j] += v * s
+            acc[i] = 0      # let the packed numerators behind the walk go
+    if refusal is not None:
+        raise failed or refusal
+    return lanes
 
 
 def _solve_levels(m, support, p, keep=True):
     """Method 1 one height level at a time, on ``support.levels()``; the
-    same coefficients as ``_solve_positions``, in the same order, and the
-    same refusal at the same weight.  Each level's rows come from the
+    same coefficients as the walk by positions (``_walk``), in the same
+    order, and the same refusal at the same weight.  Each level's rows come from the
     block of levels that holds it, built when the solve first reaches the
     block, and kept on the support for later solves when ``keep`` is set.
     """
@@ -366,7 +495,7 @@ def _solve_levels(m, support, p, keep=True):
     levels = support.levels()
     bits = levels.limb_bits
     if bits < 1:    # images past int64
-        return _solve_positions(m, support, p)
+        return _walk(support, p)[0]
     weights = support.weights
     blocks = levels.blocks
     eps_m = eigenvalue(m)
@@ -388,7 +517,7 @@ def _solve_levels(m, support, p, keep=True):
                 gap = gaps[j]
                 q, rem = divmod(x, gap) if gap > 0 else (0, 1)
                 if rem:
-                    _refuse(m, weights[a + j], x, gap)
+                    raise _refusal(m, weights[a + j], x, gap)
                 c[j] = q
                 coeffs[weights[a + j]] = q
         if blocks[k + 1] <= a:

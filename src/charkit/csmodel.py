@@ -156,7 +156,10 @@ class Delta1Operator:
     ``a`` maps unordered index pairs (j, k), 1-based and stored with
     j <= k, to integer-coefficient polynomials; entries may be registered
     incrementally during the bootstrap.  Each pair's terms are also kept
-    as (d, c) pairs, d the term's key shift (module docstring).  Monomial
+    as (d, c) pairs, d the term's key shift (module docstring);
+    ``shift_count`` is the number of distinct shifts, the diagonal's 0
+    included (307 for E7), so a monomial receives at most that many image
+    terms, one from each shift's source.  Monomial
     images are memoized: the recursion solvers revisit the same monomials
     across many characters.
     """
@@ -165,6 +168,7 @@ class Delta1Operator:
         self._a = {}
         self._shifts = {}
         self._max_exp = 0
+        self.shift_count = 1
         self._image_cache = {}
         if a:
             for (j, k), poly in a.items():
@@ -187,6 +191,8 @@ class Delta1Operator:
                                      for e, c in poly.terms.items())
         self._max_exp = max(max(map(max, p.terms), default=0)
                             for p in self._a.values())
+        self.shift_count = len({d for terms in self._shifts.values()
+                                for d, _ in terms} | {0})
         self._image_cache.clear()
 
     @property

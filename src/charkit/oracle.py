@@ -21,8 +21,11 @@ is then mult times orbit sum over its dominant weights.  The values ride
 the walk, so a new point set walks its orbits again.  numpy is imported
 only by that walk, when first needed.  ``minuscule_series``, the tensor
 rule of the minuscule lambda_7, finds its 56 weights by their norm, with no
-orbit walk, on its first call.  A failed certificate (an orbit size,
-a multiplicity, a total or the minuscule count) raises ``InvariantError``.
+orbit walk, on its first call.  ``torus_check_listed`` checks lambda_1
+and lambda_7 against those listed weights instead (the adjoint's are the
+roots and 0), a second route to the fundamental values the walk sums.  A
+failed certificate (an orbit size, a multiplicity, a total or the
+minuscule count) raises ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -341,5 +344,36 @@ def torus_check(m, chi, trials=20, seed=20240901):
     require_trials(trials)
     points, memo, fundamentals = _point_set(trials, seed)
     direct = _direct_values(freudenthal(m), points, memo)
+    return sum(chi.eval_integer(z) % P != value
+               for z, value in zip(fundamentals, direct))
+
+
+def torus_check_listed(m, chi, trials=20, seed=20240901):
+    """``torus_check`` for lambda_1 and lambda_7 against a second route:
+    the direct sum over a weight system listed without an orbit walk or
+    Freudenthal data, the 56 weights of V(lambda_7) found by their norm
+    (``_minuscule_weights``) and, for the adjoint V(lambda_1), the 126
+    roots, +-``POSITIVE_ROOTS_FUND``, and 0 seven times.
+
+    chi is evaluated, as in ``torus_check``, at the point set's
+    fundamental values, which the orbit walk summed.  So where chi is the
+    fundamental character itself, a wrong walk fails here, while
+    ``torus_check`` compares its value with itself.  The other five
+    fundamentals have no second route yet; any other m is refused with
+    ``ValueError``.
+    """
+    require_trials(trials)
+    m = tuple(m)
+    if m == FUNDAMENTAL_WEIGHTS[6]:
+        weights, zeros = _minuscule_weights(), 0
+    elif m == FUNDAMENTAL_WEIGHTS[0]:
+        weights = POSITIVE_ROOTS_FUND + tuple(
+            tuple(-x for x in r) for r in POSITIVE_ROOTS_FUND)
+        zeros = RANK
+    else:
+        raise ValueError(f"no listed weight system for {m}")
+    points, _, fundamentals = _point_set(trials, seed)
+    direct = [(zeros + sum(_monomial(y, w) for w in weights)) % P
+              for y in points]
     return sum(chi.eval_integer(z) % P != value
                for z, value in zip(fundamentals, direct))

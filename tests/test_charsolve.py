@@ -488,7 +488,7 @@ def solved_both_ways(m, support):
     """The coefficients of chi_m by each path, as lists of items, so that
     equal lists mean equal values in the same order."""
     p = support.position(m)
-    by_positions = charsolve._solve_positions(m, support, p)
+    by_positions = charsolve._walk(support, p)[0]
     by_levels = charsolve._solve_levels(m, support, p)
     assert all(type(c) is int for c in by_levels.values())
     return list(by_positions.items()), list(by_levels.items())
@@ -529,12 +529,12 @@ def test_a_support_above_the_threshold_is_solved_by_levels(operator,
     m = (1, 0, 0, 0, 0, 0, 15)
     support = fresh_table(operator)._support(m)
     assert 0 <= len(support.weights) - charsolve.LEVEL_SOLVE_MIN_SUPPORT < 200
-    want = list(charsolve._solve_positions(m, support, 0).items())
+    want = list(charsolve._walk(support, 0)[0].items())
 
     def refused(*args):
         raise AssertionError("solved position by position")
 
-    monkeypatch.setattr(charsolve, "_solve_positions", refused)
+    monkeypatch.setattr(charsolve, "_walk", refused)
     chi = fresh_table(operator).character_m1(m, support)
     assert list(chi.terms.items()) == want
 
@@ -598,7 +598,7 @@ def test_level_solve_on_python_int_images(operator):
     support = op.restrict(dominant_weights_below((0, 0, 0, 0, 0, 0, 6)))
     assert support.levels().limb_bits < 1
     with pytest.raises(IntegralityError) as by_positions:
-        charsolve._solve_positions(support.weights[0], support, 0)
+        charsolve._walk(support, 0)[0]
     with pytest.raises(IntegralityError) as by_levels:
         charsolve._solve_levels(support.weights[0], support, 0)
     assert str(by_levels.value) == str(by_positions.value)
@@ -654,7 +654,7 @@ def test_level_solve_refuses_a_corrupted_operator(operator):
     support = corrupted.restrict(dominant_weights_below(m))
     assert len(support.weights) >= charsolve.LEVEL_SOLVE_MIN_SUPPORT
     with pytest.raises(IntegralityError) as by_positions:
-        charsolve._solve_positions(m, support, 0)
+        charsolve._walk(support, 0)[0]
     with pytest.raises(IntegralityError) as by_levels:
         fresh_table(corrupted).character_m1(m, support)
     assert str(by_levels.value) == str(by_positions.value)
@@ -668,7 +668,7 @@ def test_level_solve_refuses_a_vanishing_gap(operator, monkeypatch):
     monkeypatch.setattr(charsolve, "eigenvalue",
                         lambda mu: eigenvalue(mu) - 10 ** 4 * (mu == m))
     with pytest.raises(ZeroGapError) as by_positions:
-        charsolve._solve_positions(m, support, 0)
+        charsolve._walk(support, 0)[0]
     with pytest.raises(ZeroGapError) as by_levels:
         charsolve._solve_levels(m, support, 0)
     assert str(by_levels.value) == str(by_positions.value)

@@ -20,6 +20,7 @@ from charkit.oracle import (
     CEILING, OracleRefusal, dominant_representative, freudenthal,
     minuscule_series, torus_check, weyl_orbit,
 )
+from charkit.polyring import MultiPoly
 
 L = FUNDAMENTAL_WEIGHTS
 
@@ -544,3 +545,46 @@ def test_a_wrong_minuscule_count_is_refused(monkeypatch, fresh_oracle):
     with pytest.raises(InvariantError, match=r"^56 weights of V\(lambda_7\) "
                        r"found, not its dimension 57$"):
         minuscule_series(L[0])
+
+
+def test_the_listed_fundamental_rows_fail_on_a_wrong_walk(monkeypatch,
+                                                          capsys):
+    # The walk's sums one too large: the point set's fundamental values
+    # are wrong, so lambda_1's and lambda_7's rows, checked against their
+    # listed weights, fail at every point, as do the three rows of weights
+    # that are not fundamental.  The other five fundamental rows still
+    # compare the walk's value with itself and pass: they have no second
+    # route yet.
+    real = oracle.weyl_orbit
+
+    def off_by_one(weights, points):
+        rows, owner, sums = real(weights, points)
+        return rows, owner, (sums + 1) % oracle.P
+
+    oracle._point_set.cache_clear()
+    monkeypatch.setattr(oracle, "weyl_orbit", off_by_one)
+    try:
+        assert cli.main(["--no-cache", "verify", "oracle",
+                         "--trials", "3"]) == 1
+    finally:
+        oracle._point_set.cache_clear()
+    rows = {line.split()[1] + " " + line.split()[2]: line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("PASS", "FAIL"))}
+    failed = {label for label, status in rows.items() if status == "FAIL"}
+    assert failed == {"torus chi_1000000", "torus chi_0000001",
+                      "torus chi_0000002", "torus chi_1000001",
+                      "torus chi_0000003"}
+
+
+def test_listed_weights_sum_to_the_walked_fundamentals():
+    # On correct code the two routes agree at every point, and a wrong
+    # chi fails at every one.
+    for i in (0, 6):
+        chi = MultiPoly.variable(i + 1)
+        assert oracle.torus_check_listed(L[i], chi, trials=4, seed=17) == 0
+        wrong = chi + MultiPoly.one()
+        assert oracle.torus_check_listed(L[i], wrong, trials=4, seed=17) \
+            == 4
+    with pytest.raises(ValueError, match="no listed weight system"):
+        oracle.torus_check_listed(L[3], MultiPoly.variable(4))

@@ -47,8 +47,9 @@ type), or imports ``math`` or ``cmath``.
 No library function imports a library module in its body: the modules
 import each other at module level, where a cycle shows at once.  Only
 numpy is imported lazily.
-The set-up path, both solvers and the Freudenthal recursion also run
-without importing numpy on the supports set-up and small solves meet, and
+The set-up path, both solvers, a decomposition's one walk and the
+Freudenthal recursion also run without importing numpy on the supports
+set-up, small solves and z4^3's decomposition meet, and
 on the seven fundamental weight systems: numpy is imported by the torus
 check (its orbit walk and sum) and by a Method-1 solve on a support of at
 least ``charsolve.LEVEL_SOLVE_MIN_SUPPORT`` weights, and by nothing else.
@@ -586,17 +587,20 @@ def test_a_function_level_library_import_is_caught():
 def test_setup_and_solvers_do_not_import_numpy():
     # numpy is imported only by the torus check and by Method-1 solves on
     # large supports; importing it costs about as much as the whole set-up
-    # path, which stays without it, as do solves on small supports,
-    # Freudenthal, whose orbit sizes are closed-form, and the minuscule
-    # rule, whose weights are found by their norm.
+    # path, which stays without it, as do solves and decompositions on
+    # small supports, Freudenthal, whose orbit sizes are closed-form, and
+    # the minuscule rule, whose weights are found by their norm.
     script = (
         "import sys\n"
         "import charkit\n"
         "from charkit.lie_core import FUNDAMENTAL_DIMS, FUNDAMENTAL_WEIGHTS\n"
         "from charkit.oracle import freudenthal, minuscule_series\n"
+        "from charkit.tensor import monomial_decompose\n"
         "_, _, table = charkit.build_a(charkit.QuadraticCorpus.load_default())\n"
         "m = (0, 0, 0, 0, 0, 1, 1)\n"
         "assert table.character(m) == table.character_m2(m)\n"
+        "series = monomial_decompose((0, 0, 0, 3, 0, 0, 0), table)\n"
+        "assert len(series.terms) == 305\n"
         "totals = [freudenthal(lam).total() for lam in FUNDAMENTAL_WEIGHTS]\n"
         "assert totals == list(FUNDAMENTAL_DIMS), totals\n"
         "assert len(minuscule_series(FUNDAMENTAL_WEIGHTS[3])) == 7\n"

@@ -2,13 +2,14 @@ import itertools
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charkit import fixtures
+from charkit import build_a, charsolve, fixtures
 from charkit.charsolve import LEVEL_SOLVE_MIN_SUPPORT, CharacterTable
 from charkit.csmodel import Delta1Operator
 from charkit.lie_core import (
     FUNDAMENTAL_WEIGHTS, ZERO_WEIGHT, NonDominantError,
-    dominant_weights_below, is_below, weyl_dim,
+    dominant_weights_below, is_below, monomial_dim, weyl_dim,
 )
 from charkit.oracle import minuscule_series
 from charkit.polyring import MultiPoly
@@ -16,6 +17,8 @@ from charkit.tensor import (
     CGSeries, DecompositionError, _subtractive_decompose, cg_decompose,
     monomial_decompose,
 )
+
+from test_charsolve import off_diagonal_terms
 
 L = FUNDAMENTAL_WEIGHTS
 
@@ -352,3 +355,195 @@ def test_a_series_comes_out_in_its_top_downset_order(table):
     for top, series in cases:
         assert list(series.terms) == [
             w for w in dominant_weights_below(top) if w in series.terms]
+
+
+# The decomposition as one walk with a lane per constituent, against the
+# triangular subtraction one constituent after the other.
+
+def literal_decompose(product_terms, support, table, expected_dim):
+    """The subtraction one constituent at a time, as ``_subtractive_
+    decompose`` ran before its constituents shared one walk: each
+    constituent not in memory is solved alone on the top's support
+    (``CharacterTable.character``), then subtracted whole."""
+    top = support.weights[0]
+    residual = dict(product_terms)
+    series = {}
+    for mu in support.weights:
+        c = residual.get(mu, 0)
+        if c == 0:
+            continue
+        if c < 0:
+            raise DecompositionError(
+                f"negative multiplicity {c} for weight {mu} under {top}")
+        chi = table.character(mu, support=support)
+        for q, s in chi.terms.items():
+            v = residual.get(q, 0) - c * s
+            if v:
+                residual[q] = v
+            else:
+                residual.pop(q, None)
+        series[mu] = c
+    if residual:
+        raise DecompositionError(
+            f"nonzero residual after decomposing below {top}: "
+            f"{sorted(residual)[:5]} ...")
+    if series.get(top) != 1:
+        raise DecompositionError(
+            f"top weight {top} has multiplicity {series.get(top, 0)}, not 1")
+    got = sum(weyl_dim(mu) * c for mu, c in series.items())
+    if got != expected_dim:
+        raise DecompositionError(
+            f"dimension sum {got} != {expected_dim} below {top}")
+    return CGSeries(series)
+
+
+def literal_monomial(exps, table):
+    support = table.operator.restrict(dominant_weights_below(exps))
+    return literal_decompose({exps: 1}, support, table, monomial_dim(exps))
+
+
+def literal_cg(m, n, table):
+    top = tuple(a + b for a, b in zip(m, n))
+    support = table.operator.restrict(dominant_weights_below(top))
+    product = table.character(m) * table.character(n)
+    return literal_decompose(product.terms, support, table,
+                             weyl_dim(m) * weyl_dim(n))
+
+
+def copy_table(table):
+    """A table on the same operator holding the same characters."""
+    t = CharacterTable(table.operator)
+    for m, chi in table._cache.items():
+        t._cache[m] = chi
+        t._provenance[m] = table.provenance(m)
+    return t
+
+
+def contents(table):
+    """The table's characters, in the order they were kept, with their
+    terms in order and their provenance."""
+    return [(m, list(chi.terms.items()), table.provenance(m))
+            for m, chi in table._cache.items()]
+
+
+def outcome(decompose, *args):
+    """The series as a list of items, or the refusal's type and text."""
+    try:
+        return list(decompose(*args).terms.items())
+    except ArithmeticError as err:
+        return type(err).__name__, str(err)
+
+
+CUBICS = sorted(e for e in itertools.product(range(4), repeat=7)
+                if sum(e) == 3)
+
+
+def test_cubic_series_in_one_walk_are_the_sequential_ones(corpus):
+    # verify all's order on one shared table each: after every series the
+    # two tables hold the same characters, terms and provenance, in order.
+    _, _, bootstrap = build_a(corpus)
+    walked, sequential = copy_table(bootstrap), copy_table(bootstrap)
+    lanes = 0
+    for e in CUBICS:
+        before = len(walked._cache)
+        got = monomial_decompose(e, walked)
+        assert list(got.terms.items()) == list(
+            literal_monomial(e, sequential).terms.items()), e
+        assert contents(walked) == contents(sequential), e
+        lanes += len(walked._cache) - before
+    assert lanes == 411
+
+
+small_weights = st.lists(st.integers(0, 7), min_size=1, max_size=2).map(
+    lambda ks: tuple(sum(k == i for k in ks) for i in range(1, 8)))
+
+
+@given(st.lists(st.tuples(small_weights, small_weights), min_size=1,
+                max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_cg_series_in_one_walk_are_the_sequential_ones(assembled, pairs):
+    # Products of weights of degree one or two, in turn on one table each;
+    # degree 0 is the trivial weight.
+    walked, sequential = copy_table(assembled[2]), copy_table(assembled[2])
+    for m, n in pairs:
+        got = cg_decompose(m, n, walked)
+        assert list(got.terms.items()) == list(
+            literal_cg(m, n, sequential).terms.items())
+        assert contents(walked) == contents(sequential)
+
+
+def test_a_narrow_lane_restarts_the_walk_wider(corpus, monkeypatch):
+    # Lanes of 8 bits admit no push at all (127 // 307 is 0), and 16 bits
+    # too few for z4^3: the walk starts again wider, and gives the series
+    # and characters of the 32-bit walk.
+    _, _, bootstrap = build_a(corpus)
+    z4_cubed = (0, 0, 0, 3, 0, 0, 0)
+    wide = copy_table(bootstrap)
+    want = list(monomial_decompose(z4_cubed, wide).terms.items())
+    widths = []
+    walk = charsolve._walk
+
+    def recorded(support, p, admit=None, bits=charsolve._LANE_BITS):
+        widths.append(bits)
+        return walk(support, p, admit, bits)
+
+    monkeypatch.setattr(charsolve, "_LANE_BITS", 8)
+    monkeypatch.setattr(charsolve, "_walk", recorded)
+    narrow = copy_table(bootstrap)
+    got = list(monomial_decompose(z4_cubed, narrow).terms.items())
+    assert widths[0] == 8 and len(widths) > 1
+    assert widths == [8 << k for k in range(len(widths))]
+    assert got == want
+    assert contents(narrow) == contents(wide)
+
+
+PERTURBED_TOPS = [(0, 0, 0, 3, 0, 0, 0), (0, 0, 0, 2, 1, 0, 0),
+                  (0, 0, 0, 0, 3, 0, 0)]
+
+
+def test_a_walk_refuses_perturbed_operators_as_the_sequential_loop(
+        operator):
+    # The operators of test_m2_refuses_perturbed_operators_as_the_literal_
+    # product: every 13th off-diagonal a_jk term, one at a time, off by
+    # one.  On one table per operator, each top gets the sequential
+    # loop's series or its refusal, of the same type with the same text.
+    # Every one of them refuses all three tops, nine of them by a lane
+    # that fails after a later-opened lane has failed.
+    a = operator.a
+    terms = off_diagonal_terms(a)[::13]
+    refused = 0
+    for pair, term in terms:
+        op = Delta1Operator({**a, pair: a[pair] + MultiPoly({term: 1})})
+        walked, sequential = CharacterTable(op), CharacterTable(op)
+        for e in PERTURBED_TOPS:
+            got = outcome(monomial_decompose, e, walked)
+            assert got == outcome(literal_monomial, e, sequential), (
+                pair, term, e)
+            refused += isinstance(got, tuple)
+    assert refused == 3 * len(terms)
+
+
+def test_a_negative_multiplicity_waits_for_the_lanes_opened_before_it(
+        operator):
+    # z5^3 less 10**6 z^nu: the first refusal is the negative multiplicity
+    # at nu, unless a lane fails first.  The sequential loop solves every
+    # constituent above nu, and refuses nu only if they all come out; the
+    # walk, closed at nu, finishes the lanes opened above it and refuses
+    # as that loop does: on the good operator and on perturbed ones.
+    top = (0, 0, 0, 0, 3, 0, 0)
+    weights = dominant_weights_below(top)
+    a = operator.a
+    ops = [operator] + [
+        Delta1Operator({**a, pair: a[pair] + MultiPoly({term: 1})})
+        for pair, term in off_diagonal_terms(a)[:40:13]]
+    kinds = set()
+    for op in ops:
+        support = op.restrict(weights)
+        for nu in weights[1::10]:
+            terms = {top: 1, nu: -10 ** 6}
+            got = outcome(_subtractive_decompose, terms, support,
+                          CharacterTable(op), monomial_dim(top))
+            assert got == outcome(literal_decompose, terms, support,
+                                  CharacterTable(op), monomial_dim(top))
+            kinds.add(got[0])
+    assert kinds == {"DecompositionError", "IntegralityError"}
